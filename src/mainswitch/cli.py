@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,32 +49,13 @@ from .spectral import classify_main, eigen_sym
 WORKERS_ENV = "MAINSWITCH_WORKERS"
 
 
-@dataclass(frozen=True)
-class Config:
-    """Tolerance and execution knobs shared by the subcommands."""
-
-    eigen_tol: float = 1e-12
-    group_eps: float | None = None
-    main_eps: float | None = None
-    max_n: int = CATALOG_CAP
-    workers: int = 1
-    output: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.eigen_tol <= 0:
-            raise ValueError("eigen tolerance must be positive")
-        for eps in (self.group_eps, self.main_eps):
-            if eps is not None and eps <= 0:
-                raise ValueError("tolerances must be positive")
-        if self.workers < 1:
-            raise ValueError("worker count must be >= 1")
-
-
 def _default_workers() -> int:
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         return max(1, int(raw))
     except ValueError:
+        print(f"warning: ignoring {WORKERS_ENV}={raw!r}, not an integer; using 1 worker",
+              file=sys.stderr)
         return 1
 
 
@@ -118,11 +98,9 @@ def _parse_blocks(spec: str) -> MultipartiteParams:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    cfg = Config(eigen_tol=args.tol, group_eps=args.group_eps, main_eps=args.main_eps)
     for g in _load_inputs(args.input):
-        a = np.array(adjacency_matrix(g), dtype=float)
-        es = eigen_sym(a, tol=cfg.eigen_tol)
-        report = classify_main(es, group_eps=cfg.group_eps, main_eps=cfg.main_eps)
+        es = eigen_sym(np.array(adjacency_matrix(g), dtype=float))
+        report = classify_main(es, group_eps=args.group_eps, main_eps=args.main_eps)
         if args.json:
             print(json.dumps({
                 "n": report.n,
@@ -213,7 +191,6 @@ def _is_known_exception(graph6: str) -> bool:
 
 def _cmd_verify_conjecture(args: argparse.Namespace) -> int:
     workers = args.workers if args.workers is not None else _default_workers()
-    Config(workers=workers, max_n=args.max_n)
     graphs = None
     if args.graph6_file:
         with open(args.graph6_file, "r", encoding="utf-8") as fh:
@@ -234,17 +211,21 @@ def _cmd_verify_conjecture(args: argparse.Namespace) -> int:
 
 def _cmd_check_cert(args: argparse.Namespace) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if ln.strip()]
-    if not lines:
+        records = [(i, ln) for i, ln in enumerate(fh, start=1) if ln.strip()]
+    if not records:
         print("no certificates found", file=sys.stderr)
         return 2
     bad = 0
-    for i, line in enumerate(lines, start=1):
-        cert = Certificate.from_json_dict(json.loads(line))
-        if not verify_certificate(cert):
+    for i, line in records:
+        try:
+            cert = Certificate.from_json_dict(json.loads(line))
+            ok = verify_certificate(cert)
+        except ValueError as exc:  # also JSONDecodeError and GraphFormatError
+            raise ValueError(f"certificate {i}: {exc}") from None
+        if not ok:
             print(f"certificate {i}: FAILED re-check ({cert.graph6})", file=sys.stderr)
             bad += 1
-    print(f"{len(lines) - bad}/{len(lines)} certificates verified")
+    print(f"{len(records) - bad}/{len(records)} certificates verified")
     return 1 if bad else 0
 
 
@@ -263,7 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="float spectrum with per-eigenvalue main flags")
     sp.add_argument("input", help="graph6 string, @file.g6, or @file.sel")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--tol", type=float, default=1e-12, help="eigensolver tolerance")
     sp.add_argument("--group-eps", type=float, default=None)
     sp.add_argument("--main-eps", type=float, default=None)
     sp.set_defaults(fn=_cmd_spectrum)

@@ -34,7 +34,7 @@ from .graphs import (
     make_multipartite,
     make_snr,
 )
-from .spectral import eigen_sym, multipartite_secular_roots, snr_cubic_roots
+from .spectral import eigen_sym, eigenspace_slices, multipartite_secular_roots, snr_cubic_roots
 
 RESIDUAL_TOL = 1e-8
 SUM_TOL = 1e-8
@@ -350,13 +350,13 @@ def _secular_vector(p: MultipartiteParams, lam: float,
 def _part_pair_eigvec(p: MultipartiteParams, i: int, j: int, k: int,
                       p_switched: int, q_switched: int) -> np.ndarray:
     """Eigenvector for -t_i supported on parts j and k of group i, valid when
-    exactly the first p vertices of part j and the first q < p of part k are
-    switched.  Entry sum is 2(q - p), hence nonzero."""
+    exactly the first p vertices of part j and the first q != p of part k
+    are switched.  Entry sum is 2(q - p), hence nonzero."""
     t = p.sizes[i - 1]
-    if not (1 <= p_switched <= t):
-        raise ValueError(f"need 1 <= p <= {t}, got {p_switched}")
-    if not (0 <= q_switched < p_switched):
-        raise ValueError(f"need 0 <= q < p, got q={q_switched} p={p_switched}")
+    if not (0 <= p_switched <= t and 0 <= q_switched <= t):
+        raise ValueError(f"need 0 <= p, q <= {t}, got p={p_switched} q={q_switched}")
+    if q_switched == p_switched:
+        raise ValueError(f"need q != p, got q = p = {p_switched}")
     v = np.zeros(p.n)
     pj = list(p.part_range(i, j))
     pk = list(p.part_range(i, k))
@@ -420,13 +420,10 @@ def _scan(p: MultipartiteParams, roots: Sequence[float], base: frozenset[int],
 
 
 def _zero_witness(graph: Graph, p: MultipartiteParams,
-                  switched: frozenset[int], prefer_last_group: bool = False) -> np.ndarray:
+                  switched: frozenset[int]) -> np.ndarray:
     """Main eigenvector for eigenvalue 0 from a part containing both switched
     and unswitched vertices (the switched ones always form a prefix)."""
-    order = list(range(1, p.s + 1))
-    if prefer_last_group:
-        order = [p.s] + order[:-1]
-    for i in order:
+    for i in range(1, p.s + 1):
         if p.sizes[i - 1] < 2:
             continue
         for j in range(1, p.counts[i - 1] + 1):
@@ -437,28 +434,34 @@ def _zero_witness(graph: Graph, p: MultipartiteParams,
     raise ConstructionError("no part is partially switched; cannot witness eigenvalue 0")
 
 
-def _minus_one_witness(graph: Graph, p: MultipartiteParams,
-                       switched: frozenset[int]) -> np.ndarray:
-    """Main eigenvector for eigenvalue -1 when the last group has unit part
-    size: its vertices form a closed-duplicate class, switched prefix first."""
-    us = list(p.group_range(p.s))
-    flags = [v in switched for v in us]
-    w = sum(flags)
-    if any(flags[w:]):
-        raise ConstructionError("switched vertices in the last group are not a prefix")
-    return duplicate_switch_eigvecs(graph, tuple(us), w, "closed")[0]
+def _ti_witness(p: MultipartiteParams, switched: frozenset[int], i: int) -> np.ndarray:
+    """Main eigenvector for -t_i on the first two parts of group i whose
+    switched prefixes differ in length."""
+    counts = [_prefix_count(p, switched, i, j) for j in range(1, p.counts[i - 1] + 1)]
+    for k, cnt in enumerate(counts[1:], start=2):
+        if cnt != counts[0]:
+            return _part_pair_eigvec(p, i, 1, k, counts[0], cnt)
+    raise ConstructionError(f"every part of group {i} is switched alike; cannot witness -t_{i}")
 
 
-def _ti_witnesses(graph: Graph, p: MultipartiteParams, switched: frozenset[int],
-                  groups: Sequence[int]) -> list[tuple[float, np.ndarray]]:
-    out = []
-    for i in groups:
-        if p.counts[i - 1] < 2:
-            continue
-        pp = _prefix_count(p, switched, i, 1)
-        qq = _prefix_count(p, switched, i, 2)
-        out.append((-float(p.sizes[i - 1]), _part_pair_eigvec(p, i, 1, 2, pp, qq)))
+def _witnesses(graph: Graph, p: MultipartiteParams, roots: Sequence[float],
+               switched: frozenset[int]) -> list[tuple[float, np.ndarray]]:
+    """One main eigenvector per distinct eigenvalue: the secular roots, 0 when
+    some part has two or more vertices, and -t_i for every group of two or
+    more parts."""
+    out = [(lam, _secular_vector(p, lam, switched)) for lam in roots]
+    if p.sizes[0] >= 2:
+        out.append((0.0, _zero_witness(graph, p, switched)))
+    out.extend((-float(p.sizes[i - 1]), _ti_witness(p, switched, i))
+               for i in range(1, p.s + 1) if p.counts[i - 1] >= 2)
     return out
+
+
+# Extras rules: ordered extra-flip candidates on top of a base switching.
+
+
+def _no_extras(p: MultipartiteParams, base: frozenset[int]) -> list[tuple[int, ...]]:
+    return [()]
 
 
 def _eta_extras(p: MultipartiteParams, base: frozenset[int]) -> list[tuple[int, ...]]:
@@ -476,10 +479,49 @@ def _single_flip_extras(p: MultipartiteParams, base: frozenset[int]) -> list[tup
     return out
 
 
+def _last_head_extras(p: MultipartiteParams, base: frozenset[int]) -> list[tuple[int, ...]]:
+    # Nested flips at the head of the last group, after its base vertex.
+    f = p.offsets[-1]
+    return [(), (f + 2,), (f + 2, f + 3)]
+
+
+def _group1_nested_extras(p: MultipartiteParams, base: frozenset[int]) -> list[tuple[int, ...]]:
+    # Nested flips inside group 1, whose vertices v2..v5 share a coordinate.
+    return [(), (2, 3), (2, 3, 4, 5)]
+
+
+# Base rules.
+
+
 def _standard_base(p: MultipartiteParams) -> frozenset[int]:
     base = {p.offsets[i - 1] + 1 for i in range(1, p.s) if p.counts[i - 1] >= 2}
     base.add(p.offsets[p.s - 1] + 1)
     return frozenset(base)
+
+
+def _head_base(p: MultipartiteParams) -> frozenset[int]:
+    return frozenset({1, p.offsets[-1] + 1})
+
+
+def _shape_rule(p: MultipartiteParams) -> tuple | None:
+    """(base rule, extras rule) for a shape with n >= 3, or None for the
+    small shapes (n <= 7) whose case analysis bottoms out in a finite check."""
+    t, l, m = p.sizes, p.counts, p.group_sizes
+    if p.s == 1:
+        return _standard_base, _no_extras
+    if t[-1] >= 2:
+        return _standard_base, _eta_extras
+    # From here on t_s == 1.
+    if t[0] == 2:
+        # Blocks ((l1,2),(l2,1)).
+        if m[1] >= 4:
+            return _head_base, _last_head_extras
+        return None if m[0] <= 4 else (_head_base, _group1_nested_extras)
+    if any(li >= 2 for li in l[:-1]):
+        return _standard_base, _eta_extras
+    if t[0] == 3:
+        return None if l[-1] <= 2 else (_head_base, _single_flip_extras)
+    return _head_base, _eta_extras
 
 
 def _from_search(p: MultipartiteParams) -> ConstructionResult:
@@ -495,146 +537,39 @@ def _from_search(p: MultipartiteParams) -> ConstructionResult:
     switched = frozenset(cert.switching)
     sg = apply_switching(graph, switched)
     es = eigen_sym(np.array(adjacency_matrix(sg), dtype=float))
-    witnesses: list[tuple[float, np.ndarray]] = []
-    w, V = es.eigenvalues, es.vectors
-    start = 0
-    gap = 1e-8 * max(1.0, float(np.max(np.abs(w))))
     j = np.ones(p.n)
-    for i in range(1, p.n + 1):
-        if i < p.n and w[i] - w[i - 1] <= gap:
-            continue
-        block = V[:, start:i]
-        witnesses.append((float(np.mean(w[start:i])), block @ (block.T @ j)))
-        start = i
+    witnesses = []
+    for sl in eigenspace_slices(es.eigenvalues):
+        block = es.vectors[:, sl]
+        witnesses.append((float(np.mean(es.eigenvalues[sl])), block @ (block.T @ j)))
     return _finish(graph, switched, witnesses, "brute_force")
 
 
 def multipartite_all_main_switching(p: MultipartiteParams) -> ConstructionResult:
     """All-main switching for a complete multipartite graph.
 
-    Dispatches on the block structure; the only rejected inputs are the two
-    graphs with no all-main switching at all: the single edge (blocks (2,1))
-    and the 4-clique minus an edge (blocks (1,2),(2,1)).
+    A shape rule gives a base switching and ordered extra-flip candidates;
+    the first candidate main for every secular root wins.  The only rejected
+    inputs are the two graphs with no all-main switching at all: the single
+    edge (blocks (2,1)) and the 4-clique minus an edge (blocks (1,2),(2,1)).
     """
     if p.n < 2:
         raise ValueError("need at least 2 vertices")
-    t, l, m, f, s = p.sizes, p.counts, p.group_sizes, p.offsets, p.s
     graph = make_multipartite(p)
-
-    if s == 1 and t[0] == 1:
-        # Complete graph on l1 vertices.
-        if p.n == 2:
-            raise NoAllMainSwitchingError(
-                "the single-edge graph admits no all-main switching")
-        switched = frozenset({1})
-        top = np.ones(p.n)
-        top[0] = -1.0
-        witnesses = [
-            (float(p.n - 1), top),
-            (-1.0, multipartite_ti_eigvec(p, 1, 1, 0)),
-        ]
-        return _finish(graph, switched, witnesses, "constructive")
-
-    if s == 1 and l[0] == 1:
+    if p.s == 1 and p.counts[0] == 1:
         # A single part: the empty graph, already all-main with no switching.
         return _finish(graph, frozenset(), [(0.0, np.ones(p.n))], "constructive")
-
-    if s == 1:
-        # l1 >= 2 parts of equal size t1 >= 2.
-        switched = frozenset({1})
-        top = np.ones(p.n)
-        top[0] = -1.0
-        witnesses = [
-            (float((l[0] - 1) * t[0]), top),
-            (0.0, _zero_witness(graph, p, switched)),
-            (-float(t[0]), multipartite_ti_eigvec(p, 1, 1, 0)),
-        ]
-        return _finish(graph, switched, witnesses, "constructive")
-
+    if p.n == 2:
+        raise NoAllMainSwitchingError(
+            "the single-edge graph admits no all-main switching")
+    rule = _shape_rule(p)
+    if rule is None:
+        return _from_search(p)  # includes the rejected 4-clique minus an edge
+    base_rule, extras_rule = rule
     roots = multipartite_secular_roots(p)
-
-    if t[-1] >= 2:
-        # Every part has at least two vertices.
-        base = _standard_base(p)
-        switched = _scan(p, roots, base, _eta_extras(p, base))
-        witnesses = [(lam, _secular_vector(p, lam, switched)) for lam in roots]
-        witnesses.append((0.0, _zero_witness(graph, p, switched, prefer_last_group=True)))
-        witnesses.extend(_ti_witnesses(graph, p, switched, range(1, s + 1)))
-        return _finish(graph, switched, witnesses, "constructive")
-
-    # From here on t_s == 1.
-    if all(li == 1 for li in l[:-1]):
-        if t[0] == 2:
-            # Blocks ((1,2),(l2,1)).
-            if m[1] <= 3:
-                return _from_search(p)  # n <= 5, includes the rejected 4-clique minus edge
-            base = frozenset({1, f[1] + 1})
-            extras_list = [(), (f[1] + 2,), (f[1] + 2, f[1] + 3)]
-            switched = _scan(p, roots, base, extras_list)
-            witnesses = [(lam, _secular_vector(p, lam, switched)) for lam in roots]
-            witnesses.append((0.0, _zero_witness(graph, p, switched)))
-            witnesses.append((-1.0, _minus_one_witness(graph, p, switched)))
-            return _finish(graph, switched, witnesses, "constructive")
-        if t[0] == 3:
-            if l[-1] <= 2:
-                return _from_search(p)  # n <= 7
-            base = frozenset({1, f[-1] + 1})
-            switched = _scan(p, roots, base, _single_flip_extras(p, base))
-            witnesses = [(lam, _secular_vector(p, lam, switched)) for lam in roots]
-            witnesses.append((0.0, _zero_witness(graph, p, switched)))
-            witnesses.append((-1.0, _minus_one_witness(graph, p, switched)))
-            return _finish(graph, switched, witnesses, "constructive")
-        # t1 >= 4.
-        base = frozenset({1, f[-1] + 1})
-        switched = _scan(p, roots, base, _eta_extras(p, base))
-        witnesses = [(lam, _secular_vector(p, lam, switched)) for lam in roots]
-        witnesses.append((0.0, _zero_witness(graph, p, switched)))
-        if l[-1] >= 2:
-            witnesses.append((-1.0, _minus_one_witness(graph, p, switched)))
-        return _finish(graph, switched, witnesses, "constructive")
-
-    # t_s == 1 and some group before the last has several parts.
-    if t[0] == 2:
-        # s == 2, l1 >= 2, m1 >= 4.
-        if m[1] <= 3 and m[0] == 4:
-            return _from_search(p)  # n <= 7
-        base = frozenset({1, f[1] + 1})
-        if m[1] <= 3:
-            # m1 >= 6: nested flips inside group 1 (v2..v5 share a coordinate).
-            extras_list: list[tuple[int, ...]] = [(), (2, 3), (2, 3, 4, 5)]
-            switched = _scan(p, roots, base, extras_list)
-            witnesses = [(lam, _secular_vector(p, lam, switched)) for lam in roots]
-            witnesses.append((0.0, _zero_witness(graph, p, switched)))
-            if l[1] >= 2:
-                witnesses.append((-1.0, _minus_one_witness(graph, p, switched)))
-            # -2 witness on a pair of group-1 parts chosen by how many group-1
-            # vertices were flipped (1, 3 or 5, always an odd prefix).
-            q1 = sum(1 for v in switched if v <= m[0])
-            if q1 in (1, 3):
-                part_j = (q1 + 1) // 2
-                vec = _part_pair_eigvec(p, 1, part_j, part_j + 1, 1, 0)
-            else:  # q1 == 5
-                vec = _part_pair_eigvec(p, 1, 1, 3, 2, 1)
-            witnesses.append((-2.0, vec))
-            return _finish(graph, switched, witnesses, "constructive")
-        # m2 >= 4: nested flips at the head of group 2.
-        extras_list = [(), (f[1] + 2,), (f[1] + 2, f[1] + 3)]
-        switched = _scan(p, roots, base, extras_list)
-        witnesses = [(lam, _secular_vector(p, lam, switched)) for lam in roots]
-        witnesses.append((0.0, _zero_witness(graph, p, switched)))
-        witnesses.append((-1.0, _minus_one_witness(graph, p, switched)))
-        witnesses.append((-2.0, multipartite_ti_eigvec(p, 1, 1, 0)))
-        return _finish(graph, switched, witnesses, "constructive")
-
-    # t1 >= 3.
-    base = _standard_base(p)
-    switched = _scan(p, roots, base, _eta_extras(p, base))
-    witnesses = [(lam, _secular_vector(p, lam, switched)) for lam in roots]
-    witnesses.append((0.0, _zero_witness(graph, p, switched)))
-    witnesses.extend(_ti_witnesses(graph, p, switched, range(1, s)))
-    if l[-1] >= 2:
-        witnesses.append((-1.0, _minus_one_witness(graph, p, switched)))
-    return _finish(graph, switched, witnesses, "constructive")
+    base = base_rule(p)
+    switched = _scan(p, roots, base, extras_rule(p, base))
+    return _finish(graph, switched, _witnesses(graph, p, roots, switched), "constructive")
 
 
 def one_per_part_switching(p: MultipartiteParams) -> ConstructionResult:
@@ -650,16 +585,7 @@ def one_per_part_switching(p: MultipartiteParams) -> ConstructionResult:
     graph = make_multipartite(p)
     switched = frozenset(off + 1 for off in p.offsets)
     roots = multipartite_secular_roots(p)
-    witnesses: list[tuple[float, np.ndarray]] = []
-    for lam in roots:
-        vec = _secular_vector(p, lam, switched)
-        margin = abs(float(vec.sum())) / float(np.linalg.norm(vec))
-        if margin <= 1e-9:
-            raise ConstructionError(
-                f"one-per-part vector unexpectedly near non-main at root {lam}")
-        witnesses.append((lam, vec))
-    witnesses.append((0.0, _zero_witness(graph, p, switched)))
-    result = _finish(graph, switched, witnesses, "constructive")
+    result = _finish(graph, switched, _witnesses(graph, p, roots, switched), "constructive")
     if not result.verified:
         raise ConstructionError(
             "one-per-part switching failed the exact all-main check")

@@ -76,8 +76,11 @@ def enumerate_switchings(n: int) -> Iterator[Switching]:
 # Certificates
 # ---------------------------------------------------------------------------
 
-_CERT_FIELDS = ("graph6", "switching", "distinct_count", "main_count",
-                "all_main", "method", "tool_version")
+# Certificate fields in their fixed order, with the exact JSON type of each.
+_CERT_FIELDS = {"graph6": str, "switching": list, "distinct_count": int,
+                "main_count": int, "all_main": bool, "method": str,
+                "tool_version": str}
+_CERT_METHODS = ("brute_force", "constructive")
 
 
 @dataclass(frozen=True)
@@ -108,19 +111,27 @@ class Certificate:
         return json.dumps(self.to_json_dict())
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "Certificate":
+    def from_json_dict(cls, d: object) -> "Certificate":
+        """Parse a certificate record; every field must carry its exact JSON
+        type, so no coercion can turn a malformed record into a valid one."""
+        if not isinstance(d, dict):
+            raise ValueError(f"certificate must be a JSON object, got {type(d).__name__}")
         missing = [k for k in _CERT_FIELDS if k not in d]
         if missing:
             raise ValueError(f"certificate missing fields: {missing}")
-        return cls(
-            graph6=str(d["graph6"]),
-            switching=tuple(int(v) for v in d["switching"]),
-            distinct_count=int(d["distinct_count"]),
-            main_count=int(d["main_count"]),
-            all_main=bool(d["all_main"]),
-            method=str(d["method"]),
-            tool_version=str(d["tool_version"]),
-        )
+        for key, kind in _CERT_FIELDS.items():
+            if type(d[key]) is not kind:
+                raise ValueError(f"certificate field {key!r} must be {kind.__name__}, "
+                                 f"got {type(d[key]).__name__}")
+        sw = d["switching"]
+        if (any(type(v) is not int for v in sw)
+                or any(a >= b for a, b in zip(sw, sw[1:]))):
+            raise ValueError("certificate switching must be a strictly increasing "
+                             "list of integers")
+        if d["method"] not in _CERT_METHODS:
+            raise ValueError(f"certificate method must be one of {list(_CERT_METHODS)}, "
+                             f"got {d['method']!r}")
+        return cls(**{k: d[k] for k in _CERT_FIELDS} | {"switching": tuple(sw)})
 
 
 def make_certificate(graph: Graph, switching: Switching | Iterable[int],
@@ -373,6 +384,8 @@ def verify_conjecture(max_n: int, workers: int = 1,
     edge and the 4-clique minus an edge.
     """
     start = time.perf_counter()
+    if workers < 1:
+        raise ValueError("worker count must be >= 1")
     if graphs is None:
         if not (2 <= max_n <= CATALOG_CAP):
             raise ValueError(f"need 2 <= max_n <= {CATALOG_CAP}")
@@ -385,8 +398,6 @@ def verify_conjecture(max_n: int, workers: int = 1,
         if not todo:
             raise ValueError("no graphs to verify")
         n_range = (min(g.n for g in todo), max(g.n for g in todo))
-    if workers < 1:
-        raise ValueError("worker count must be >= 1")
     if workers == 1:
         results = [_search_one(g) for g in todo]
     else:

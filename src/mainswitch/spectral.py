@@ -1,7 +1,7 @@
 """Floating-point spectral engine.
 
 A cyclic Jacobi eigensolver (rotations until every off-diagonal entry is
-below tol * ||A||_F) provides orthonormal bases per eigenspace, which the
+below 1e-12 * ||A||_F) provides orthonormal bases per eigenspace, which the
 main-eigenvalue classifier needs: an eigenvalue group is main when the
 projection of the all-ones vector onto its eigenspace has norm above a
 threshold.  The classifier is advisory; for integer inputs the exact module
@@ -31,6 +31,7 @@ __all__ = [
     "SpectrumReport",
     "classify_main",
     "eigen_sym",
+    "eigenspace_slices",
     "multipartite_secular_roots",
     "multipartite_spectrum",
     "snr_cubic_roots",
@@ -47,14 +48,13 @@ class EigenSystem:
     residual_bound: float
 
 
-def eigen_sym(a, tol: float = 1e-12, max_sweeps: int = 60) -> EigenSystem:
+def eigen_sym(a) -> EigenSystem:
     """Eigendecomposition of a real symmetric matrix by cyclic Jacobi sweeps.
 
-    Rotations repeat until every off-diagonal magnitude drops below
-    tol * ||A||_F.  Raises on non-symmetric input (asymmetry above 1e-12).
+    Rotations repeat, for at most 60 sweeps, until every off-diagonal
+    magnitude drops below 1e-12 * ||A||_F.  Raises on non-symmetric input
+    (asymmetry above 1e-12).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     A = np.array(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
@@ -67,8 +67,8 @@ def eigen_sym(a, tol: float = 1e-12, max_sweeps: int = 60) -> EigenSystem:
     V = np.eye(n)
     fro = np.linalg.norm(A, "fro")
     if fro > 0:
-        threshold = tol * fro
-        for _ in range(max_sweeps):
+        threshold = 1e-12 * fro
+        for _ in range(60):
             off = np.max(np.abs(A - np.diag(np.diag(A))))
             if off < threshold:
                 break
@@ -105,6 +105,19 @@ def eigen_sym(a, tol: float = 1e-12, max_sweeps: int = 60) -> EigenSystem:
     return EigenSystem(eigenvalues=w, vectors=V, residual_bound=residual)
 
 
+def eigenspace_slices(w: np.ndarray, group_eps: float | None = None) -> list[slice]:
+    """Split ascending eigenvalues into runs whose consecutive gaps are at
+    most group_eps (default 1e-8 * max(1, spectral radius)), one per
+    eigenspace."""
+    n = len(w)
+    if group_eps is None:
+        group_eps = 1e-8 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
+    if group_eps <= 0:
+        raise ValueError("tolerances must be positive")
+    cuts = [0] + [i for i in range(1, n) if w[i] - w[i - 1] > group_eps] + [n]
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
 @dataclass(frozen=True)
 class SpectrumGroup:
     value: float
@@ -131,28 +144,20 @@ def classify_main(es: EigenSystem, group_eps: float | None = None,
     """
     w = es.eigenvalues
     n = len(w)
-    radius = float(np.max(np.abs(w), initial=0.0))
-    if group_eps is None:
-        group_eps = 1e-8 * max(1.0, radius)
     if main_eps is None:
         main_eps = 1e-8 * math.sqrt(n)
-    if group_eps <= 0 or main_eps <= 0:
+    if main_eps <= 0:
         raise ValueError("tolerances must be positive")
     j = np.ones(n)
     groups: list[SpectrumGroup] = []
-    start = 0
-    for i in range(1, n + 1):
-        if i < n and w[i] - w[i - 1] <= group_eps:
-            continue
-        block = es.vectors[:, start:i]
-        mass = float(np.linalg.norm(block.T @ j))
+    for sl in eigenspace_slices(w, group_eps):
+        mass = float(np.linalg.norm(es.vectors[:, sl].T @ j))
         groups.append(SpectrumGroup(
-            value=float(np.mean(w[start:i])),
-            multiplicity=i - start,
+            value=float(np.mean(w[sl])),
+            multiplicity=sl.stop - sl.start,
             is_main=mass > main_eps,
             main_mass=mass,
         ))
-        start = i
     return SpectrumReport(groups=tuple(groups), n=n)
 
 

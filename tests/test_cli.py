@@ -3,8 +3,10 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from mainswitch import Certificate, parse_graph6, verify_certificate
+from mainswitch import TOOL_VERSION, Certificate, parse_graph6, verify_certificate
 from mainswitch.cli import run
 
 
@@ -181,15 +183,63 @@ def test_workers_env_default(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_config_validation():
-    from mainswitch.cli import Config
+def test_workers_env_not_an_int_warns(monkeypatch, capsys):
+    monkeypatch.setenv("MAINSWITCH_WORKERS", "abc")
+    assert run(["verify-conjecture", "--max-n", "3"]) == 0
+    err = capsys.readouterr().err
+    assert "MAINSWITCH_WORKERS" in err and "'abc'" in err
 
-    with pytest.raises(ValueError):
-        Config(eigen_tol=0.0)
-    with pytest.raises(ValueError):
-        Config(group_eps=-1.0)
-    with pytest.raises(ValueError):
-        Config(workers=0)
+
+def test_bad_tolerances_and_workers_are_usage_errors(capsys):
+    assert run(["spectrum", "Bw", "--group-eps", "-1"]) == 2
+    assert run(["spectrum", "Bw", "--main-eps", "0"]) == 2
+    assert run(["verify-conjecture", "--max-n", "3", "--workers", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+_BW_CERT = {"graph6": "Bw", "switching": [2], "distinct_count": 2, "main_count": 2,
+            "all_main": True, "method": "brute_force", "tool_version": TOOL_VERSION}
+
+
+@pytest.mark.parametrize("bad_line, reason", [
+    (json.dumps(dict(_BW_CERT, all_main="false")), "all_main"),
+    (json.dumps(dict(_BW_CERT, switching=[2, 2.7])), "switching"),
+    (json.dumps(dict(_BW_CERT, method="guess")), "method"),
+    ("3", "JSON object"),
+])
+def test_check_cert_rejects_malformed_line(tmp_path, capsys, bad_line, reason):
+    f = tmp_path / "certs.jsonl"
+    f.write_text(json.dumps(_BW_CERT) + "\n\n" + bad_line + "\n")
+    assert run(["check-cert", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "certificate 3:" in err and reason in err
+
+
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8)
+_cert_like = st.fixed_dictionaries({
+    "graph6": st.sampled_from(["Bw", "A_", "C^", "~", ""]) | st.text(max_size=4),
+    "switching": st.lists(st.integers(-2, 6), max_size=4) | _json_values,
+    "distinct_count": st.integers(-1, 4) | _json_values,
+    "main_count": st.integers(-1, 4) | _json_values,
+    "all_main": st.booleans() | _json_values,
+    "method": st.sampled_from(["brute_force", "constructive"]) | _json_values,
+    "tool_version": st.just(TOOL_VERSION) | _json_values,
+})
+_lines = (st.builds(json.dumps, _cert_like | _json_values)
+          | st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=20))
+
+
+@given(st.lists(_lines, min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_check_cert_never_raises(tmp_path, lines):
+    f = tmp_path / "fuzz.jsonl"
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["check-cert", str(f)]) in (0, 1, 2)
 
 
 def test_usage_error_exit_code_via_argparse():

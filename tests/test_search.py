@@ -318,3 +318,31 @@ def test_certificate_missing_field_rejected():
     del d["main_count"]
     with pytest.raises(ValueError):
         Certificate.from_json_dict(d)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("all_main", "false"),
+    ("all_main", 1),
+    ("main_count", 2.0),
+    ("main_count", True),
+    ("distinct_count", "2"),
+    ("graph6", 3),
+    ("switching", [2, 2.7]),
+    ("switching", [3, 2]),
+    ("switching", [2, 2]),
+    ("switching", [True]),
+    ("switching", "2"),
+    ("method", "guess"),
+    ("tool_version", None),
+])
+def test_certificate_strict_types(field, value):
+    d = find_all_main_switching(parse_graph6("Bw")).to_json_dict()
+    d[field] = value
+    with pytest.raises(ValueError, match=field):
+        Certificate.from_json_dict(d)
+
+
+def test_certificate_rejects_non_object():
+    for blob in (3, [1, 2], "Bw", None):
+        with pytest.raises(ValueError):
+            Certificate.from_json_dict(blob)
