@@ -7,10 +7,13 @@ size order and keeps the first all-main one, so certificates prefer small
 switchings.
 
 Graph catalogs are generated one vertex at a time: every class on k-1
-vertices is extended by a new last vertex with every possible neighbourhood,
-and duplicates are removed by a canonical form obtained by brute force over
-all k! relabellings (vectorised; the canonical form is the lexicographically
-smallest upper-triangle bit string).
+vertices is extended by a new last vertex with every possible neighbourhood.
+Duplicates are removed by a complete invariant from 1-WL colour refinement
+(McKay, "Practical graph isomorphism", 1981): the smallest upper-triangle bit
+string over the vertex orders that respect the colour classes.  Each class
+is then labelled by its canonical form, the lexicographically smallest
+upper-triangle bit string over all k! relabellings, found by branch and
+bound over vertex positions that keeps only the minimal partial orders.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
-
-import numpy as np
 
 from ._version import __version__
 from .exact import MainProfile, char_poly, distinct_eigenvalue_count, main_profile, rank_exact, walk_matrix
@@ -225,34 +226,85 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
-@lru_cache(maxsize=None)
-def _perm_table(n: int) -> np.ndarray:
-    """perm_table[p, k] = index of the pair that permutation p moves onto
-    canonical pair position k."""
-    pairs = _pairs(n)
-    index = {pair: k for k, pair in enumerate(pairs)}
-    perms = list(itertools.permutations(range(n)))
-    table = np.empty((len(perms), len(pairs)), dtype=np.int32)
-    for p, perm in enumerate(perms):
-        for k, (i, j) in enumerate(pairs):
-            a, b = perm[i], perm[j]
-            table[p, k] = index[(a, b) if a < b else (b, a)]
-    return table
+def _mask_rows(mask: int, n: int) -> list[int]:
+    """Neighbourhood bitmask of every vertex (bit w of rows[v] is edge vw)."""
+    rows = [0] * n
+    for k, (i, j) in enumerate(_pairs(n)):
+        if (mask >> k) & 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return rows
 
 
-def _mask_bits(mask: int, npairs: int) -> np.ndarray:
-    return np.array([(mask >> k) & 1 for k in range(npairs)], dtype=np.uint64)
+def _lex_min(rows: list[int], allowed: list[int]) -> int:
+    """Smallest column-order upper-triangle bit string, read as an integer,
+    over the vertex orders that put a vertex of the bitmask allowed[t] at
+    position t.
+
+    Positions are filled in turn.  Every surviving partial order has produced
+    the same bits so far, so only the extensions whose new column (the new
+    vertex's adjacency to the placed ones, first placed most significant) is
+    smallest can reach the minimum.  Of two twins (equal neighbourhoods apart
+    from each other) only one is tried: swapping them is an automorphism that
+    fixes the placed vertices, so both give the same strings.
+    """
+    n = len(rows)
+    value = 0
+    states = [(0, (0,) * n)]  # (placed vertices, column of every vertex)
+    for t in range(n):
+        best = 1 << t  # above every t-bit column
+        survivors = []
+        for placed, codes in states:
+            free = allowed[t] & ~placed
+            cands = [v for v in range(n) if (free >> v) & 1]
+            low = min(codes[v] for v in cands)
+            if low > best:
+                continue
+            if low < best:
+                best, survivors = low, []
+            tried: list[int] = []
+            for v in cands:
+                if codes[v] != low or any(
+                        (rows[u] ^ rows[v]) & ~(1 << u | 1 << v) == 0 for u in tried):
+                    continue
+                tried.append(v)
+                row = rows[v]
+                survivors.append((placed | 1 << v,
+                                  tuple(c << 1 | (row >> w) & 1 for w, c in enumerate(codes))))
+        value = value << t | best
+        states = survivors
+    return value
 
 
-def _canonical_value(mask: int, n: int) -> int:
-    npairs = n * (n - 1) // 2
-    if npairs == 0:
-        return 0
-    table = _perm_table(n)
-    bits = _mask_bits(mask, npairs)
-    weights = (np.uint64(1) << np.arange(npairs - 1, -1, -1, dtype=np.uint64))
-    values = bits[table] @ weights
-    return int(values.min())
+def _canonical_value(rows: list[int]) -> int:
+    return _lex_min(rows, [(1 << len(rows)) - 1] * len(rows))
+
+
+def _refined_key(rows: list[int]) -> tuple[tuple[int, ...], int]:
+    """Complete isomorphism invariant: the colour multiset of 1-WL colour
+    refinement plus the smallest bit string over the orders that list the
+    colour classes in ascending colour order.
+
+    A colour is the rank of its vertices' signature (old colour, neighbours
+    per colour class) among this graph's signatures, never a vertex index, so
+    isomorphic graphs get the same colours and the same key; equal keys give
+    equal relabelled graphs.
+    """
+    n = len(rows)
+    colour = [0] * n
+    classes = [(1 << n) - 1]
+    while len(classes) < n:
+        sigs = [(c, tuple((rows[v] & m).bit_count() for m in classes))
+                for v, c in enumerate(colour)]
+        rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        if len(rank) == len(classes):
+            break
+        colour = [rank[s] for s in sigs]
+        classes = [0] * len(rank)
+        for v, c in enumerate(colour):
+            classes[c] |= 1 << v
+    order = sorted(colour)
+    return tuple(order), _lex_min(rows, [classes[c] for c in order])
 
 
 def _value_to_mask(value: int, npairs: int) -> int:
@@ -278,11 +330,12 @@ def _graph_to_mask(g: Graph) -> int:
 
 
 def canonical_form(g: Graph) -> Graph:
-    """Relabelling of g that minimises the upper-triangle bit string over all
-    n! permutations (n <= 8)."""
+    """Relabelling of g whose column-order upper-triangle bit string is the
+    smallest over all n! relabellings (n <= 8), found by the pruned search of
+    _lex_min rather than by trying every relabelling."""
     if g.n > CANONICAL_CAP:
-        raise ValueError(f"canonical form by permutation search capped at n={CANONICAL_CAP}")
-    value = _canonical_value(_graph_to_mask(g), g.n)
+        raise ValueError(f"canonical form capped at n={CANONICAL_CAP}")
+    value = _canonical_value(_mask_rows(_graph_to_mask(g), g.n))
     return _mask_to_graph(_value_to_mask(value, g.n * (g.n - 1) // 2), g.n)
 
 
@@ -292,26 +345,28 @@ def canonical_graph6(g: Graph) -> str:
 
 @lru_cache(maxsize=None)
 def _catalog_masks(n: int) -> tuple[int, ...]:
-    """Canonical masks of ALL isomorphism classes on exactly n vertices."""
+    """Canonical masks of ALL isomorphism classes on exactly n vertices.
+
+    Each extension of a class on n-1 vertices is keyed by _refined_key; the
+    exact canonical value is then computed once per distinct key."""
     if n == 1:
         return (0,)
-    npairs_prev = (n - 1) * (n - 2) // 2
-    npairs = n * (n - 1) // 2
-    seen: set[int] = set()
+    reps: dict[tuple[tuple[int, ...], int], list[int]] = {}
     for old in _catalog_masks(n - 1):
+        old_rows = _mask_rows(old, n - 1)
         for nbhd in range(1 << (n - 1)):
-            mask = old | (nbhd << npairs_prev)
-            seen.add(_canonical_value(mask, n))
-    return tuple(_value_to_mask(v, npairs) for v in sorted(seen))
+            rows = [r | ((nbhd >> v) & 1) << (n - 1) for v, r in enumerate(old_rows)]
+            rows.append(nbhd)
+            reps.setdefault(_refined_key(rows), rows)
+    values = sorted(_canonical_value(rows) for rows in reps.values())
+    return tuple(_value_to_mask(v, n * (n - 1) // 2) for v in values)
 
 
-def enumerate_connected_graphs(n: int, cap: int = CATALOG_CAP) -> list[Graph]:
+def enumerate_connected_graphs(n: int) -> list[Graph]:
     """One canonical representative per isomorphism class of connected simple
     graphs on exactly n vertices, in canonical order."""
-    if not (1 <= n <= cap):
-        raise ValueError(f"catalog enumeration supports 1 <= n <= {cap}")
-    if cap > CANONICAL_CAP:
-        raise ValueError(f"cap cannot exceed {CANONICAL_CAP}")
+    if not (1 <= n <= CATALOG_CAP):
+        raise ValueError(f"catalog enumeration supports 1 <= n <= {CATALOG_CAP}")
     graphs = (_mask_to_graph(mask, n) for mask in _catalog_masks(n))
     return [g for g in graphs if is_connected(g)]
 
@@ -371,10 +426,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _search_one(graph: Graph) -> Certificate | None:
-    return find_all_main_switching(graph)
-
-
 def verify_conjecture(max_n: int, workers: int = 1,
                       graphs: Iterable[Graph] | None = None) -> VerificationReport:
     """Run the brute-force search over every connected catalog graph on
@@ -399,10 +450,10 @@ def verify_conjecture(max_n: int, workers: int = 1,
             raise ValueError("no graphs to verify")
         n_range = (min(g.n for g in todo), max(g.n for g in todo))
     if workers == 1:
-        results = [_search_one(g) for g in todo]
+        results = [find_all_main_switching(g) for g in todo]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_search_one, todo, chunksize=16))
+            results = list(pool.map(find_all_main_switching, todo, chunksize=16))
     certificates: list[Certificate] = []
     exceptions: list[UnswitchableGraph] = []
     for graph, cert in zip(todo, results):

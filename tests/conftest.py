@@ -7,6 +7,7 @@ by direct convolution.  Tests compare library output against these.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -69,6 +70,19 @@ def poly_eval_matrix(p: list[int], a: list[list[int]]) -> np.ndarray:
         idx = np.diag_indices(n)
         acc[idx] = acc[idx] + c
     return acc
+
+
+def brute_canonical_form(g: Graph) -> Graph:
+    """Relabelling of g with the smallest column-order upper-triangle bit
+    string, by trying every one of the n! vertex orders."""
+    n = g.n
+    adj = [[False] * (n + 1) for _ in range(n + 1)]
+    for u, v in g.edges:
+        adj[u][v] = adj[v][u] = True
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    best = min(itertools.permutations(range(1, n + 1)),
+               key=lambda order: [adj[order[i]][order[j]] for i, j in pairs])
+    return Graph(n, frozenset((i + 1, j + 1) for i, j in pairs if adj[best[i]][best[j]]))
 
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:

@@ -1,5 +1,6 @@
 """CLI regression suite: subcommand semantics, exit codes, JSON/text parity."""
 
+import hashlib
 import json
 
 import pytest
@@ -134,6 +135,19 @@ def test_verify_conjecture_certificates_file(tmp_path, capsys):
     assert len(lines) == 2  # K2 is the lone exception among the 3 graphs
     for line in lines:
         assert verify_certificate(Certificate.from_json_dict(json.loads(line)))
+
+
+def test_verify_conjecture_output_bytes_pinned(tmp_path, capsys):
+    # sha256 of the --json report and of the certificate file for n <= 6, so
+    # any change to catalog order, canonical labels or certificates shows.
+    out = tmp_path / "certs.jsonl"
+    assert run(["verify-conjecture", "--max-n", "6", "--json",
+                "--certificates", str(out)]) == 0
+    report = capsys.readouterr().out.encode()
+    assert hashlib.sha256(report).hexdigest() == \
+        "41c028d27f950d3c3ba92db79788ea4ad8a8ecd208008ad7da3ecc28a76691ed"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "0246eb6867e875b01c031b913c600ed39d033e661a9cd0b096c485d38e01d3b0"
 
 
 def test_check_cert_pass_and_tamper(tmp_path, capsys):

@@ -32,6 +32,9 @@ from mainswitch import MultipartiteParams, SnrParams
 
 K4_MINUS_EDGE = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
 
+# Simple graphs per vertex count, connected or not (OEIS A000088).
+ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+
 # Connected simple graphs per vertex count (frozen; cross-checked below for
 # n <= 5 by exhaustive labelled enumeration with an independent iso test).
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -133,6 +136,13 @@ def test_connected_counts():
         assert len(enumerate_connected_graphs(n)) == expected
 
 
+def test_catalog_class_counts():
+    from mainswitch.search import _catalog_masks
+
+    for n, expected in ALL_COUNTS.items():
+        assert len(_catalog_masks(n)) == expected
+
+
 def test_catalog_rejects_beyond_cap():
     with pytest.raises(ValueError):
         enumerate_connected_graphs(8)
@@ -174,6 +184,7 @@ def test_catalog_matches_exhaustive_labelled_enumeration():
 
 def test_canonical_form_is_isomorphism_invariant(rng):
     from conftest import random_connected_graph
+    from mainswitch.search import _graph_to_mask, _mask_rows, _refined_key
 
     for _ in range(20):
         n = rng.randrange(2, 8)
@@ -184,6 +195,26 @@ def test_canonical_form_is_isomorphism_invariant(rng):
             (min(perm[u - 1], perm[v - 1]), max(perm[u - 1], perm[v - 1]))
             for u, v in g.edges))
         assert canonical_form(g) == canonical_form(relabelled)
+        assert _refined_key(_mask_rows(_graph_to_mask(g), n)) == \
+            _refined_key(_mask_rows(_graph_to_mask(relabelled), n))
+
+
+def test_canonical_form_matches_brute_force_oracle(rng):
+    from conftest import brute_canonical_form
+
+    # K_n, the empty graph, C_n and K_{4,4} keep the most partial orders alive.
+    graphs = [Graph.from_edges(8, [(u, v) for u in range(1, 5) for v in range(5, 9)])]
+    for n in range(1, 9):
+        graphs += [Graph(n, frozenset(itertools.combinations(range(1, n + 1), 2))),
+                   Graph(n, frozenset())]
+        if n >= 3:
+            graphs.append(Graph.from_edges(n, [(v, v % n + 1) for v in range(1, n + 1)]))
+    for n in [rng.randrange(1, 8) for _ in range(40)] + [8, 8, 8]:
+        pairs = itertools.combinations(range(1, n + 1), 2)
+        density = rng.random()
+        graphs.append(Graph(n, frozenset(p for p in pairs if rng.random() < density)))
+    for g in graphs:
+        assert canonical_form(g) == brute_canonical_form(g), emit_graph6(g)
 
 
 # ---------------------------------------------------------------------------
