@@ -234,10 +234,10 @@ def _validated_witness(a_sw: np.ndarray, lam: float, vec: np.ndarray) -> np.ndar
 
 def _finish(graph: Graph, switched: frozenset[int],
             raw_witnesses: list[tuple[float, np.ndarray]], method: str) -> ConstructionResult:
-    sg = apply_switching(graph, switched)
-    a_sw = np.array(adjacency_matrix(sg), dtype=float)
+    a = adjacency_matrix(apply_switching(graph, switched))
+    a_sw = np.array(a, dtype=float)
     witnesses = tuple((lam, _validated_witness(a_sw, lam, v)) for lam, v in raw_witnesses)
-    profile = main_profile(adjacency_matrix(sg))
+    profile = main_profile(a)
     return ConstructionResult(
         graph=graph,
         switching=Switching(switched),

@@ -12,6 +12,7 @@ concurrent workers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -388,19 +389,19 @@ class MultipartiteParams:
     def s(self) -> int:
         return len(self.blocks)
 
-    @property
+    @functools.cached_property
     def counts(self) -> tuple[int, ...]:
         return tuple(l for l, _ in self.blocks)
 
-    @property
+    @functools.cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(t for _, t in self.blocks)
 
-    @property
+    @functools.cached_property
     def group_sizes(self) -> tuple[int, ...]:
         return tuple(l * t for l, t in self.blocks)
 
-    @property
+    @functools.cached_property
     def offsets(self) -> tuple[int, ...]:
         offs = []
         acc = 0
@@ -409,7 +410,7 @@ class MultipartiteParams:
             acc += m
         return tuple(offs)
 
-    @property
+    @functools.cached_property
     def n(self) -> int:
         return sum(self.group_sizes)
 

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the library's own code paths: rank via
 rational Gaussian elimination, roots via plain bisection, polynomial algebra
-by direct convolution.  Tests compare library output against these.
+by direct convolution, characteristic polynomials by Faddeev-LeVerrier over
+Python integers, primality by deterministic Miller-Rabin.  Tests compare
+library output against these.
 """
 
 from __future__ import annotations
@@ -34,6 +36,50 @@ def fraction_rank(m) -> int:
                 a[i] = [x - f * y for x, y in zip(a[i], lead)]
         rank += 1
     return rank
+
+
+def faddeev_leverrier_char_poly(a) -> list[int]:
+    """det(xI - A), ascending coefficients, by the Faddeev-LeVerrier
+    recurrence over Python integers (object-dtype numpy)."""
+    n = len(a)
+    A = np.array([[int(x) for x in row] for row in a], dtype=object)
+    B = np.eye(n, dtype=object)
+    desc = [1]
+    for k in range(1, n + 1):
+        B = np.dot(A, B)
+        tr = int(np.trace(B))
+        assert tr % k == 0, "Faddeev-LeVerrier trace division not exact"
+        c = -(tr // k)
+        desc.append(c)
+        idx = np.diag_indices(n)
+        B[idx] = B[idx] + c
+    return [int(c) for c in reversed(desc)]
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; the first twelve prime bases decide every
+    n < 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    if n in bases:
+        return True
+    if any(n % b == 0 for b in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def bisect_root(f, a: float, b: float, iters: int = 200) -> float:

@@ -1,6 +1,8 @@
 """Exact integer linear algebra: characteristic polynomials, gcd-based
 distinct counts, walk matrices, Bareiss rank, and the main-profile decision."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,42 @@ from mainswitch import (
     rank_exact,
     walk_matrix,
 )
+from mainswitch import exact
 from mainswitch.graphs import Graph, apply_switching
-from conftest import fraction_rank, poly_eval_matrix, poly_mul, random_signed_graph
+from conftest import (
+    faddeev_leverrier_char_poly,
+    fraction_rank,
+    is_prime,
+    poly_eval_matrix,
+    poly_mul,
+    random_connected_graph,
+    random_signed_graph,
+)
+
+
+def _random_symmetric(rng, n, values):
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = rng.choice(values)
+    return a
+
+
+def _charpoly_cases():
+    rng = random.Random(4711)
+    cases = {f"signed-n{n}": adjacency_matrix(random_signed_graph(rng, n))
+             for n in (8, 20, 40, 60)}
+    cases["snr-60-7"] = adjacency_matrix(make_snr(SnrParams(60, 7)))
+    cases["multipartite-n56"] = adjacency_matrix(
+        make_multipartite(MultipartiteParams.of([(3, 10), (2, 7), (4, 3)])))
+    cases["pm3-n40"] = _random_symmetric(rng, 40, (-3, -1, 0, 1, 3))
+    # Outside the modular range: entries of 2^22 and beyond int64.
+    cases["entries-2^22"] = _random_symmetric(rng, 6, (-(2 ** 22), 0, 1, 2 ** 22 + 5))
+    cases["entries-2^70"] = _random_symmetric(rng, 4, (-(2 ** 70), 0, 3, 2 ** 70))
+    return cases
+
+
+_CHARPOLY_CASES = _charpoly_cases()
 
 
 def test_char_poly_k2():
@@ -64,6 +100,39 @@ def test_cayley_hamilton_spot_checks(rng):
         assert abs(p[0] - ((-1) ** n) * det) < 1e-6
 
 
+@pytest.mark.parametrize("name", sorted(_CHARPOLY_CASES))
+def test_char_poly_matches_faddeev_leverrier_oracle(name):
+    a = _CHARPOLY_CASES[name]
+    assert char_poly(a) == faddeev_leverrier_char_poly(a)
+
+
+def test_char_poly_needs_more_primes_than_the_table(monkeypatch):
+    # A two-prime table cannot cover a 20-vertex coefficient bound; the
+    # integer recurrence must take over.
+    calls = []
+    bigint = exact._char_poly_bigint
+    monkeypatch.setattr(exact, "_PRIME_PRODUCTS", exact._PRIME_PRODUCTS[:2])
+    monkeypatch.setattr(exact, "_char_poly_bigint", lambda m: calls.append(m) or bigint(m))
+    a = adjacency_matrix(random_signed_graph(random.Random(5), 20))
+    assert char_poly(a) == faddeev_leverrier_char_poly(a)
+    assert calls == [a]
+
+
+def test_prime_table_is_prime_and_overflow_safe():
+    primes = exact._PRIMES
+    assert list(primes) == sorted(set(primes), reverse=True)
+    for p in primes:
+        assert is_prime(p)
+        # k <= n < _LIMIT is invertible; row . column products and traces,
+        # below 3 rho p and 3 n p, are exact in float64; residue products
+        # fit int64.
+        assert exact._LIMIT < p
+        assert 3 * exact._LIMIT * p < 2 ** 53
+        assert p * p < 2 ** 63
+    # Every signed graph in graph6 range (n <= 62) fits the table.
+    assert exact._PRIME_PRODUCTS[-1] > 2 * 62 ** 62
+
+
 def test_distinct_count_examples():
     assert distinct_eigenvalue_count([-1, 0, 1]) == 2          # x^2 - 1
     assert distinct_eigenvalue_count([-2, -3, 0, 1]) == 2      # (x-2)(x+1)^2
@@ -90,6 +159,17 @@ def test_walk_matrix_examples():
     assert walk_matrix([[0, -1], [-1, 0]]) == [[1, -1], [1, -1]]
     w = walk_matrix(adjacency_matrix(parse_graph6("Bw")))
     assert w == [[1, 2, 4], [1, 2, 4], [1, 2, 4]]
+
+
+def test_walk_matrix_matches_python_loop(rng):
+    for n in (1, 5, 30):
+        a = _random_symmetric(rng, n, (-3, -1, 0, 1, 2))
+        cols = [[1] * n]
+        for _ in range(n - 1):
+            cols.append([sum(a[i][k] * cols[-1][k] for k in range(n)) for i in range(n)])
+        w = walk_matrix(a)
+        assert w == [[cols[k][i] for k in range(n)] for i in range(n)]
+        assert all(type(x) is int for row in w for x in row)
 
 
 def test_rank_exact_examples():
@@ -125,6 +205,72 @@ def test_main_profile_examples():
     assert (prof.main_count, prof.distinct_count, prof.all_main) == (1, 2, False)
     prof = main_profile([[0, -1], [-1, 0]])
     assert (prof.main_count, prof.distinct_count, prof.all_main) == (1, 2, False)
+
+
+def _profile_cases():
+    rng = random.Random(99)
+    cases = [adjacency_matrix(random_signed_graph(rng, n)) for n in (3, 7, 12, 25, 40)]
+    cases += [adjacency_matrix(apply_switching(make_snr(SnrParams(n, 3)), [1, 3]))
+              for n in (12, 40)]
+    # H x K2 on 40 vertices: (x, -x) eigenvectors are never main, so the
+    # main count is at most 20 while the distinct count is near 40, and
+    # walk entries pass 2^63 long before the last column.
+    h = adjacency_matrix(random_connected_graph(rng, 20))
+    cases.append([row + [int(i == j) for j in range(20)] for i, row in enumerate(h)]
+                 + [[int(i == j) for j in range(20)] + row for i, row in enumerate(h)])
+    cases += [adjacency_matrix(make_snr(SnrParams(40, 7))),
+              adjacency_matrix(make_multipartite(MultipartiteParams.of([(2, 9), (3, 4)]))),
+              adjacency_matrix(random_connected_graph(rng, 30)),
+              [[1 if abs(i - j) in (1, 39) else 0 for j in range(40)] for i in range(40)]]
+    return cases
+
+
+def test_main_profile_matches_exact_rank():
+    verdicts = set()
+    for a in _profile_cases():
+        prof = main_profile(a)
+        w = walk_matrix(a)
+        mc = fraction_rank(w) if len(a) <= 25 else rank_exact(w)
+        dc = distinct_eigenvalue_count(faddeev_leverrier_char_poly(a))
+        assert (prof.main_count, prof.distinct_count, prof.all_main) == (mc, dc, mc == dc)
+        verdicts.add(prof.all_main)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_failed_modular_certificate_falls_back_to_exact_rank(monkeypatch, p):
+    cases = _profile_cases()
+    expected = [main_profile(a) for a in cases]
+    pairs = [(exact._walk_rank_mod(np.array(a, dtype=np.int64), p, len(a)),
+              fraction_rank(walk_matrix(a))) for a in cases if len(a) <= 25]
+    assert all(r <= q for r, q in pairs)
+    assert any(r < q for r, q in pairs)
+    fallbacks = []
+    monkeypatch.setattr(exact, "_RANK_PRIME", p)
+    monkeypatch.setattr(exact, "rank_exact",
+                        lambda m: fallbacks.append(m) or rank_exact(m))
+    assert [main_profile(a) for a in cases] == expected
+    assert fallbacks
+
+
+def test_modular_rank_above_distinct_count_is_an_error(monkeypatch):
+    # rank_p <= main count <= distinct count always holds; a distinct count
+    # that is too small must not pass as a certificate.
+    a = adjacency_matrix(apply_switching(make_snr(SnrParams(8, 2)), [1, 8]))
+    dc = main_profile(a).distinct_count
+    assert main_profile(a).all_main
+    monkeypatch.setattr(exact, "distinct_eigenvalue_count", lambda p: dc - 1)
+    with pytest.raises(ArithmeticError):
+        main_profile(a)
+
+
+def test_main_profile_outside_modular_range():
+    big = 2 ** 70
+    a = [[0, big, 1], [big, 0, 1], [1, 1, 0]]
+    prof = main_profile(a)
+    mc = fraction_rank(walk_matrix(a))
+    dc = distinct_eigenvalue_count(faddeev_leverrier_char_poly(a))
+    assert (prof.main_count, prof.distinct_count) == (mc, dc)
 
 
 def test_main_profile_rejects_asymmetric():

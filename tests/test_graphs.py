@@ -195,6 +195,12 @@ def test_multipartite_layout():
     assert list(p.part_range(1, 2)) == [4, 5, 6]
     assert list(p.part_range(2, 1)) == [7, 8]
     assert p.offsets == (0, 6)
+    # Derived layout values are computed once; equality, hash and repr still
+    # see only the blocks.
+    assert p.group_sizes is p.group_sizes and p.offsets is p.offsets
+    fresh = MultipartiteParams.of([(2, 3), (1, 2)])
+    assert p == fresh and hash(p) == hash(fresh)
+    assert repr(p) == repr(fresh) == "MultipartiteParams(blocks=((2, 3), (1, 2)))"
 
 
 # ---------------------------------------------------------------------------
