@@ -178,16 +178,19 @@ def duplicate_switch_eigvecs(graph: Graph, vertices: Sequence[int], t: int,
         raise ValueError("duplicate class needs at least two vertices")
     if not (1 <= t <= r - 1):
         raise ValueError(f"switched prefix size must be in 1..{r - 1}, got {t}")
-    nbrs = graph.neighbor_sets()
-    if mode == "open":
-        sets = [nbrs[v] for v in verts]
-    elif mode == "closed":
-        sets = [nbrs[v] | {v} for v in verts]
-    else:
+    if mode not in ("open", "closed"):
         raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
-    if any(s != sets[0] for s in sets[1:]):
-        raise ValueError(f"vertices {verts} are not {mode}-duplicates")
     n = graph.n
+    if not all(1 <= v <= n for v in verts):
+        raise ValueError(f"class vertices {verts} out of range 1..{n}")
+    sets = {v: {v} if mode == "closed" else set() for v in verts}
+    for u, v in graph.edges:
+        if u in sets:
+            sets[u].add(v)
+        if v in sets:
+            sets[v].add(u)
+    if any(s != sets[verts[0]] for s in sets.values()):
+        raise ValueError(f"vertices {verts} are not {mode}-duplicates")
 
     def unit_pair(u: int, v: int) -> np.ndarray:
         vec = np.zeros(n)

@@ -248,16 +248,11 @@ def emit_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 record (n <= 62)."""
     if g.n > 62:
         raise ValueError("graph6 emission supports n <= 62 only")
-    bits = [1 if pair in g.edges else 0 for pair in _g6_pair_order(g.n)]
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(g.n + 63)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+    vals = bytearray((g.n * (g.n - 1) // 2 + 5) // 6)
+    for i, j in g.edges:
+        k = (j - 1) * (j - 2) // 2 + i - 1  # position of (i, j) in column order
+        vals[k // 6] |= 32 >> (k % 6)
+    return chr(g.n + 63) + bytes(v + 63 for v in vals).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -452,6 +451,8 @@ def verify_conjecture(max_n: int, workers: int = 1,
     if workers == 1:
         results = [find_all_main_switching(g) for g in todo]
     else:
+        # Imported here: it loads multiprocessing, which CLI start-up need not pay for.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(find_all_main_switching, todo, chunksize=16))
     certificates: list[Certificate] = []

@@ -9,8 +9,10 @@ is authoritative.
 
 Closed-form spectra for the two graph families live here as well: the cubic
 for the clique-with-pendants family and the secular equation
-sum_i m_i/(x + t_i) = 1 for complete multipartite graphs, with the roots
-bracketed between consecutive poles.
+sum_i m_i/(x + t_i) = 1 for complete multipartite graphs.  Both are the
+spectra of small symmetrised quotient matrices, taken from
+numpy.linalg.eigvalsh; each secular root is then polished by Newton steps
+that stay between its two poles.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .graphs import MultipartiteParams
 
@@ -188,8 +189,10 @@ def snr_cubic_roots(n: int, r: int) -> tuple[float, float, float]:
     """The three simple eigenvalues of the clique-with-pendants graph, one per
     bracket (-inf, 0), (0, sqrt r), (sqrt r, +inf).
 
-    The sign chart pins the brackets: f(0) = r(n-r-2) > 0 and
-    f(sqrt r) = (1+r-n) sqrt(r) < 0 whenever n >= r+3.
+    They are the eigenvalues of the symmetrised quotient matrix of the
+    partition {pendants}, {centre}, {rest of the clique}.  The sign chart
+    pins the brackets: f(0) = r(n-r-2) > 0 and f(sqrt r) = (1+r-n) sqrt(r) < 0
+    whenever n >= r+3.
     """
     if r < 1 or n < r + 3:
         raise ValueError(f"need r >= 1 and n >= r+3, got n={n} r={r}")
@@ -197,13 +200,11 @@ def snr_cubic_roots(n: int, r: int) -> tuple[float, float, float]:
     def f(x: float) -> float:
         return x ** 3 - (n - r - 2) * x ** 2 - (n - 1) * x + r * (n - r - 2)
 
-    sq = math.sqrt(r)
-    lo = brentq(f, -float(n), 0.0, xtol=1e-14, rtol=8.9e-16)
-    mid = brentq(f, 0.0, sq, xtol=1e-14, rtol=8.9e-16)
-    hi = brentq(f, sq, float(n), xtol=1e-14, rtol=8.9e-16)
-    roots = (float(lo), float(mid), float(hi))
+    a, b = math.sqrt(r), math.sqrt(n - r - 1)
+    roots = tuple(float(x) for x in np.linalg.eigvalsh(
+        [[0.0, a, 0.0], [a, 0.0, b], [0.0, b, n - r - 2.0]]))
     for x in roots:
-        if abs(f(x)) >= 1e-10 * (1.0 + abs(x) ** 3):
+        if not abs(f(x)) < 1e-10 * (1.0 + abs(x) ** 3):
             raise RuntimeError(f"cubic residual too large at {x}")
     return roots
 
@@ -241,37 +242,32 @@ class MultipartiteSpectrum:
 def multipartite_secular_roots(p: MultipartiteParams) -> list[float]:
     """Roots of sum_i m_i/(x + t_i) = 1, ordered descending (the unique
     positive root first, then one root between each pair of consecutive
-    poles -t_k and -t_{k+1})."""
-    t = p.sizes
-    m = p.group_sizes
-    s = p.s
-    if s == 1:
+    poles -t_k and -t_{k+1}).
+
+    They are the eigenvalues of the symmetrised quotient matrix
+    z z^T - diag(t), z_i = sqrt(m_i) (Golub 1973), each polished by two
+    Newton steps kept strictly inside its bracket between poles.
+    """
+    if p.s == 1:
         # m1/(x + t1) = 1 solves exactly to (l1 - 1) t1.
-        return [float(m[0] - t[0])]
-
-    def h(x: float) -> float:
-        return sum(mi / (x + ti) for mi, ti in zip(m, t)) - 1.0
-
-    roots = [float(brentq(h, 0.0, float(p.n), xtol=1e-14, rtol=8.9e-16))]
-    inner: list[float] = []
-    for k in range(s - 1):
-        a_pole, b_pole = -float(t[k]), -float(t[k + 1])
-        delta = (b_pole - a_pole) / 4.0
-        lo, hi = a_pole + delta, b_pole - delta
-        while h(lo) <= 0.0:
-            delta /= 2.0
-            lo = a_pole + delta
-        while h(hi) >= 0.0:
-            hi = b_pole - (b_pole - hi) / 2.0
-        inner.append(float(brentq(h, lo, hi, xtol=1e-14, rtol=8.9e-16)))
-    # Bracket k sits between -t_k and -t_{k+1}; descending order wants the
-    # rightmost (largest) first.
-    roots.extend(sorted(inner, reverse=True))
-    for x in roots:
-        scale = 1.0 + sum(mi / abs(x + ti) for mi, ti in zip(m, t))
-        if abs(h(x)) >= 1e-10 * scale:
-            raise RuntimeError(f"secular residual too large at {x}")
-    return roots
+        return [float(p.group_sizes[0] - p.sizes[0])]
+    t = np.array(p.sizes, dtype=float)
+    m = np.array(p.group_sizes, dtype=float)
+    z = np.sqrt(m)
+    x = np.linalg.eigvalsh(np.outer(z, z) - np.diag(t))
+    # Ascending root k lies in (-t_k, -t_{k+1}); the largest in (-t_s, n).
+    lo, hi = -t, np.append(-t[1:], float(p.n))
+    for _ in range(2):
+        u = m / (x[:, None] + t)
+        # h(x) = sum(u) - 1 and h'(x) = -sum(u^2 / m).
+        step = x + (u.sum(axis=1) - 1.0) / (u * u / m).sum(axis=1)
+        x = np.where(step <= lo, (x + lo) / 2, np.where(step >= hi, (x + hi) / 2, step))
+    if not np.all((lo < x) & (x < hi)):
+        raise RuntimeError("secular roots do not interlace the poles")
+    u = m / (x[:, None] + t)
+    if not np.all(np.abs(u.sum(axis=1) - 1.0) < 1e-10 * (1.0 + np.abs(u).sum(axis=1))):
+        raise RuntimeError(f"secular residual too large at one of {x}")
+    return [float(v) for v in x[::-1]]
 
 
 def multipartite_spectrum(p: MultipartiteParams) -> MultipartiteSpectrum:

@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the library's own code paths: rank via
 rational Gaussian elimination, roots via plain bisection, polynomial algebra
-by direct convolution, characteristic polynomials by Faddeev-LeVerrier over
-Python integers, primality by deterministic Miller-Rabin.  Tests compare
-library output against these.
+by direct convolution, graph6 records by the pair-by-pair loop,
+characteristic polynomials by Faddeev-LeVerrier over Python integers,
+primality by deterministic Miller-Rabin.  Tests compare library output
+against these.  The hypothesis strategies at the end make near-valid graph
+inputs for the parser and CLI fuzz tests.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mainswitch import Graph, SignedGraph, apply_switching, is_connected
 
@@ -98,6 +101,45 @@ def bisect_root(f, a: float, b: float, iters: int = 200) -> float:
     return 0.5 * (a + b)
 
 
+def secular_roots_oracle(blocks) -> list[float]:
+    """Roots of sum_i l_i t_i/(x + t_i) = 1 for blocks (l_i, t_i) with
+    decreasing t_i, descending.  The left side falls from +inf to -inf on each
+    interval between consecutive poles -t_i and on (-t_s, n), so bisection
+    there runs until the midpoint is one of the two ends."""
+    t = [float(tt) for _, tt in blocks]
+    m = [float(l * tt) for l, tt in blocks]
+
+    def h(x: float) -> float:
+        return sum(mi / (x + ti) for mi, ti in zip(m, t)) - 1.0
+
+    ends = [-ti for ti in t] + [sum(m)]
+    roots = []
+    for a, b in zip(ends, ends[1:]):
+        mid = 0.5 * (a + b)
+        while mid not in (a, b):
+            if h(mid) > 0.0:
+                a = mid
+            else:
+                b = mid
+            mid = 0.5 * (a + b)
+        roots.append(mid)
+    return roots[::-1]
+
+
+def emit_graph6_loop(g: Graph) -> str:
+    """graph6 record with one edge-set lookup per upper-triangle pair in
+    column order, packed six bits per character."""
+    bits = [1 if (i, j) in g.edges else 0 for j in range(2, g.n + 1) for i in range(1, j)]
+    bits += [0] * (-len(bits) % 6)
+    out = [chr(g.n + 63)]
+    for k in range(0, len(bits), 6):
+        val = 0
+        for b in bits[k:k + 6]:
+            val = (val << 1) | b
+        out.append(chr(val + 63))
+    return "".join(out)
+
+
 def poly_mul(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -167,3 +209,28 @@ def random_signed_graph(rng: random.Random, n: int) -> SignedGraph:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240811)
+
+
+def graph6_like(max_n: int):
+    """Arbitrary text, or an optional header and a size byte for n <= max_n
+    followed by a body of about the right length."""
+    def record(n: int):
+        need = (n * (n - 1) // 2 + 5) // 6
+        body = (st.text(alphabet=st.characters(min_codepoint=63, max_codepoint=126),
+                        min_size=need, max_size=need)
+                | st.text(alphabet=st.characters(min_codepoint=60, max_codepoint=128),
+                          min_size=max(0, need - 1), max_size=need + 1))
+        return st.builds(lambda head, b: head + chr(63 + n) + b,
+                         st.sampled_from(["", ">>graph6<<", " "]), body)
+
+    return st.text(max_size=2 * max_n) | st.integers(0, max_n).flatmap(record)
+
+
+_sel_token = st.sampled_from(["1", "2", "3", "0", "-1", "+", "-", "*", "x", "1.5", "99"])
+_sel_line = (st.lists(_sel_token, max_size=4).map(" ".join)
+             | st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from("+-*"))
+             .map(lambda e: "%d %d %s" % e))
+# Arbitrary text, or a header "n m" with n <= 5 and about m edge lines.
+sel_like = st.text() | st.builds(
+    lambda n, extra, lines: "\n".join([f"{n} {len(lines) + extra}"] + lines),
+    st.integers(-1, 5), st.sampled_from([0, 0, 0, 1, -1]), st.lists(_sel_line, max_size=5))

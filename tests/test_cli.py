@@ -2,13 +2,34 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from mainswitch import TOOL_VERSION, Certificate, parse_graph6, verify_certificate
+from mainswitch import (
+    TOOL_VERSION,
+    Certificate,
+    GraphFormatError,
+    parse_graph6,
+    parse_signed_edge_list,
+    verify_certificate,
+)
 from mainswitch.cli import run
+from conftest import graph6_like, sel_like
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports mainswitch from SRC."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True,
+                          text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_spectrum_text_and_json(capsys):
@@ -260,3 +281,92 @@ def test_usage_error_exit_code_via_argparse():
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed inputs: every one parses or is rejected with exit code 2
+# ---------------------------------------------------------------------------
+
+
+_inputs = (st.tuples(st.just("arg"), graph6_like(9))
+           | st.tuples(st.just("g6"), st.lists(graph6_like(9), max_size=3).map("\n".join))
+           | st.tuples(st.just("sel"), sel_like))
+_eps = st.floats(allow_nan=True).map(repr) | st.sampled_from(["0", "-1", "x", "1e400", "-inf"])
+
+
+@given(st.sampled_from(["spectrum", "main-profile", "find-switching"]), _inputs,
+       st.booleans(), st.none() | _eps, st.none() | _eps)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_graph_subcommands_never_raise(tmp_path, capsys, cmd, source, as_json, group_eps, main_eps):
+    kind, text = source
+    if kind == "arg":
+        argv = [cmd, text]
+    else:
+        if kind == "sel":
+            try:
+                assume(parse_signed_edge_list(text).n <= 9)
+            except GraphFormatError:
+                pass
+        f = tmp_path / f"fuzz.{kind}"
+        f.write_text(text, encoding="utf-8")
+        argv = [cmd, f"@{f}"]
+    argv += ["--json"] if as_json else []
+    if cmd == "spectrum":
+        argv += ["--group-eps", group_eps] if group_eps is not None else []
+        argv += ["--main-eps", main_eps] if main_eps is not None else []
+    capsys.readouterr()
+    try:
+        rc = run(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        assert exc.code == 2
+        return
+    err = capsys.readouterr().err
+    assert rc in ((0, 1, 2) if cmd == "find-switching" else (0, 2))
+    if rc == 2:
+        assert err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# Cold start: the CLI needs numpy alone
+# ---------------------------------------------------------------------------
+
+
+def test_cli_import_leaves_out_scipy_and_multiprocessing(tmp_path):
+    proc = _python(
+        "import sys, mainswitch.cli\n"
+        "print([m for m in ('scipy', 'multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules])", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+_WITHOUT_SCIPY = """
+import contextlib, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from mainswitch.cli import main
+
+def exit_code(argv, out=None):
+    try:
+        with contextlib.redirect_stdout(out or sys.stdout):
+            main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+codes = []
+with open("family.jsonl", "w") as fh:
+    codes.append(exit_code(["construct", "multipartite", "--blocks", "3x4,2x2,1x1"], fh))
+    codes.append(exit_code(["construct", "snr", "--n", "12", "--r", "3"], fh))
+codes.append(exit_code(["check-cert", "family.jsonl"]))
+codes.append(exit_code(["spectrum", "Bw", "--json"]))
+print(codes)
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    proc = _python(_WITHOUT_SCIPY, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "[0, 0, 0, 0]"
+    assert "2/2 certificates verified" in lines
+    assert json.loads(lines[-2])["n"] == 3

@@ -242,6 +242,18 @@ def test_duplicate_vectors_reject_non_duplicates():
     assert len(duplicate_switch_eigvecs(g, (1, 2, 3), 1, "closed")) == 2
 
 
+@pytest.mark.parametrize("vertices, mode, message", [
+    ((1,), "open", "at least two"),
+    ((1, 2, 3), "twin", "mode"),
+    ((1, 2, 9), "open", "out of range"),
+    ((1, 4), "closed", "closed-duplicates"),
+])
+def test_duplicate_vectors_reject_bad_arguments(vertices, mode, message):
+    g = make_snr(SnrParams(7, 3))
+    with pytest.raises(ValueError, match=message):
+        duplicate_switch_eigvecs(g, vertices, 1, mode)
+
+
 def test_duplicate_vectors_reject_bad_t():
     g = make_snr(SnrParams(5, 3))
     with pytest.raises(ValueError):

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mainswitch import (
+    Graph,
     GraphFormatError,
     MultipartiteParams,
     SnrParams,
@@ -18,7 +21,7 @@ from mainswitch import (
     parse_graph6,
     parse_signed_edge_list,
 )
-from conftest import random_connected_graph, random_signed_graph
+from conftest import emit_graph6_loop, graph6_like, random_connected_graph, random_signed_graph, sel_like
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +86,26 @@ def test_graph6_round_trip_catalog():
             assert parse_graph6(emit_graph6(g)) == g
 
 
+def test_emit_graph6_matches_pair_loop(rng):
+    for n in [1, 2, 3, 62] + [rng.randrange(1, 63) for _ in range(60)]:
+        density = rng.choice([0.0, 0.05, 0.5, 0.95, 1.0])
+        edges = frozenset((i, j) for j in range(2, n + 1) for i in range(1, j)
+                          if rng.random() < density)
+        g = Graph(n, edges)
+        assert emit_graph6(g) == emit_graph6_loop(g)
+
+
+@given(graph6_like(64))
+@settings(max_examples=300, deadline=None)
+def test_parse_graph6_parses_or_rejects(text):
+    try:
+        g = parse_graph6(text)
+    except GraphFormatError:
+        return
+    record = text.strip().removeprefix(">>graph6<<")
+    assert emit_graph6(g) == record
+
+
 def test_graph6_cross_check_networkx(rng):
     nx = pytest.importorskip("networkx")
     for _ in range(40):
@@ -130,6 +153,16 @@ def test_sel_round_trip(rng):
     for _ in range(20):
         sg = random_signed_graph(rng, rng.randrange(2, 9))
         assert parse_signed_edge_list(format_signed_edge_list(sg)) == sg
+
+
+@given(sel_like)
+@settings(max_examples=300, deadline=None)
+def test_parse_signed_edge_list_parses_or_rejects(text):
+    try:
+        sg = parse_signed_edge_list(text)
+    except GraphFormatError:
+        return
+    assert parse_signed_edge_list(format_signed_edge_list(sg)) == sg
 
 
 # ---------------------------------------------------------------------------

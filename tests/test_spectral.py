@@ -20,7 +20,7 @@ from mainswitch import (
     snr_cubic_roots,
     snr_spectrum,
 )
-from conftest import bisect_root, random_signed_graph
+from conftest import bisect_root, random_signed_graph, secular_roots_oracle
 
 # Frozen by the plain-bisection oracle on x^3 - x^2 - 4x + 2 (n=5, r=2).
 CUBIC_5_2 = (-1.8136065026483306, 0.47068341987116064, 2.34292308277717)
@@ -113,15 +113,15 @@ def test_cubic_roots_5_2_frozen():
 
 
 def test_cubic_roots_match_bisection_oracle():
-    for r in range(1, 8):
-        for n in range(r + 3, r + 9):
+    for r in range(1, 11):
+        for n in range(r + 3, r + 41):
             def f(x):
                 return x ** 3 - (n - r - 2) * x ** 2 - (n - 1) * x + r * (n - r - 2)
             sq = math.sqrt(r)
             expected = (bisect_root(f, -float(n), 0.0),
                         bisect_root(f, 0.0, sq),
                         bisect_root(f, sq, float(n)))
-            assert np.allclose(snr_cubic_roots(n, r), expected, rtol=0.0, atol=1e-10)
+            assert np.allclose(snr_cubic_roots(n, r), expected, rtol=1e-12, atol=1e-12)
 
 
 def test_cubic_sign_chart():
@@ -182,6 +182,43 @@ def test_secular_k221():
 def test_secular_single_group():
     assert multipartite_secular_roots(MultipartiteParams.of([(4, 3)])) == [9.0]
     assert multipartite_secular_roots(MultipartiteParams.of([(1, 5)])) == [0.0]
+
+
+def _partition_shapes(max_n: int):
+    """Blocks (l_i, t_i) of every complete multipartite shape on 1..max_n
+    vertices."""
+    def partitions(n: int, largest: int):
+        if n == 0:
+            yield []
+            return
+        for part in range(min(n, largest), 0, -1):
+            for rest in partitions(n - part, part):
+                yield [part] + rest
+
+    for n in range(1, max_n + 1):
+        for sizes in partitions(n, n):
+            yield [(sizes.count(t), t) for t in sorted(set(sizes), reverse=True)]
+
+
+# Thousands of vertices with a root about 1e-3 from a pole: eigvalsh alone
+# leaves a secular residual above the 1e-10 check on these.
+EXTREME_SHAPES = [
+    [(200, 134), (1, 40), (200, 39)],
+    [(2, 132), (1, 111), (200, 108), (2, 104), (1, 92), (2, 87), (50, 51)],
+    [(1, 136), (1, 133), (200, 125), (200, 122), (2, 106), (200, 90), (200, 42), (1, 2)],
+    [(1, 147), (200, 145), (200, 140), (50, 121), (3, 106), (174, 11), (151, 4), (2, 2)],
+    [(74, 134), (1, 118), (200, 117), (106, 73), (200, 71), (3, 61), (2, 55), (2, 51)],
+]
+
+
+def test_secular_roots_match_bisection_oracle():
+    shapes = list(_partition_shapes(20))
+    assert len(shapes) == 2713  # p(1) + ... + p(20)
+    for blocks in shapes + EXTREME_SHAPES:
+        roots = multipartite_secular_roots(MultipartiteParams.of(blocks))
+        expected = secular_roots_oracle(blocks)
+        assert len(roots) == len(expected)
+        assert np.allclose(roots, expected, rtol=1e-12, atol=1e-12), blocks
 
 
 def test_secular_residual_small(rng):
