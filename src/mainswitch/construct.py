@@ -95,9 +95,6 @@ class FlipVector:
     base: tuple
     flips: tuple[int, ...]
 
-    def materialize(self) -> np.ndarray:
-        return flip(self.base, self.flips)
-
     def entry_sum(self):
         total = 0
         for i, x in enumerate(self.base, start=1):
@@ -111,7 +108,6 @@ class CandidateFamily:
     sum, provided the construction hypothesis held."""
 
     members: tuple[FlipVector, ...]
-    guarantee: str = "at-most-one-non-main"
 
     def zero_sum_count(self) -> int:
         return sum(1 for m in self.members if m.entry_sum() == 0)

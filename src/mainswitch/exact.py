@@ -14,7 +14,8 @@ so primes whose product exceeds 2 (1+rho)^n determine it.  The main count is
 first certified modulo one prime: rank_p(W) <= rank_Q(W) = main count <=
 distinct count, so rank_p(W) equal to the distinct count proves the matrix
 all-main.  Only when that one-sided test fails does the rank come from
-fraction-free elimination over the integers.
+fraction-free elimination over the integers.  main_profile converts its input
+once, to the int64 array that both modular paths share.
 
 Matrices are plain lists of rows of Python ints; polynomials are coefficient
 lists in ascending powers ([] is the zero polynomial).
@@ -39,7 +40,6 @@ __all__ = [
     "char_poly",
     "distinct_eigenvalue_count",
     "main_profile",
-    "poly_degree",
     "poly_derivative",
     "poly_gcd",
     "rank_exact",
@@ -52,11 +52,6 @@ def _check_square(a: IntMatrix) -> int:
     if n == 0 or any(len(row) != n for row in a):
         raise ValueError("matrix must be square and nonempty")
     return n
-
-
-def is_symmetric(a: IntMatrix) -> bool:
-    n = _check_square(a)
-    return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +112,11 @@ def char_poly(a: IntMatrix) -> IntPoly:
     Matrices outside the modular range (huge entries or coefficient bound
     beyond the table) take the same recurrence over Python integers.
     """
-    arr = _guarded_array(a)
+    return _char_poly(a, _guarded_array(a))
+
+
+def _char_poly(a: IntMatrix, arr: np.ndarray | None) -> IntPoly:
+    # char_poly of a, given its _guarded_array arr.
     if arr is None:
         return _char_poly_bigint(a)
     n = len(arr)
@@ -172,14 +171,6 @@ def _char_poly_bigint(a: IntMatrix) -> IntPoly:
 # ---------------------------------------------------------------------------
 # Integer polynomial utilities (primitive pseudo-remainder gcd)
 # ---------------------------------------------------------------------------
-
-
-def poly_degree(p: IntPoly) -> int:
-    """Degree, with deg 0 for constants; raises on the zero polynomial."""
-    q = _trim(p)
-    if not q:
-        raise ValueError("zero polynomial has no degree")
-    return len(q) - 1
 
 
 def _trim(p: IntPoly) -> IntPoly:
@@ -258,11 +249,18 @@ def distinct_eigenvalue_count(p: IntPoly) -> int:
 # ---------------------------------------------------------------------------
 
 
-def walk_matrix(a: IntMatrix) -> IntMatrix:
-    """Columns j, Aj, A^2 j, ..., A^{n-1} j where j is the all-ones vector."""
+def walk_matrix(a: IntMatrix, start: list[int] | None = None) -> IntMatrix:
+    """Columns s, As, A^2 s, ..., A^{n-1} s; s is the all-ones vector j
+    unless a start vector is given.
+
+    Switching about X conjugates A by D = diag(s), s_v = -1 exactly on X, so
+    the walk matrix of DAD is D walk_matrix(A, s): both have the same rank.
+    """
     n = _check_square(a)
     A = np.array(a, dtype=object)
-    w = np.ones(n, dtype=object)
+    w = np.ones(n, dtype=object) if start is None else np.array(start, dtype=object)
+    if w.shape != (n,):
+        raise ValueError(f"start vector must have {n} entries")
     cols = [w]
     for _ in range(n - 1):
         w = A.dot(w)
@@ -353,16 +351,19 @@ def main_profile(a: IntMatrix) -> MainProfile:
     """Exact decision: main_count = rank of the walk matrix, distinct_count
     from the squarefree degree of the characteristic polynomial.
 
-    The rank of the walk matrix modulo one prime is a lower bound on the main
-    count, which never exceeds the distinct count; when the two meet, the
-    matrix is all-main and no integer elimination is needed.  Otherwise the
-    main count comes from Bareiss elimination.  This is the authoritative
-    accept/reject for every certificate; the float classifier is advisory only.
+    The input is converted once, to the guarded int64 array that serves the
+    symmetry check and both modular paths.  The rank of the walk matrix
+    modulo one prime is a lower bound on the main count, which never exceeds
+    the distinct count; when the two meet, the matrix is all-main and no
+    integer elimination is needed.  Otherwise the main count comes from
+    Bareiss elimination.  This is the authoritative accept/reject for every
+    certificate; the float classifier is advisory only.
     """
-    if not is_symmetric(a):
-        raise ValueError("main_profile requires a symmetric matrix")
-    dc = distinct_eigenvalue_count(char_poly(a))
     arr = _guarded_array(a)
+    m = np.array(a, dtype=object) if arr is None else arr
+    if not (m == m.T).all():
+        raise ValueError("main_profile requires a symmetric matrix")
+    dc = distinct_eigenvalue_count(_char_poly(a, arr))
     if arr is not None:
         rank_p = _walk_rank_mod(arr, _RANK_PRIME, min(dc + 1, len(arr)))
         if rank_p > dc:

@@ -78,9 +78,6 @@ class Graph:
             seen.add(e)
         return cls(n, frozenset(seen))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
-
     def neighbor_sets(self) -> dict[int, frozenset[int]]:
         nbrs: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
         for u, v in self.edges:
@@ -131,10 +128,6 @@ class Switching:
     """A vertex subset X; switching negates every edge crossing (X, V\\X)."""
 
     switched: frozenset[int]
-
-    @classmethod
-    def of(cls, vertices: Iterable[int]) -> "Switching":
-        return cls(frozenset(vertices))
 
 
 def apply_switching(g: Graph | SignedGraph, x: Switching | Iterable[int]) -> SignedGraph:
@@ -261,7 +254,8 @@ def emit_graph6(g: Graph) -> str:
 
 
 def parse_signed_edge_list(text: str) -> SignedGraph:
-    """Parse the signed edge-list format: header ``n m`` then ``u v s`` lines."""
+    """Parse the signed edge-list format: header ``n m`` (n <= 62, the graph6
+    limit) then ``u v s`` lines."""
     lines = [ln.strip() for ln in text.splitlines()]
     rows = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
     if not rows:
@@ -275,6 +269,8 @@ def parse_signed_edge_list(text: str) -> SignedGraph:
         raise GraphFormatError(f"non-integer header {rows[0][1]!r}") from None
     if n < 1 or m < 0:
         raise GraphFormatError(f"invalid header values n={n} m={m}")
+    if n > 62:
+        raise GraphFormatError(f"vertex count {n} above the limit of 62")
     data = rows[1:]
     if len(data) != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(data)}")

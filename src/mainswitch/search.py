@@ -4,7 +4,9 @@ Switching classes of an all-positive graph are parametrised by the subsets of
 {2..n}: a set and its complement give the same signed graph, so vertex 1 can
 be pinned unswitched.  The brute-force verifier walks these 2^(n-1) classes in
 size order and keeps the first all-main one, so certificates prefer small
-switchings.
+switchings.  No switched matrix is built: a class with sign vector s (-1 on
+the switched vertices) has the walk matrix diag(s) walk_matrix(A, s), so the
+Bareiss rank of walk_matrix(A, s) is its main count.
 
 Graph catalogs are generated one vertex at a time: every class on k-1
 vertices is extended by a new last vertex with every possible neighbourhood.
@@ -173,17 +175,19 @@ def verify_certificate(cert: Certificate) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _switched_adjacency(a: list[list[int]], xs: frozenset[int]) -> list[list[int]]:
-    # Conjugation by the +-1 diagonal of xs; same matrix apply_switching yields.
+def _connected_adjacency(g: Graph) -> list[list[int]]:
+    if not is_connected(g):
+        raise DisconnectedGraphError("the switching search requires a connected graph")
+    return adjacency_matrix(g)
+
+
+def _class_main_counts(a: list[list[int]]) -> Iterator[tuple[Switching, int]]:
+    """Every switching class with its exact main count, ranked from its sign
+    vector, in enumeration order."""
     n = len(a)
-    out = [row[:] for row in a]
-    for u in xs:
-        i = u - 1
-        for j in range(n):
-            if (j + 1) not in xs:
-                out[i][j] = -out[i][j]
-                out[j][i] = -out[j][i]
-    return out
+    for x in enumerate_switchings(n):
+        s = [-1 if v in x.switched else 1 for v in range(1, n + 1)]
+        yield x, rank_exact(walk_matrix(a, s))
 
 
 def find_all_main_switching(g: Graph) -> Certificate | None:
@@ -193,12 +197,9 @@ def find_all_main_switching(g: Graph) -> Certificate | None:
     The distinct eigenvalue count is computed once: switching conjugates the
     adjacency matrix, so the characteristic polynomial never changes.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("the switching search requires a connected graph")
-    a = adjacency_matrix(g)
+    a = _connected_adjacency(g)
     dc = distinct_eigenvalue_count(char_poly(a))
-    for x in enumerate_switchings(g.n):
-        mc = rank_exact(walk_matrix(_switched_adjacency(a, x.switched)))
+    for x, mc in _class_main_counts(a):
         if mc == dc:
             profile = MainProfile(main_count=mc, distinct_count=dc, all_main=True)
             return make_certificate(g, x, "brute_force", profile)
@@ -207,11 +208,7 @@ def find_all_main_switching(g: Graph) -> Certificate | None:
 
 def switching_main_counts(g: Graph) -> list[int]:
     """Exact main count of every switching class, in enumeration order."""
-    if not is_connected(g):
-        raise DisconnectedGraphError("the switching search requires a connected graph")
-    a = adjacency_matrix(g)
-    return [rank_exact(walk_matrix(_switched_adjacency(a, x.switched)))
-            for x in enumerate_switchings(g.n)]
+    return [mc for _, mc in _class_main_counts(_connected_adjacency(g))]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ Each test prints a single PASS line on success (visible with -v or -s);
 pytest -v also shows one line per criterion through the test names.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -79,6 +80,12 @@ def test_criterion_01_conjecture_catalog_n7():
     k4e = canonical_graph6(Graph.from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]))
     assert {e.graph6 for e in report.exceptions} == {k2, k4e}
     assert report.successes == report.graphs_checked - 2
+    # The report and certificate bytes, as recorded in bench/reference/.
+    assert hashlib.sha256((report.to_json() + "\n").encode()).hexdigest() == \
+        "d0248ba8fd838ea6cb13077d65174bf11b98953f4f067f6789489018a3e7ac3b"
+    certs = "".join(c.to_json() + "\n" for c in report.certificates)
+    assert hashlib.sha256(certs.encode()).hexdigest() == \
+        "f9a95b601cac0f5155bc157ac3d7d232ec29cb6b5076b3fe3c0f7338e3606d6d"
     assert single < 600.0
     start = time.perf_counter()
     report4 = verify_conjecture(7, workers=4)

@@ -194,6 +194,13 @@ def test_missing_file_is_usage_error(capsys):
     assert run(["spectrum", "@/nonexistent/file.g6"]) == 2
 
 
+def test_sel_above_vertex_cap_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "big.sel"
+    f.write_text("63 0\n")
+    assert run(["main-profile", f"@{f}"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_find_switching_rejects_signed_input(tmp_path, capsys):
     f = tmp_path / "neg.sel"
     f.write_text("2 1\n1 2 -\n")

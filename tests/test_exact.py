@@ -172,6 +172,25 @@ def test_walk_matrix_matches_python_loop(rng):
         assert all(type(x) is int for row in w for x in row)
 
 
+def test_walk_matrix_from_sign_vector_is_switched_walk_matrix(rng):
+    # Switching about X conjugates A by D = diag(s), s_v = -1 exactly on X, so
+    # the walk matrix of DAD is D walk_matrix(A, s).
+    for _ in range(40):
+        n = rng.randrange(1, 13)
+        sg = random_signed_graph(rng, n) if n > 1 else Graph(1, frozenset())
+        x = {v for v in range(1, n + 1) if rng.random() < 0.5}
+        s = [-1 if v in x else 1 for v in range(1, n + 1)]
+        switched = walk_matrix(adjacency_matrix(apply_switching(sg, x)))
+        from_signs = walk_matrix(adjacency_matrix(sg), s)
+        assert switched == [[d * w for w in row] for d, row in zip(s, from_signs)]
+        assert rank_exact(switched) == rank_exact(from_signs)
+
+
+def test_walk_matrix_rejects_wrong_start_length():
+    with pytest.raises(ValueError):
+        walk_matrix([[0, 1], [1, 0]], [1])
+
+
 def test_rank_exact_examples():
     assert rank_exact([[1, 1], [1, 1]]) == 1
     assert rank_exact([[1 if i == j else 0 for j in range(4)] for i in range(4)]) == 4
@@ -276,6 +295,10 @@ def test_main_profile_outside_modular_range():
 def test_main_profile_rejects_asymmetric():
     with pytest.raises(ValueError):
         main_profile([[0, 1], [0, 0]])
+    # Outside the modular range the symmetry check runs on an object array.
+    big = 2 ** 70
+    with pytest.raises(ValueError, match="symmetric"):
+        main_profile([[0, big, 1], [big + 1, 0, 1], [1, 1, 0]])
 
 
 def test_main_profile_matches_float_classifier(rng):

@@ -149,6 +149,15 @@ def test_parse_sel_errors(text):
         parse_signed_edge_list(text)
 
 
+def test_parse_sel_vertex_cap():
+    # The graph6 limit: a larger header is rejected before anything of size n
+    # is built.
+    assert parse_signed_edge_list("62 0").n == 62
+    for text in ("63 0", "100000 0"):
+        with pytest.raises(GraphFormatError, match="limit of 62"):
+            parse_signed_edge_list(text)
+
+
 def test_sel_round_trip(rng):
     for _ in range(20):
         sg = random_signed_graph(rng, rng.randrange(2, 9))

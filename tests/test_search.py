@@ -91,6 +91,16 @@ def test_k4_minus_edge_has_no_all_main_switching():
     assert max(counts) < 4  # four distinct eigenvalues, never all main
 
 
+def test_switching_main_counts_match_switched_profiles():
+    # Each class is ranked from its sign vector; the switched graph's own
+    # exact profile must give the same main count.
+    for g in [K4_MINUS_EDGE, parse_graph6("A_"), parse_graph6("Bw"),
+              *enumerate_connected_graphs(5)[::4], *enumerate_connected_graphs(6)[::20]]:
+        expected = [main_profile(adjacency_matrix(apply_switching(g, x))).main_count
+                    for x in enumerate_switchings(g.n)]
+        assert switching_main_counts(g) == expected
+
+
 def test_k3_certificate():
     cert = find_all_main_switching(parse_graph6("Bw"))
     assert cert is not None
