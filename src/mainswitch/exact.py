@@ -7,15 +7,29 @@ charpoly') equals the number of distinct eigenvalues (the minimal polynomial
 of a symmetric matrix is squarefree).  Every answer is exact, so the
 accept/reject decision involves no tolerances.
 
+main_profile converts its input once, to an int64 array, and tries three
+certificates in turn:
+
+1. An annihilating polynomial.  The walk columns are eliminated modulo a
+   prime until column d depends on the earlier ones; that dependency is a
+   monic q of degree d = rank_p(W), lifted by CRT.  rank_p(W) <= main count
+   <= distinct count always, and q(A) = 0, checked exactly modulo primes
+   whose product passes a bound taken from q's own coefficients, puts every
+   eigenvalue among d roots: the matrix is all-main with d of each (an
+   all-main matrix's main polynomial is its minimal polynomial).  d = n
+   needs no q.  If only q(A) j = 0 holds, the main count is d.
+2. The rank modulo the prime against the distinct count, which comes from
+   the characteristic polynomial: equal, they prove all-main.
+3. Fraction-free (Bareiss) elimination over the integers for the main
+   count, when neither step fixed it.  A matrix with an entry or row sum
+   of 2^20 or more skips the modular steps 1 and 2.
+
 The characteristic polynomial is computed by Faddeev-LeVerrier modulo word-size
 primes and lifted by the Chinese remainder theorem: each coefficient obeys
 |c_k| <= C(n,k) rho^k <= (1+rho)^n, where rho is the largest absolute row sum,
-so primes whose product exceeds 2 (1+rho)^n determine it.  The main count is
-first certified modulo one prime: rank_p(W) <= rank_Q(W) = main count <=
-distinct count, so rank_p(W) equal to the distinct count proves the matrix
-all-main.  Only when that one-sided test fails does the rank come from
-fraction-free elimination over the integers.  main_profile converts its input
-once, to the int64 array that both modular paths share.
+so primes whose product exceeds 2 (1+rho)^n determine it.  Its distinct
+root count needs no gcd over the integers when it is coprime to its
+derivative modulo one prime.
 
 Matrices are plain lists of rows of Python ints; polynomials are coefficient
 lists in ascending powers ([] is the zero polynomial).
@@ -76,7 +90,8 @@ _PRIMES = tuple(2 ** 31 - d for d in (
     1299, 1305, 1321, 1357, 1375, 1411))
 _PRIME_PRODUCTS = tuple(math.prod(_PRIMES[:k]) for k in range(1, len(_PRIMES) + 1))
 
-# The prime of the one-sided main-count certificate in main_profile.
+# The prime of the walk-matrix rank in main_profile, and the first prime its
+# annihilator is lifted over.
 _RANK_PRIME = _PRIMES[0]
 
 
@@ -115,14 +130,35 @@ def char_poly(a: IntMatrix) -> IntPoly:
     return _char_poly(a, _guarded_array(a))
 
 
+def _prime_count(bound: int) -> int | None:
+    """How many leading table primes it takes for their product to exceed
+    bound; None when the whole table does not."""
+    k = bisect.bisect_right(_PRIME_PRODUCTS, bound) + 1
+    return k if k <= len(_PRIME_PRODUCTS) else None
+
+
+def _crt_lift(residues: np.ndarray, k: int) -> IntPoly:
+    """Symmetric integers whose residues modulo the first k table primes are
+    the rows of residues (shape (count, k))."""
+    m, basis = _crt_basis(k)
+    half = m // 2
+    lifted = (int(v) % m for v in residues.astype(object) @ np.array(basis, dtype=object))
+    return [v - m if v > half else v for v in lifted]
+
+
+def _row_bound(arr: np.ndarray) -> int:
+    # rho, the largest absolute row sum, bounds every |eigenvalue|, and
+    # rho^k bounds every absolute row sum of A^k.
+    return int(np.abs(arr).sum(axis=1).max())
+
+
 def _char_poly(a: IntMatrix, arr: np.ndarray | None) -> IntPoly:
     # char_poly of a, given its _guarded_array arr.
     if arr is None:
         return _char_poly_bigint(a)
     n = len(arr)
-    rho = int(np.abs(arr).sum(axis=1).max())
-    k = bisect.bisect_right(_PRIME_PRODUCTS, 2 * (1 + rho) ** n) + 1
-    if k > len(_PRIME_PRODUCTS):
+    k = _prime_count(2 * (1 + _row_bound(arr)) ** n)
+    if k is None:
         return _char_poly_bigint(a)
     primes = np.array(_PRIMES[:k], dtype=np.int64)
     pf = primes.astype(np.float64)[:, None]
@@ -144,10 +180,7 @@ def _char_poly(a: IntMatrix, arr: np.ndarray | None) -> IntPoly:
         c = diagonals.sum(axis=0).astype(np.int64) % primes * neg_inverses[step - 1] % primes
         coeffs[n - step] = c
         diagonals += c
-    m, basis = _crt_basis(k)
-    half = m // 2
-    lifted = (int(v) % m for v in coeffs.astype(object) @ np.array(basis, dtype=object))
-    return [v - m if v > half else v for v in lifted] + [1]
+    return _crt_lift(coeffs, k) + [1]
 
 
 def _char_poly_bigint(a: IntMatrix) -> IntPoly:
@@ -232,15 +265,40 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     return a
 
 
+def _coprime_mod(a: IntPoly, b: IntPoly, p: int) -> bool:
+    """Whether a and b, both of nonzero leading coefficient mod p, are
+    coprime over F_p (Euclid's algorithm)."""
+    a, b = [c % p for c in a], [c % p for c in b]
+    while len(b) > 1:
+        inv = pow(b[-1], -1, p)
+        for top in range(len(a) - 1, len(b) - 2, -1):
+            f = a[top] * inv % p
+            if f:
+                base = top - len(b) + 1
+                for i, c in enumerate(b):
+                    a[base + i] = (a[base + i] - f * c) % p
+        a, b = b, _trim(a[:len(b) - 1])
+    return len(b) == 1
+
+
 def distinct_eigenvalue_count(p: IntPoly) -> int:
     """Number of distinct roots of a characteristic polynomial of a symmetric
-    integer matrix: deg p - deg gcd(p, p')."""
+    integer matrix: deg p - deg gcd(p, p').
+
+    When p and p' are coprime modulo one table prime that divides neither
+    leading coefficient, their resultant is nonzero mod that prime, so
+    nonzero: p is squarefree and no gcd over the integers is needed.
+    """
     q = _trim(p)
     if not q:
         raise ValueError("zero polynomial")
     if len(q) == 1:
         raise ValueError("constant polynomial has no eigenvalues")
-    g = poly_gcd(q, poly_derivative(q))
+    dq = poly_derivative(q)
+    ell = _PRIMES[0]
+    if dq[-1] % ell and _coprime_mod(q, dq, ell):
+        return len(q) - 1
+    g = poly_gcd(q, dq)
     return (len(q) - 1) - (len(g) - 1)
 
 
@@ -268,38 +326,48 @@ def walk_matrix(a: IntMatrix, start: list[int] | None = None) -> IntMatrix:
     return np.stack(cols, axis=1).tolist()
 
 
-def _rank_mod(m: np.ndarray, p: int) -> int:
-    """Rank over F_p of an int64 matrix, p < 2^31, by column-wise
-    elimination."""
-    m = m % p
-    rows, cols = m.shape
-    rank = 0
-    for c in range(cols):
-        nz = np.flatnonzero(m[rank:, c])
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        m[rank, c:] = m[rank, c:] * pow(int(m[rank, c]), -1, p) % p
-        m[rank + 1:, c:] = (m[rank + 1:, c:] - np.outer(m[rank + 1:, c], m[rank, c:])) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+def _krylov_mod(arr: np.ndarray, p: int) -> tuple[int, np.ndarray | None]:
+    """Rank d over F_p of the walk matrix of a _guarded_array matrix, and the
+    residues mod p (ascending, monic) of the q of degree d with q(A) j = 0
+    mod p; None in place of q when d = n.
 
-
-def _walk_rank_mod(arr: np.ndarray, p: int, count: int) -> int:
-    """Rank over F_p of the first `count` walk-matrix columns of a
-    _guarded_array matrix.  It is at most the rank over the rationals, and
-    once one column depends on the earlier ones every later column does
-    too, so it equals min(count, rank over F_p of the whole walk matrix)."""
-    w = np.ones(len(arr), dtype=np.int64)
-    cols = [w]
-    for _ in range(count - 1):
-        w = arr @ w % p
-        cols.append(w)
-    return _rank_mod(np.stack(cols, axis=1), p)
+    Walk columns are made in blocks (8, then doubling) and eliminated in
+    order, each carrying the combination of walk columns it stands for, so
+    the first column that reduces to zero gives q.  Once one column depends
+    on the earlier ones every later column does too, so d is the rank mod p
+    of the whole walk matrix, and at most its rank over the rationals.
+    """
+    n = len(arr)
+    # Row t: walk column t mod p (n entries), then the combination of walk
+    # columns that it stands for (n entries, at first the unit vector of t).
+    pivots: list[int] = []
+    done = np.zeros((0, 2 * n), dtype=np.int64)
+    w = np.ones(n, dtype=np.int64)
+    t = 0
+    while t < n:
+        size = min(max(8, t), n - t)
+        block = np.zeros((size, 2 * n), dtype=np.int64)
+        for i in range(size):
+            block[i, :n] = w
+            w = arr @ w % p
+        block[range(size), range(n + t, n + t + size)] = 1
+        for c, row in zip(pivots, done):
+            block -= block[:, c, None] * row
+            block %= p
+        for i in range(size):
+            row, rest = block[i], block[i + 1:]
+            nz = row[:n].nonzero()[0]
+            if not nz.size:
+                return t + i, row[n:n + t + i + 1]
+            c = nz[0]
+            row *= pow(int(row[c]), -1, p)
+            row %= p
+            rest -= rest[:, c, None] * row
+            rest %= p
+            pivots.append(c)
+        done = np.concatenate([done, block])
+        t += size
+    return n, None
 
 
 def rank_exact(m: IntMatrix) -> int:
@@ -334,6 +402,66 @@ def rank_exact(m: IntMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Annihilating polynomial
+# ---------------------------------------------------------------------------
+
+
+def _annihilator(arr: np.ndarray, rho: int) -> tuple[int, IntPoly | None]:
+    """Rank d mod _RANK_PRIME of the walk matrix of a _guarded_array matrix,
+    and a monic candidate q of degree d for q(A) j = 0 over the integers
+    (None when d = n or the lift fails).
+
+    q is the walk dependency mod p, lifted by CRT over as many table primes
+    as the bound 2 (1+rho)^d needs.  That bound covers the coefficients of
+    any product of x - lambda over d eigenvalues, which q is when d is the
+    main count.  A degree that differs between primes gives no candidate;
+    any other wrong lift is left to _vanishes to reject.
+    """
+    d, q = _krylov_mod(arr, _RANK_PRIME)
+    k = None if q is None else _prime_count(2 * (1 + rho) ** d)
+    if k is None:
+        return d, None
+    residues = [q]
+    for p in _PRIMES[1:k]:  # _RANK_PRIME is the first
+        dp, qp = _krylov_mod(arr, p)
+        if dp != d:
+            return d, None
+        residues.append(qp)
+    return d, _crt_lift(np.stack(residues, axis=1), k)
+
+
+def _vanishes(arr: np.ndarray, rho: int, q: IntPoly, whole: bool) -> bool:
+    """Whether q(A) = 0 (whole) or q(A) j = 0 exactly.
+
+    Every entry of q(A) and of q(A) j is at most sum |q_k| rho^k in absolute
+    value, so it is evaluated by Horner's rule modulo primes whose product
+    exceeds twice that, all primes in one float64 matrix product per step
+    (exact by the ranges argued at _LIMIT).  The bound comes from q's own
+    coefficients: a candidate that agrees with a true annihilator modulo
+    the lift primes alone still fails.
+    """
+    k = _prime_count(2 * sum(abs(c) * rho ** i for i, c in enumerate(q)))
+    if k is None:
+        return False
+    n = len(arr)
+    m = n if whole else 1
+    pf = np.array(_PRIMES[:k], dtype=np.float64)[:, None]
+    residues = np.array([[c % p for p in _PRIMES[:k]] for c in q], dtype=np.float64)
+    af = arr.astype(np.float64)
+    b = np.zeros((n, k, m))
+    x = np.empty_like(b)
+    # Where each step adds q_i I (q_i j): one column per prime.
+    ends = np.einsum("iji->ij", b) if whole else b[:, :, 0]
+    ends += residues[-1]
+    for r in residues[-2::-1]:
+        np.matmul(af, b.reshape(n, k * m), out=x.reshape(n, k * m))
+        np.floor(np.divide(x, pf, out=b), out=b)
+        np.subtract(x, np.multiply(b, pf, out=b), out=b)
+        ends += r
+    return not np.remainder(b, pf).any()
+
+
+# ---------------------------------------------------------------------------
 # The decision procedure
 # ---------------------------------------------------------------------------
 
@@ -349,27 +477,47 @@ class MainProfile:
 
 def main_profile(a: IntMatrix) -> MainProfile:
     """Exact decision: main_count = rank of the walk matrix, distinct_count
-    from the squarefree degree of the characteristic polynomial.
+    = number of distinct eigenvalues.
 
     The input is converted once, to the guarded int64 array that serves the
-    symmetry check and both modular paths.  The rank of the walk matrix
-    modulo one prime is a lower bound on the main count, which never exceeds
-    the distinct count; when the two meet, the matrix is all-main and no
-    integer elimination is needed.  Otherwise the main count comes from
-    Bareiss elimination.  This is the authoritative accept/reject for every
-    certificate; the float classifier is advisory only.
+    symmetry check and every modular step.  Three certificates are tried in
+    turn, each exact:
+
+    1. Annihilator.  The walk matrix has rank d modulo one prime, and its
+       first dependent column gives a monic q of degree d, lifted by CRT.
+       d = n, or q(A) = 0 checked exactly, makes the matrix all-main with
+       d = main = distinct: d <= main <= distinct always, and q(A) = 0 puts
+       every eigenvalue among the d roots of q.  If only q(A) j = 0 holds,
+       the main count is d.
+    2. Rank mod p.  Otherwise the distinct count comes from the
+       characteristic polynomial and its gcd with the derivative, and d
+       equal to it proves all-main.
+    3. Bareiss.  Only when neither fixed the main count is it the rank of
+       the walk matrix over the integers.
+
+    This is the authoritative accept/reject for every certificate; the float
+    classifier is advisory only.
     """
     arr = _guarded_array(a)
     m = np.array(a, dtype=object) if arr is None else arr
     if not (m == m.T).all():
         raise ValueError("main_profile requires a symmetric matrix")
-    dc = distinct_eigenvalue_count(_char_poly(a, arr))
+    d = mc = None
     if arr is not None:
-        rank_p = _walk_rank_mod(arr, _RANK_PRIME, min(dc + 1, len(arr)))
-        if rank_p > dc:
-            raise ArithmeticError(f"walk matrix rank mod p {rank_p} exceeds the "
-                                  f"distinct eigenvalue count {dc}")
-        if rank_p == dc:
-            return MainProfile(main_count=dc, distinct_count=dc, all_main=True)
-    mc = rank_exact(walk_matrix(a))
+        n, rho = len(arr), _row_bound(arr)
+        d, q = _annihilator(arr, rho)
+        if d == n:
+            return MainProfile(main_count=n, distinct_count=n, all_main=True)
+        if q is not None and _vanishes(arr, rho, q, whole=True):
+            return MainProfile(main_count=d, distinct_count=d, all_main=True)
+        if q is not None and _vanishes(arr, rho, q, whole=False):
+            mc = d
+    dc = distinct_eigenvalue_count(_char_poly(a, arr))
+    if d is not None and d > dc:
+        raise ArithmeticError(f"walk matrix rank mod p {d} exceeds the "
+                              f"distinct eigenvalue count {dc}")
+    if d == dc:
+        return MainProfile(main_count=dc, distinct_count=dc, all_main=True)
+    if mc is None:
+        mc = rank_exact(walk_matrix(a))
     return MainProfile(main_count=mc, distinct_count=dc, all_main=mc == dc)

@@ -18,9 +18,11 @@ from mainswitch import (
     main_profile,
     make_multipartite,
     make_snr,
+    multipartite_all_main_switching,
     parse_graph6,
     poly_gcd,
     rank_exact,
+    snr_all_main_switching,
     walk_matrix,
 )
 from mainswitch import exact
@@ -154,6 +156,32 @@ def test_poly_gcd_known_factor():
     assert poly_gcd(a, b) == [-1, 1]
 
 
+def test_distinct_count_shortcut_matches_full_gcd(monkeypatch, rng):
+    # Squarefree polynomials stop at the gcd mod one prime; repeated roots
+    # fall through to the gcd over the integers.  Both must count as
+    # deg p - deg gcd(p, p').
+    polys = [[rng.randrange(-50, 51) for _ in range(rng.randrange(1, 25))]
+             + [rng.choice((1, -3, 7))] for _ in range(40)]
+    for _ in range(40):
+        p = [1]
+        for _ in range(rng.randrange(1, 6)):
+            factor = [rng.randrange(-6, 7), 1] if rng.random() < 0.7 else [rng.randrange(-5, 6), 0, 1]
+            p = poly_mul(p, factor)
+        polys.append(poly_mul(p, p if rng.random() < 0.8 else [1]))
+    polys += [char_poly(a) for a in _CHARPOLY_CASES.values()]
+    full_gcd = poly_gcd
+    gcd_calls = []
+    monkeypatch.setattr(exact, "poly_gcd", lambda a, b: gcd_calls.append(1) or full_gcd(a, b))
+    repeated = 0
+    for p in polys:
+        expected = (len(p) - 1) - (len(full_gcd(p, exact.poly_derivative(p))) - 1)
+        assert distinct_eigenvalue_count(p) == expected
+        repeated += expected < len(p) - 1
+    assert repeated >= 30
+    # Every squarefree polynomial here took the shortcut.
+    assert len(gcd_calls) == repeated
+
+
 def test_walk_matrix_examples():
     assert walk_matrix([[0, 1], [1, 0]]) == [[1, 1], [1, 1]]
     assert walk_matrix([[0, -1], [-1, 0]]) == [[1, -1], [1, -1]]
@@ -232,8 +260,9 @@ def _profile_cases():
     cases += [adjacency_matrix(apply_switching(make_snr(SnrParams(n, 3)), [1, 3]))
               for n in (12, 40)]
     # H x K2 on 40 vertices: (x, -x) eigenvectors are never main, so the
-    # main count is at most 20 while the distinct count is near 40, and
-    # walk entries pass 2^63 long before the last column.
+    # main count is at most 20 (here 20, with 40 distinct eigenvalues): the
+    # annihilator of j fixes the main count but not the verdict.  Walk
+    # entries pass 2^63 long before the last column.
     h = adjacency_matrix(random_connected_graph(rng, 20))
     cases.append([row + [int(i == j) for j in range(20)] for i, row in enumerate(h)]
                  + [[int(i == j) for j in range(20)] + row for i, row in enumerate(h)])
@@ -260,7 +289,7 @@ def test_main_profile_matches_exact_rank():
 def test_failed_modular_certificate_falls_back_to_exact_rank(monkeypatch, p):
     cases = _profile_cases()
     expected = [main_profile(a) for a in cases]
-    pairs = [(exact._walk_rank_mod(np.array(a, dtype=np.int64), p, len(a)),
+    pairs = [(exact._krylov_mod(np.array(a, dtype=np.int64), p)[0],
               fraction_rank(walk_matrix(a))) for a in cases if len(a) <= 25]
     assert all(r <= q for r, q in pairs)
     assert any(r < q for r, q in pairs)
@@ -273,14 +302,102 @@ def test_failed_modular_certificate_falls_back_to_exact_rank(monkeypatch, p):
 
 
 def test_modular_rank_above_distinct_count_is_an_error(monkeypatch):
-    # rank_p <= main count <= distinct count always holds; a distinct count
-    # that is too small must not pass as a certificate.
+    # rank_p <= main count <= distinct count always holds; once the
+    # annihilator is rejected, a distinct count that is too small must not
+    # pass as a certificate.
     a = adjacency_matrix(apply_switching(make_snr(SnrParams(8, 2)), [1, 8]))
     dc = main_profile(a).distinct_count
-    assert main_profile(a).all_main
+    assert main_profile(a).all_main and dc < len(a)
+    monkeypatch.setattr(exact, "_vanishes", lambda *args, **kwargs: False)
     monkeypatch.setattr(exact, "distinct_eigenvalue_count", lambda p: dc - 1)
     with pytest.raises(ArithmeticError):
         main_profile(a)
+
+
+def _family_matrices():
+    # The two constructions, switched to all-main and unswitched (few main
+    # eigenvalues), as main_profile sees them in construct and check-cert.
+    mats = []
+    for blocks in ([(3, 10), (2, 7), (4, 3)], [(2, 9), (3, 4)], [(1, 3), (1, 2)],
+                   [(5, 4)], [(1, 6), (2, 2), (3, 1)], [(1, 4), (1, 3), (1, 2), (1, 1)]):
+        p = MultipartiteParams.of(blocks)
+        res = multipartite_all_main_switching(p)
+        mats += [adjacency_matrix(make_multipartite(p)),
+                 adjacency_matrix(apply_switching(res.graph, res.switching))]
+    for n, r in ((5, 2), (12, 3), (30, 5), (60, 7)):
+        res = snr_all_main_switching(n, r)
+        mats += [adjacency_matrix(make_snr(SnrParams(n, r))),
+                 adjacency_matrix(apply_switching(res.graph, res.switching))]
+    return mats
+
+
+def test_main_profile_matches_rank_and_gcd_oracle(rng):
+    # The certificates against the path they shortcut: the distinct count
+    # from char_poly and its gcd, the main count from Bareiss elimination.
+    # (_profile_cases meet independent oracles above.)
+    cases = _family_matrices()
+    cases += [adjacency_matrix(random_signed_graph(rng, rng.randrange(2, 30)))
+              for _ in range(20)]
+    verdicts = set()
+    for a in cases:
+        mc = rank_exact(walk_matrix(a))
+        dc = distinct_eigenvalue_count(char_poly(a))
+        assert main_profile(a) == exact.MainProfile(mc, dc, mc == dc)
+        verdicts.add(mc == dc)
+    assert verdicts == {True, False}
+
+
+def test_not_all_main_counts_come_from_the_annihilator(monkeypatch):
+    # q(A) j = 0 with q of degree rank_p fixes the main count; Bareiss is not
+    # needed.  H x K2 has main count 20 and distinct count 40.
+    cases = [a for a in _profile_cases() + _family_matrices() if not main_profile(a).all_main]
+    expected = [main_profile(a) for a in cases]
+    assert (20, 40) in {(p.main_count, p.distinct_count) for p in expected}
+
+    def no_bareiss(m):
+        raise AssertionError("Bareiss elimination was called")
+
+    monkeypatch.setattr(exact, "rank_exact", no_bareiss)
+    assert [main_profile(a) for a in cases] == expected
+
+
+def test_annihilator_check_prime_count_comes_from_the_candidate():
+    # q + M, M the lift modulus, agrees with q modulo every lift prime; only
+    # the primes that its own coefficients call for tell them apart.
+    for a in _family_matrices() + _profile_cases():
+        arr = exact._guarded_array(a)
+        rho = exact._row_bound(arr)
+        d, q = exact._annihilator(arr, rho)
+        if q is None:
+            continue
+        m = exact._PRIME_PRODUCTS[exact._prime_count(2 * (1 + rho) ** d) - 1]
+        shifted = [q[0] + m] + q[1:]
+        assert exact._vanishes(arr, rho, q, whole=False)
+        assert not exact._vanishes(arr, rho, shifted, whole=False)
+        assert not exact._vanishes(arr, rho, shifted, whole=True)
+        if main_profile(a).all_main:
+            assert exact._vanishes(arr, rho, q, whole=True)
+
+
+def test_wrong_lift_falls_back_to_char_poly(monkeypatch):
+    # With the second table prime as the rank prime, the residues lifted as
+    # if modulo the first prime give a wrong q whenever q has a negative
+    # coefficient: it must be rejected and the char_poly path must decide.
+    res = multipartite_all_main_switching(MultipartiteParams.of([(3, 10), (2, 7), (4, 3)]))
+    a = adjacency_matrix(apply_switching(res.graph, res.switching))
+    arr = exact._guarded_array(a)
+    rho = exact._row_bound(arr)
+    expected = main_profile(a)
+    _, q = exact._annihilator(arr, rho)
+    assert expected.all_main and min(q) < 0
+    monkeypatch.setattr(exact, "_RANK_PRIME", exact._PRIMES[1])
+    _, wrong = exact._annihilator(arr, rho)
+    assert len(wrong) == len(q) and wrong != q
+    calls = []
+    char_poly_core = exact._char_poly
+    monkeypatch.setattr(exact, "_char_poly", lambda *args: calls.append(1) or char_poly_core(*args))
+    assert main_profile(a) == expected
+    assert calls == [1]
 
 
 def test_main_profile_outside_modular_range():
