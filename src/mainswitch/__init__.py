@@ -40,7 +40,6 @@ from .graphs import (
     MultipartiteParams,
     SignedGraph,
     SnrParams,
-    Switching,
     adjacency_matrix,
     apply_switching,
     as_signed,

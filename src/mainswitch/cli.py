@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from .construct import (
-    ConstructionResult,
     NoAllMainSwitchingError,
     multipartite_all_main_switching,
     one_per_part_switching,
@@ -66,7 +65,10 @@ def _load_inputs(arg: str) -> list[Graph | SignedGraph]:
             text = fh.read()
         if path.endswith(".sel"):
             return [parse_signed_edge_list(text)]
-        return [parse_graph6(line) for line in text.splitlines() if line.strip()]
+        graphs = [parse_graph6(line) for line in text.splitlines() if line.strip()]
+        if not graphs:
+            raise GraphFormatError(f"no graph6 records in {path}")
+        return graphs
     return [parse_graph6(arg)]
 
 
@@ -76,10 +78,6 @@ def _as_search_graph(g: Graph | SignedGraph) -> Graph:
             raise ValueError("the switching search takes an unsigned graph")
         return g.graph
     return g
-
-
-def _print_cert(cert: Certificate) -> None:
-    print(cert.to_json())
 
 
 def _parse_blocks(spec: str) -> MultipartiteParams:
@@ -151,12 +149,8 @@ def _cmd_find_switching(args: argparse.Namespace) -> int:
                 print("NO SWITCHING (exception)")
             status = 1
         else:
-            _print_cert(cert)
+            print(cert.to_json())
     return status
-
-
-def _result_certificate(res: ConstructionResult) -> Certificate:
-    return make_certificate(res.graph, res.switching, res.method, res.profile)
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -168,7 +162,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             res = one_per_part_switching(params)
         else:
             res = multipartite_all_main_switching(params)
-    _print_cert(_result_certificate(res))
+    print(make_certificate(res.graph, res.switching, res.method, res.profile).to_json())
     return 0 if res.verified else 1
 
 

@@ -17,9 +17,10 @@ smallest unused labels are taken.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .graphs import (
     Graph,
     MultipartiteParams,
     SnrParams,
-    Switching,
     adjacency_matrix,
     apply_switching,
     make_multipartite,
@@ -113,9 +113,9 @@ class CandidateFamily:
         return sum(1 for m in self.members if m.entry_sum() == 0)
 
 
-def candidate_family_distinct(beta: Sequence, indices: Sequence[int]) -> CandidateFamily:
-    """Family {beta, beta flipped at i1, ..., beta flipped at ik} for positions
-    holding pairwise distinct nonzero values."""
+def _flip_values(beta: Sequence, indices: Sequence[int]) -> tuple[tuple, tuple[int, ...], list]:
+    """beta and the flip positions as tuples, with the values they hold,
+    which must be in range and nonzero."""
     base = tuple(beta)
     idx = tuple(indices)
     vals = []
@@ -125,6 +125,13 @@ def candidate_family_distinct(beta: Sequence, indices: Sequence[int]) -> Candida
         vals.append(base[i - 1])
     if any(v == 0 for v in vals):
         raise ValueError("flip positions must hold nonzero values")
+    return base, idx, vals
+
+
+def candidate_family_distinct(beta: Sequence, indices: Sequence[int]) -> CandidateFamily:
+    """Family {beta, beta flipped at i1, ..., beta flipped at ik} for positions
+    holding pairwise distinct nonzero values."""
+    base, idx, vals = _flip_values(beta, indices)
     if len(set(vals)) != len(vals):
         raise ValueError("flip positions must hold pairwise distinct values")
     members = (FlipVector(base, ()),) + tuple(FlipVector(base, (i,)) for i in idx)
@@ -134,17 +141,9 @@ def candidate_family_distinct(beta: Sequence, indices: Sequence[int]) -> Candida
 def candidate_family_equal(beta: Sequence, indices: Sequence[int]) -> CandidateFamily:
     """Nested-prefix family {beta, beta flipped at i1, at i1 i2, ...} for
     positions holding one equal nonzero value."""
-    base = tuple(beta)
-    idx = tuple(indices)
+    base, idx, vals = _flip_values(beta, indices)
     if not idx:
         raise ValueError("need at least one flip position")
-    vals = []
-    for i in idx:
-        if not (1 <= i <= len(base)):
-            raise ValueError(f"index {i} out of range")
-        vals.append(base[i - 1])
-    if any(v == 0 for v in vals):
-        raise ValueError("flip positions must hold nonzero values")
     if any(v != vals[0] for v in vals):
         raise ValueError("flip positions must hold equal values")
     members = tuple(FlipVector(base, idx[:k]) for k in range(len(idx) + 1))
@@ -209,7 +208,7 @@ class ConstructionResult:
     """A switching plus witness eigenvectors and the exact verification."""
 
     graph: Graph
-    switching: Switching
+    switching: frozenset[int]
     witnesses: tuple[tuple[float, np.ndarray], ...]
     verified: bool
     method: str
@@ -239,7 +238,7 @@ def _finish(graph: Graph, switched: frozenset[int],
     profile = main_profile(a)
     return ConstructionResult(
         graph=graph,
-        switching=Switching(switched),
+        switching=switched,
         witnesses=witnesses,
         verified=profile.all_main,
         method=method,
@@ -250,6 +249,20 @@ def _finish(graph: Graph, switched: frozenset[int],
 def _sum_is_main(vec: np.ndarray, n: int) -> bool:
     norm = np.linalg.norm(vec)
     return abs(float(vec.sum())) > SUM_TOL * math.sqrt(n) * norm
+
+
+def _scan(n: int, roots: Sequence[float],
+          vector: Callable[[float, frozenset[int]], np.ndarray],
+          base: frozenset[int], extras_list: Sequence[tuple[int, ...]]) -> frozenset[int]:
+    """The first switching base | extras, over the candidates in order, whose
+    vector(lam, switching) has a nonzero entry sum for every root."""
+    for extras in extras_list:
+        if set(extras) & base:
+            raise ConstructionError("extra flips overlap the base switching")
+        switched = base | frozenset(extras)
+        if all(_sum_is_main(vector(lam, switched), n) for lam in roots):
+            return switched
+    raise ConstructionError("no candidate vector is main for every root")
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +290,10 @@ def snr_eigvec(n: int, r: int, lam: float) -> np.ndarray:
 def snr_all_main_switching(n: int, r: int) -> ConstructionResult:
     """All-main switching for the clique-with-pendants graph.
 
-    Base switching is {v1, vn}.  For r <= 2 or n = r+3 the base alone works;
-    otherwise one additional flip among {v2, v_{r+1}, v_{n-1}} is selected by
-    scanning the candidate family in order and keeping the first member whose
-    entry sum is nonzero for all three cubic roots.
+    Base switching is {v1, vn}.  For r <= 2 or n = r+3 the base alone is the
+    only candidate; otherwise one additional flip among {v2, v_{r+1},
+    v_{n-1}} may follow.  The scan keeps the first candidate whose entry sum
+    is nonzero for all three cubic roots.
     """
     if r < 1 or n < r + 3:
         raise ValueError(f"need r >= 1 and n >= r+3, got n={n} r={r}")
@@ -288,27 +301,16 @@ def snr_all_main_switching(n: int, r: int) -> ConstructionResult:
     graph = make_snr(params)
     roots = snr_cubic_roots(n, r)
 
-    if r <= 2 or n == r + 3:
-        extra: tuple[int, ...] = ()
-    else:
-        # Candidate flips on top of the base {v1, vn}, scanned in order.  The
-        # flipped coordinates (a pendant, the attachment vertex, a clique
-        # vertex) are generically distinct, which caps the non-main members at
-        # one per root; the sum test below carries the rare degenerate
-        # parameter pairs where a cubic root equals 1.
-        for extra in ((), (2,), (r + 1,), (n - 1,)):
-            vecs = (flip(snr_eigvec(n, r, lam), (1, n) + extra) for lam in roots)
-            if all(_sum_is_main(v, n) for v in vecs):
-                break
-        else:
-            raise ConstructionError("no candidate is main for all three roots")
+    def vector(lam: float, switched: frozenset[int]) -> np.ndarray:
+        return flip(snr_eigvec(n, r, lam), sorted(switched))
 
-    switched = frozenset((1, n) + extra)
-
-    flips = tuple(sorted(switched))
-    witnesses: list[tuple[float, np.ndarray]] = [
-        (lam, flip(snr_eigvec(n, r, lam), flips)) for lam in roots
-    ]
+    # The flipped coordinates (a pendant, the attachment vertex, a clique
+    # vertex) are generically distinct, which caps the non-main candidates at
+    # one per root; the sum test carries the rare degenerate parameter pairs
+    # where a cubic root equals 1.
+    extras = [()] if r <= 2 or n == r + 3 else [(), (2,), (r + 1,), (n - 1,)]
+    switched = _scan(n, roots, vector, frozenset((1, n)), extras)
+    witnesses = [(lam, vector(lam, switched)) for lam in roots]
     if r >= 2:
         p_switched = sum(1 for v in switched if v <= r)
         pendants = tuple(params.pendants)  # switched pendants are a prefix
@@ -405,17 +407,6 @@ def _pick_extras(p: MultipartiteParams, group: int, count: int,
     if count > len(avail):
         raise ConstructionError(f"group {group} has no room for {count} extra flips")
     return tuple(avail[:count])
-
-
-def _scan(p: MultipartiteParams, roots: Sequence[float], base: frozenset[int],
-          extras_list: Sequence[tuple[int, ...]]) -> frozenset[int]:
-    for extras in extras_list:
-        if set(extras) & base:
-            raise ConstructionError("extra flips overlap the base switching")
-        switched = base | frozenset(extras)
-        if all(_sum_is_main(_secular_vector(p, lam, switched), p.n) for lam in roots):
-            return switched
-    raise ConstructionError("no candidate vector is main for every secular root")
 
 
 def _zero_witness(graph: Graph, p: MultipartiteParams,
@@ -567,7 +558,8 @@ def multipartite_all_main_switching(p: MultipartiteParams) -> ConstructionResult
     base_rule, extras_rule = rule
     roots = multipartite_secular_roots(p)
     base = base_rule(p)
-    switched = _scan(p, roots, base, extras_rule(p, base))
+    switched = _scan(p.n, roots, functools.partial(_secular_vector, p), base,
+                     extras_rule(p, base))
     return _finish(graph, switched, _witnesses(graph, p, roots, switched), "constructive")
 
 

@@ -7,22 +7,22 @@ charpoly') equals the number of distinct eigenvalues (the minimal polynomial
 of a symmetric matrix is squarefree).  Every answer is exact, so the
 accept/reject decision involves no tolerances.
 
-main_profile converts its input once, to an int64 array, and tries three
-certificates in turn:
+main_profile converts its input once, to an int64 array, and decides in two
+tiers:
 
 1. An annihilating polynomial.  The walk columns are eliminated modulo a
    prime until column d depends on the earlier ones; that dependency is a
    monic q of degree d = rank_p(W), lifted by CRT.  rank_p(W) <= main count
-   <= distinct count always, and q(A) = 0, checked exactly modulo primes
-   whose product passes a bound taken from q's own coefficients, puts every
-   eigenvalue among d roots: the matrix is all-main with d of each (an
-   all-main matrix's main polynomial is its minimal polynomial).  d = n
-   needs no q.  If only q(A) j = 0 holds, the main count is d.
-2. The rank modulo the prime against the distinct count, which comes from
-   the characteristic polynomial: equal, they prove all-main.
-3. Fraction-free (Bareiss) elimination over the integers for the main
-   count, when neither step fixed it.  A matrix with an entry or row sum
-   of 2^20 or more skips the modular steps 1 and 2.
+   <= distinct count always, so d = n is all-main.  Otherwise q(A) is
+   evaluated once, exactly modulo primes whose product passes a bound taken
+   from q's own coefficients: q(A) = 0 puts every eigenvalue among d roots,
+   so the matrix is all-main with d of each (an all-main matrix's main
+   polynomial is its minimal polynomial), and q(A) j = 0 alone makes d the
+   main count.
+2. The plain exact counts: the distinct count from the characteristic
+   polynomial, and fraction-free (Bareiss) elimination over the integers
+   for the main count when tier 1 left it open.  A matrix with an entry or
+   row sum of 2^20 or more skips tier 1.
 
 The characteristic polynomial is computed by Faddeev-LeVerrier modulo word-size
 primes and lifted by the Chinese remainder theorem: each coefficient obeys
@@ -430,35 +430,37 @@ def _annihilator(arr: np.ndarray, rho: int) -> tuple[int, IntPoly | None]:
     return d, _crt_lift(np.stack(residues, axis=1), k)
 
 
-def _vanishes(arr: np.ndarray, rho: int, q: IntPoly, whole: bool) -> bool:
-    """Whether q(A) = 0 (whole) or q(A) j = 0 exactly.
+def _vanishes(arr: np.ndarray, rho: int, q: IntPoly) -> tuple[bool, bool]:
+    """Whether q(A) = 0 and whether q(A) j = 0, exactly.
 
-    Every entry of q(A) and of q(A) j is at most sum |q_k| rho^k in absolute
-    value, so it is evaluated by Horner's rule modulo primes whose product
-    exceeds twice that, all primes in one float64 matrix product per step
-    (exact by the ranges argued at _LIMIT).  The bound comes from q's own
-    coefficients: a candidate that agrees with a true annihilator modulo
-    the lift primes alone still fails.
+    Every entry of q(A), and so every entry of q(A) j, is at most
+    sum |q_k| rho^k in absolute value, so q(A) is evaluated once by Horner's
+    rule modulo primes whose product exceeds twice that, all primes in one
+    float64 matrix product per step (exact by the ranges argued at _LIMIT).
+    q(A) j mod p is the row sums of the residues, each below n p < 2^53.
+    The bound comes from q's own coefficients: a candidate that agrees with
+    a true annihilator modulo the lift primes alone still fails.
     """
     k = _prime_count(2 * sum(abs(c) * rho ** i for i, c in enumerate(q)))
     if k is None:
-        return False
+        return False, False
     n = len(arr)
-    m = n if whole else 1
     pf = np.array(_PRIMES[:k], dtype=np.float64)[:, None]
     residues = np.array([[c % p for p in _PRIMES[:k]] for c in q], dtype=np.float64)
     af = arr.astype(np.float64)
-    b = np.zeros((n, k, m))
+    b = np.zeros((n, k, n))
     x = np.empty_like(b)
-    # Where each step adds q_i I (q_i j): one column per prime.
-    ends = np.einsum("iji->ij", b) if whole else b[:, :, 0]
-    ends += residues[-1]
+    diagonals = np.einsum("iji->ij", b)  # where each step adds q_i I
+    diagonals += residues[-1]
     for r in residues[-2::-1]:
-        np.matmul(af, b.reshape(n, k * m), out=x.reshape(n, k * m))
+        np.matmul(af, b.reshape(n, k * n), out=x.reshape(n, k * n))
         np.floor(np.divide(x, pf, out=b), out=b)
         np.subtract(x, np.multiply(b, pf, out=b), out=b)
-        ends += r
-    return not np.remainder(b, pf).any()
+        diagonals += r
+    np.remainder(b, pf, out=b)
+    if not b.any():
+        return True, True
+    return False, not np.remainder(b.sum(axis=2), pf.T).any()
 
 
 # ---------------------------------------------------------------------------
@@ -480,20 +482,17 @@ def main_profile(a: IntMatrix) -> MainProfile:
     = number of distinct eigenvalues.
 
     The input is converted once, to the guarded int64 array that serves the
-    symmetry check and every modular step.  Three certificates are tried in
-    turn, each exact:
+    symmetry check and every modular step.  Two tiers decide, each exact:
 
     1. Annihilator.  The walk matrix has rank d modulo one prime, and its
        first dependent column gives a monic q of degree d, lifted by CRT.
-       d = n, or q(A) = 0 checked exactly, makes the matrix all-main with
-       d = main = distinct: d <= main <= distinct always, and q(A) = 0 puts
-       every eigenvalue among the d roots of q.  If only q(A) j = 0 holds,
-       the main count is d.
-    2. Rank mod p.  Otherwise the distinct count comes from the
-       characteristic polynomial and its gcd with the derivative, and d
-       equal to it proves all-main.
-    3. Bareiss.  Only when neither fixed the main count is it the rank of
-       the walk matrix over the integers.
+       d <= main <= distinct always, so d = n is all-main.  One exact
+       evaluation of q(A) settles the rest of the tier: q(A) = 0 puts every
+       eigenvalue among the d roots of q, so the matrix is all-main with
+       d = main = distinct; q(A) j = 0 alone makes the main count d.
+    2. Plain counts.  The distinct count comes from the characteristic
+       polynomial, and Bareiss elimination over the integers gives the main
+       count when tier 1 did not.
 
     This is the authoritative accept/reject for every certificate; the float
     classifier is advisory only.
@@ -502,22 +501,18 @@ def main_profile(a: IntMatrix) -> MainProfile:
     m = np.array(a, dtype=object) if arr is None else arr
     if not (m == m.T).all():
         raise ValueError("main_profile requires a symmetric matrix")
-    d = mc = None
+    mc = None
     if arr is not None:
         n, rho = len(arr), _row_bound(arr)
         d, q = _annihilator(arr, rho)
         if d == n:
             return MainProfile(main_count=n, distinct_count=n, all_main=True)
-        if q is not None and _vanishes(arr, rho, q, whole=True):
+        whole, on_j = (False, False) if q is None else _vanishes(arr, rho, q)
+        if whole:
             return MainProfile(main_count=d, distinct_count=d, all_main=True)
-        if q is not None and _vanishes(arr, rho, q, whole=False):
+        if on_j:
             mc = d
     dc = distinct_eigenvalue_count(_char_poly(a, arr))
-    if d is not None and d > dc:
-        raise ArithmeticError(f"walk matrix rank mod p {d} exceeds the "
-                              f"distinct eigenvalue count {dc}")
-    if d == dc:
-        return MainProfile(main_count=dc, distinct_count=dc, all_main=True)
     if mc is None:
         mc = rank_exact(walk_matrix(a))
     return MainProfile(main_count=mc, distinct_count=dc, all_main=mc == dc)

@@ -26,7 +26,6 @@ __all__ = [
     "MultipartiteParams",
     "SignedGraph",
     "SnrParams",
-    "Switching",
     "adjacency_matrix",
     "apply_switching",
     "as_signed",
@@ -123,21 +122,15 @@ def as_signed(g: Graph | SignedGraph) -> SignedGraph:
     return SignedGraph(g, frozenset())
 
 
-@dataclass(frozen=True)
-class Switching:
-    """A vertex subset X; switching negates every edge crossing (X, V\\X)."""
-
-    switched: frozenset[int]
-
-
-def apply_switching(g: Graph | SignedGraph, x: Switching | Iterable[int]) -> SignedGraph:
-    """Negate the sign of every edge with exactly one endpoint in the set.
+def apply_switching(g: Graph | SignedGraph, x: Iterable[int]) -> SignedGraph:
+    """Switch about the vertex set x: negate the sign of every edge with
+    exactly one endpoint in x.
 
     Applying the same set twice is the identity, and a set and its complement
     produce the same signed graph.
     """
     sg = as_signed(g)
-    xs = x.switched if isinstance(x, Switching) else frozenset(x)
+    xs = frozenset(x)
     for v in xs:
         if not (1 <= v <= sg.n):
             raise ValueError(f"switched vertex {v} out of range 1..{sg.n}")

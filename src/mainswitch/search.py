@@ -29,7 +29,7 @@ from typing import Iterable, Iterator
 
 from ._version import __version__
 from .exact import MainProfile, char_poly, distinct_eigenvalue_count, main_profile, rank_exact, walk_matrix
-from .graphs import Graph, Switching, adjacency_matrix, apply_switching, emit_graph6, is_connected, parse_graph6
+from .graphs import Graph, adjacency_matrix, apply_switching, emit_graph6, is_connected, parse_graph6
 
 TOOL_VERSION = f"mainswitch {__version__}"
 
@@ -64,14 +64,15 @@ class DisconnectedGraphError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def enumerate_switchings(n: int) -> Iterator[Switching]:
-    """All 2^(n-1) switching classes: subsets of {2..n} ordered by size, then
-    lexicographically.  Vertex 1 stays unswitched (complement equivalence)."""
+def enumerate_switchings(n: int) -> Iterator[frozenset[int]]:
+    """All 2^(n-1) switching classes, each as its set of switched vertices:
+    the subsets of {2..n} ordered by size, then lexicographically.  Vertex 1
+    stays unswitched (complement equivalence)."""
     if n < 1:
         raise ValueError("need at least one vertex")
     for size in range(n):
         for combo in itertools.combinations(range(2, n + 1), size):
-            yield Switching(frozenset(combo))
+            yield frozenset(combo)
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +137,11 @@ class Certificate:
         return cls(**{k: d[k] for k in _CERT_FIELDS} | {"switching": tuple(sw)})
 
 
-def make_certificate(graph: Graph, switching: Switching | Iterable[int],
-                     method: str, profile: MainProfile | None = None) -> Certificate:
-    xs = switching.switched if isinstance(switching, Switching) else frozenset(switching)
+def make_certificate(graph: Graph, switching: Iterable[int], method: str,
+                     profile: MainProfile | None = None) -> Certificate:
+    """Certificate for switching graph about a vertex set; the exact profile
+    is computed unless given."""
+    xs = frozenset(switching)
     if profile is None:
         profile = main_profile(adjacency_matrix(apply_switching(graph, xs)))
     return Certificate(
@@ -181,12 +184,12 @@ def _connected_adjacency(g: Graph) -> list[list[int]]:
     return adjacency_matrix(g)
 
 
-def _class_main_counts(a: list[list[int]]) -> Iterator[tuple[Switching, int]]:
+def _class_main_counts(a: list[list[int]]) -> Iterator[tuple[frozenset[int], int]]:
     """Every switching class with its exact main count, ranked from its sign
     vector, in enumeration order."""
     n = len(a)
     for x in enumerate_switchings(n):
-        s = [-1 if v in x.switched else 1 for v in range(1, n + 1)]
+        s = [-1 if v in x else 1 for v in range(1, n + 1)]
         yield x, rank_exact(walk_matrix(a, s))
 
 
@@ -222,13 +225,28 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
-def _mask_rows(mask: int, n: int) -> list[int]:
-    """Neighbourhood bitmask of every vertex (bit w of rows[v] is edge vw)."""
+def _value_rows(value: int, n: int) -> list[int]:
+    """Neighbourhood bitmask of every vertex (bit w of rows[v] is edge vw) of
+    a column-order upper-triangle bit string, first pair most significant."""
     rows = [0] * n
+    top = n * (n - 1) // 2 - 1
     for k, (i, j) in enumerate(_pairs(n)):
-        if (mask >> k) & 1:
+        if (value >> (top - k)) & 1:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
+    return rows
+
+
+def _rows_graph(rows: list[int]) -> Graph:
+    n = len(rows)
+    return Graph(n, frozenset((i + 1, j + 1) for i, j in _pairs(n) if (rows[i] >> j) & 1))
+
+
+def _graph_rows(g: Graph) -> list[int]:
+    rows = [0] * g.n
+    for u, v in g.edges:
+        rows[u - 1] |= 1 << (v - 1)
+        rows[v - 1] |= 1 << (u - 1)
     return rows
 
 
@@ -303,36 +321,13 @@ def _refined_key(rows: list[int]) -> tuple[tuple[int, ...], int]:
     return tuple(order), _lex_min(rows, [classes[c] for c in order])
 
 
-def _value_to_mask(value: int, npairs: int) -> int:
-    mask = 0
-    for k in range(npairs):
-        if (value >> (npairs - 1 - k)) & 1:
-            mask |= 1 << k
-    return mask
-
-
-def _mask_to_graph(mask: int, n: int) -> Graph:
-    pairs = _pairs(n)
-    edges = [(i + 1, j + 1) for k, (i, j) in enumerate(pairs) if (mask >> k) & 1]
-    return Graph(n, frozenset(edges))
-
-
-def _graph_to_mask(g: Graph) -> int:
-    mask = 0
-    for k, (i, j) in enumerate(_pairs(g.n)):
-        if (i + 1, j + 1) in g.edges:
-            mask |= 1 << k
-    return mask
-
-
 def canonical_form(g: Graph) -> Graph:
     """Relabelling of g whose column-order upper-triangle bit string is the
     smallest over all n! relabellings (n <= 8), found by the pruned search of
     _lex_min rather than by trying every relabelling."""
     if g.n > CANONICAL_CAP:
         raise ValueError(f"canonical form capped at n={CANONICAL_CAP}")
-    value = _canonical_value(_mask_rows(_graph_to_mask(g), g.n))
-    return _mask_to_graph(_value_to_mask(value, g.n * (g.n - 1) // 2), g.n)
+    return _rows_graph(_value_rows(_canonical_value(_graph_rows(g)), g.n))
 
 
 def canonical_graph6(g: Graph) -> str:
@@ -340,22 +335,22 @@ def canonical_graph6(g: Graph) -> str:
 
 
 @lru_cache(maxsize=None)
-def _catalog_masks(n: int) -> tuple[int, ...]:
-    """Canonical masks of ALL isomorphism classes on exactly n vertices.
+def _catalog_values(n: int) -> tuple[int, ...]:
+    """Canonical values of ALL isomorphism classes on exactly n vertices,
+    ascending.
 
     Each extension of a class on n-1 vertices is keyed by _refined_key; the
     exact canonical value is then computed once per distinct key."""
     if n == 1:
         return (0,)
     reps: dict[tuple[tuple[int, ...], int], list[int]] = {}
-    for old in _catalog_masks(n - 1):
-        old_rows = _mask_rows(old, n - 1)
+    for old in _catalog_values(n - 1):
+        old_rows = _value_rows(old, n - 1)
         for nbhd in range(1 << (n - 1)):
             rows = [r | ((nbhd >> v) & 1) << (n - 1) for v, r in enumerate(old_rows)]
             rows.append(nbhd)
             reps.setdefault(_refined_key(rows), rows)
-    values = sorted(_canonical_value(rows) for rows in reps.values())
-    return tuple(_value_to_mask(v, n * (n - 1) // 2) for v in values)
+    return tuple(sorted(_canonical_value(rows) for rows in reps.values()))
 
 
 def enumerate_connected_graphs(n: int) -> list[Graph]:
@@ -363,7 +358,7 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
     graphs on exactly n vertices, in canonical order."""
     if not (1 <= n <= CATALOG_CAP):
         raise ValueError(f"catalog enumeration supports 1 <= n <= {CATALOG_CAP}")
-    graphs = (_mask_to_graph(mask, n) for mask in _catalog_masks(n))
+    graphs = (_rows_graph(_value_rows(value, n)) for value in _catalog_values(n))
     return [g for g in graphs if is_connected(g)]
 
 

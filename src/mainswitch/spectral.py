@@ -285,9 +285,4 @@ def multipartite_spectrum(p: MultipartiteParams) -> MultipartiteSpectrum:
     positives = [x for x in roots if x > 0]
     if p.n > 1 and sum(l) > 1 and len(positives) != 1:
         raise RuntimeError("expected exactly one positive eigenvalue")
-    # Pole interlacing: t_s < -root_2 < t_{s-1} < ... < -root_s < t_1.
-    for idx in range(1, p.s):
-        neg = -roots[idx]
-        if not (t[p.s - idx] < neg < t[p.s - idx - 1]):
-            raise RuntimeError("secular roots do not interlace the poles")
     return spectrum

@@ -194,6 +194,17 @@ def test_missing_file_is_usage_error(capsys):
     assert run(["spectrum", "@/nonexistent/file.g6"]) == 2
 
 
+@pytest.mark.parametrize("content", ["", "\n  \n\n"])
+@pytest.mark.parametrize("cmd", ["spectrum", "main-profile", "find-switching"])
+def test_empty_graph6_file_is_usage_error(tmp_path, capsys, cmd, content):
+    f = tmp_path / "empty.g6"
+    f.write_text(content)
+    assert run([cmd, f"@{f}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no graph6 records in {f}\n"
+
+
 def test_sel_above_vertex_cap_is_usage_error(tmp_path, capsys):
     f = tmp_path / "big.sel"
     f.write_text("63 0\n")

@@ -289,21 +289,25 @@ def test_snr_eigvec_rejects_zero_and_minus_one():
 
 def test_snr_construction_5_1():
     res = snr_all_main_switching(5, 1)
-    assert sorted(res.switching.switched) == [1, 5]
+    assert sorted(res.switching) == [1, 5]
     _check_result(res)
 
 
 def test_snr_construction_base_case_grid():
-    for r in range(3, 9):
-        res = snr_all_main_switching(r + 3, r)
-        assert sorted(res.switching.switched) == [1, r + 3]
+    # The base {v1, vn} is the only candidate for r <= 2 or n = r+3; the
+    # scan's sum test must pass it for every such pair up to the graph6 limit.
+    grid = [(n, r) for r in (1, 2) for n in range(r + 3, 63)]
+    grid += [(r + 3, r) for r in range(1, 60)]
+    for n, r in grid:
+        res = snr_all_main_switching(n, r)
+        assert res.switching == {1, n}
         _check_result(res)
 
 
 def test_snr_construction_12_4():
     res = snr_all_main_switching(12, 4)
-    assert {1, 12} <= set(res.switching.switched)
-    assert len(res.switching.switched) <= 3
+    assert {1, 12} <= set(res.switching)
+    assert len(res.switching) <= 3
     _check_result(res)
 
 
@@ -362,7 +366,7 @@ def test_ti_eigvec_is_eigenvector():
 
 def test_multipartite_k33():
     res = multipartite_all_main_switching(MultipartiteParams.of([(2, 3)]))
-    assert sorted(res.switching.switched) == [1]
+    assert sorted(res.switching) == [1]
     _check_result(res)
     vals = sorted(lam for lam, _ in res.witnesses)
     assert np.allclose(vals, [-3.0, 0.0, 3.0])
@@ -370,7 +374,7 @@ def test_multipartite_k33():
 
 def test_multipartite_complete_graph():
     res = multipartite_all_main_switching(MultipartiteParams.of([(6, 1)]))
-    assert sorted(res.switching.switched) == [1]
+    assert sorted(res.switching) == [1]
     _check_result(res)
 
 
@@ -391,7 +395,7 @@ def test_multipartite_k1_rejected():
 
 def test_multipartite_empty_graph():
     res = multipartite_all_main_switching(MultipartiteParams.of([(1, 4)]))
-    assert not res.switching.switched
+    assert not res.switching
     _check_result(res)
 
 
@@ -435,7 +439,7 @@ def test_multipartite_star_needs_second_candidate():
     # (2/(2+4) - 1/(2+1) = 0), so the scan must advance to the candidate that
     # flips one more vertex of the first group.
     res = multipartite_all_main_switching(MultipartiteParams.of([(1, 4), (1, 1)]))
-    assert sorted(res.switching.switched) == [1, 2, 5]
+    assert sorted(res.switching) == [1, 2, 5]
     _check_result(res)
 
 
@@ -447,7 +451,7 @@ def test_multipartite_extras_candidates_stable():
         ([(2, 4), (1, 2), (10, 1)], [1, 2, 11]),
     ]:
         res = multipartite_all_main_switching(MultipartiteParams.of(blocks))
-        assert sorted(res.switching.switched) == expected, blocks
+        assert sorted(res.switching) == expected, blocks
         _check_result(res)
 
 
@@ -482,7 +486,7 @@ def test_multipartite_three_of_size_three_rule():
     res = multipartite_all_main_switching(p)
     _check_result(res)
     group2 = set(p.group_range(2))
-    picked = sorted(set(res.switching.switched) & group2)
+    picked = sorted(set(res.switching) & group2)
     f = p.offsets[1]
     assert picked in ([f + 1], [f + 1, f + 2], [f + 1, f + 2, f + 4])
 
@@ -501,7 +505,7 @@ def test_rule_no_vertex_switched_twice_audit(rng):
             res = multipartite_all_main_switching(p)
         except NoAllMainSwitchingError:
             continue
-        switched = sorted(res.switching.switched)
+        switched = sorted(res.switching)
         assert len(switched) == len(set(switched))
         _check_result(res)
 
@@ -513,13 +517,13 @@ def test_rule_no_vertex_switched_twice_audit(rng):
 
 def test_one_per_part_k32():
     res = one_per_part_switching(MultipartiteParams.of([(1, 3), (1, 2)]))
-    assert sorted(res.switching.switched) == [1, 4]
+    assert sorted(res.switching) == [1, 4]
     _check_result(res)
 
 
 def test_one_per_part_k432():
     res = one_per_part_switching(MultipartiteParams.of([(1, 4), (1, 3), (1, 2)]))
-    assert sorted(res.switching.switched) == [1, 5, 8]
+    assert sorted(res.switching) == [1, 5, 8]
     _check_result(res)
 
 

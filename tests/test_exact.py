@@ -301,17 +301,19 @@ def test_failed_modular_certificate_falls_back_to_exact_rank(monkeypatch, p):
     assert fallbacks
 
 
-def test_modular_rank_above_distinct_count_is_an_error(monkeypatch):
-    # rank_p <= main count <= distinct count always holds; once the
-    # annihilator is rejected, a distinct count that is too small must not
-    # pass as a certificate.
+def test_short_distinct_count_cannot_pass_as_all_main(monkeypatch):
+    # Once the annihilator is rejected, the main count comes from Bareiss
+    # elimination, never from rank_p: a distinct count that is too small must
+    # not pass as a certificate.
     a = adjacency_matrix(apply_switching(make_snr(SnrParams(8, 2)), [1, 8]))
     dc = main_profile(a).distinct_count
     assert main_profile(a).all_main and dc < len(a)
-    monkeypatch.setattr(exact, "_vanishes", lambda *args, **kwargs: False)
+    bareiss = []
+    monkeypatch.setattr(exact, "_vanishes", lambda *args: (False, False))
     monkeypatch.setattr(exact, "distinct_eigenvalue_count", lambda p: dc - 1)
-    with pytest.raises(ArithmeticError):
-        main_profile(a)
+    monkeypatch.setattr(exact, "rank_exact", lambda m: bareiss.append(m) or rank_exact(m))
+    assert main_profile(a) == exact.MainProfile(dc, dc - 1, False)
+    assert len(bareiss) == 1
 
 
 def _family_matrices():
@@ -357,8 +359,13 @@ def test_not_all_main_counts_come_from_the_annihilator(monkeypatch):
     def no_bareiss(m):
         raise AssertionError("Bareiss elimination was called")
 
+    # One evaluation of q(A) answers both q(A) = 0 and q(A) j = 0.
+    checks = []
+    vanishes = exact._vanishes
     monkeypatch.setattr(exact, "rank_exact", no_bareiss)
+    monkeypatch.setattr(exact, "_vanishes", lambda *args: checks.append(1) or vanishes(*args))
     assert [main_profile(a) for a in cases] == expected
+    assert len(checks) == len(cases)
 
 
 def test_annihilator_check_prime_count_comes_from_the_candidate():
@@ -372,11 +379,8 @@ def test_annihilator_check_prime_count_comes_from_the_candidate():
             continue
         m = exact._PRIME_PRODUCTS[exact._prime_count(2 * (1 + rho) ** d) - 1]
         shifted = [q[0] + m] + q[1:]
-        assert exact._vanishes(arr, rho, q, whole=False)
-        assert not exact._vanishes(arr, rho, shifted, whole=False)
-        assert not exact._vanishes(arr, rho, shifted, whole=True)
-        if main_profile(a).all_main:
-            assert exact._vanishes(arr, rho, q, whole=True)
+        assert exact._vanishes(arr, rho, q) == (main_profile(a).all_main, True)
+        assert exact._vanishes(arr, rho, shifted) == (False, False)
 
 
 def test_wrong_lift_falls_back_to_char_poly(monkeypatch):

@@ -46,8 +46,8 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 
 def test_enumerate_switchings_small():
-    assert [sorted(x.switched) for x in enumerate_switchings(2)] == [[], [2]]
-    assert [sorted(x.switched) for x in enumerate_switchings(3)] == \
+    assert [sorted(x) for x in enumerate_switchings(2)] == [[], [2]]
+    assert [sorted(x) for x in enumerate_switchings(3)] == \
         [[], [2], [3], [2, 3]]
     assert sum(1 for _ in enumerate_switchings(4)) == 8
 
@@ -56,9 +56,9 @@ def test_enumerate_switchings_order_and_count():
     for n in range(1, 8):
         xs = list(enumerate_switchings(n))
         assert len(xs) == 2 ** (n - 1)
-        sizes = [len(x.switched) for x in xs]
+        sizes = [len(x) for x in xs]
         assert sizes == sorted(sizes)
-        assert len({tuple(sorted(x.switched)) for x in xs}) == len(xs)
+        assert len({tuple(sorted(x)) for x in xs}) == len(xs)
 
 
 def test_switching_classes_cover_all_subsets():
@@ -66,7 +66,7 @@ def test_switching_classes_cover_all_subsets():
     # from the 2^(n-1) enumerated classes.
     for n in range(2, 6):
         g = make_snr(SnrParams(n, 1)) if n >= 2 else None
-        enumerated = {apply_switching(g, x.switched) for x in enumerate_switchings(n)}
+        enumerated = {apply_switching(g, x) for x in enumerate_switchings(n)}
         assert len(enumerated) <= 2 ** (n - 1)
         for bits in range(2 ** n):
             subset = {v + 1 for v in range(n) if bits >> v & 1}
@@ -122,11 +122,11 @@ def test_search_prefers_small_switchings(rng):
         dc = main_profile(adjacency_matrix(g)).distinct_count
         found = set(cert.switching)
         for x in enumerate_switchings(g.n):
-            if len(x.switched) > len(found):
+            if len(x) > len(found):
                 break
-            if x.switched == found:
+            if x == found:
                 break
-            prof = main_profile(adjacency_matrix(apply_switching(g, x.switched)))
+            prof = main_profile(adjacency_matrix(apply_switching(g, x)))
             assert not prof.all_main
 
 
@@ -147,10 +147,10 @@ def test_connected_counts():
 
 
 def test_catalog_class_counts():
-    from mainswitch.search import _catalog_masks
+    from mainswitch.search import _catalog_values
 
     for n, expected in ALL_COUNTS.items():
-        assert len(_catalog_masks(n)) == expected
+        assert len(_catalog_values(n)) == expected
 
 
 def test_catalog_rejects_beyond_cap():
@@ -194,7 +194,7 @@ def test_catalog_matches_exhaustive_labelled_enumeration():
 
 def test_canonical_form_is_isomorphism_invariant(rng):
     from conftest import random_connected_graph
-    from mainswitch.search import _graph_to_mask, _mask_rows, _refined_key
+    from mainswitch.search import _graph_rows, _refined_key
 
     for _ in range(20):
         n = rng.randrange(2, 8)
@@ -205,8 +205,7 @@ def test_canonical_form_is_isomorphism_invariant(rng):
             (min(perm[u - 1], perm[v - 1]), max(perm[u - 1], perm[v - 1]))
             for u, v in g.edges))
         assert canonical_form(g) == canonical_form(relabelled)
-        assert _refined_key(_mask_rows(_graph_to_mask(g), n)) == \
-            _refined_key(_mask_rows(_graph_to_mask(relabelled), n))
+        assert _refined_key(_graph_rows(g)) == _refined_key(_graph_rows(relabelled))
 
 
 def test_canonical_form_matches_brute_force_oracle(rng):
