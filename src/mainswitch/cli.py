@@ -30,6 +30,7 @@ from .graphs import (
     MultipartiteParams,
     SignedGraph,
     adjacency_matrix,
+    is_connected,
     parse_graph6,
     parse_signed_edge_list,
 )
@@ -58,14 +59,27 @@ def _default_workers() -> int:
         return 1
 
 
+def _graph6_file(path: str) -> list[tuple[int, Graph]]:
+    """Every graph6 record of a file with its line number; a bad record is a
+    GraphFormatError that names its line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [(i, line) for i, line in enumerate(fh, start=1) if line.strip()]
+    records = []
+    for i, line in lines:
+        try:
+            records.append((i, parse_graph6(line)))
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"graph6 record {i}: {exc}") from None
+    return records
+
+
 def _load_inputs(arg: str) -> list[Graph | SignedGraph]:
     if arg.startswith("@"):
         path = arg[1:]
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
         if path.endswith(".sel"):
-            return [parse_signed_edge_list(text)]
-        graphs = [parse_graph6(line) for line in text.splitlines() if line.strip()]
+            with open(path, "r", encoding="utf-8") as fh:
+                return [parse_signed_edge_list(fh.read())]
+        graphs = [g for _, g in _graph6_file(path)]
         if not graphs:
             raise GraphFormatError(f"no graph6 records in {path}")
         return graphs
@@ -187,8 +201,12 @@ def _cmd_verify_conjecture(args: argparse.Namespace) -> int:
     workers = args.workers if args.workers is not None else _default_workers()
     graphs = None
     if args.graph6_file:
-        with open(args.graph6_file, "r", encoding="utf-8") as fh:
-            graphs = [parse_graph6(line) for line in fh if line.strip()]
+        graphs = []
+        for i, g in _graph6_file(args.graph6_file):
+            if not is_connected(g):
+                raise DisconnectedGraphError(
+                    f"graph6 record {i}: the switching search requires a connected graph")
+            graphs.append(g)
     report = verify_conjecture(args.max_n, workers=workers, graphs=graphs)
     if args.certificates:
         with open(args.certificates, "w", encoding="utf-8") as fh:

@@ -8,14 +8,16 @@ switchings.  No switched matrix is built: a class with sign vector s (-1 on
 the switched vertices) has the walk matrix diag(s) walk_matrix(A, s), so the
 Bareiss rank of walk_matrix(A, s) is its main count.
 
-Graph catalogs are generated one vertex at a time: every class on k-1
-vertices is extended by a new last vertex with every possible neighbourhood.
-Duplicates are removed by a complete invariant from 1-WL colour refinement
-(McKay, "Practical graph isomorphism", 1981): the smallest upper-triangle bit
-string over the vertex orders that respect the colour classes.  Each class
-is then labelled by its canonical form, the lexicographically smallest
+Graph catalogs are generated one vertex at a time, by the deletion half of
+canonical augmentation (McKay, "Isomorph-free exhaustive generation", 1998):
+a class on k-1 vertices is extended by a new last vertex with every
+neighbourhood, and an extension is kept only when the new vertex has the
+smallest (degree, sum of neighbours' degrees) of all k vertices, and only
+once per way of permuting the parent's twins.  Each kept extension is
+labelled by its canonical form, the lexicographically smallest
 upper-triangle bit string over all k! relabellings, found by branch and
-bound over vertex positions that keeps only the minimal partial orders.
+bound over vertex positions that keeps only the minimal partial orders;
+the set of these values is the catalog.
 """
 
 from __future__ import annotations
@@ -250,81 +252,58 @@ def _graph_rows(g: Graph) -> list[int]:
     return rows
 
 
-def _lex_min(rows: list[int], allowed: list[int]) -> int:
+def _twins_below(rows: list[int]) -> list[int]:
+    """Bitmask of every vertex's lower-numbered twins.  Twins have equal
+    neighbourhoods apart from each other; swapping two is an automorphism,
+    and being twins is an equivalence relation."""
+    return [sum(1 << u for u in range(v) if (rows[u] ^ rows[v]) & ~(1 << u | 1 << v) == 0)
+            for v in range(len(rows))]
+
+
+def _canonical_value(rows: list[int]) -> int:
     """Smallest column-order upper-triangle bit string, read as an integer,
-    over the vertex orders that put a vertex of the bitmask allowed[t] at
-    position t.
+    over all vertex orders.
 
     Positions are filled in turn.  Every surviving partial order has produced
     the same bits so far, so only the extensions whose new column (the new
     vertex's adjacency to the placed ones, first placed most significant) is
-    smallest can reach the minimum.  Of two twins (equal neighbourhoods apart
-    from each other) only one is tried: swapping them is an automorphism that
-    fixes the placed vertices, so both give the same strings.
+    smallest can reach the minimum; those vertices are found by keeping, for
+    each placed vertex in turn, the non-neighbours when there are any.  Of
+    the twins among them only the first is tried: swapping two fixes the
+    placed vertices, so both give the same strings.
     """
     n = len(rows)
+    twins_below = _twins_below(rows)
+    everyone = (1 << n) - 1
     value = 0
-    states = [(0, (0,) * n)]  # (placed vertices, column of every vertex)
+    states = [(0, ())]  # (placed vertices, their rows in placement order)
     for t in range(n):
         best = 1 << t  # above every t-bit column
         survivors = []
-        for placed, codes in states:
-            free = allowed[t] & ~placed
-            cands = [v for v in range(n) if (free >> v) & 1]
-            low = min(codes[v] for v in cands)
+        for placed, order in states:
+            low, cands = 0, everyone & ~placed
+            for row in order:
+                low <<= 1
+                if cands & ~row:
+                    cands &= ~row
+                else:
+                    low |= 1
             if low > best:
                 continue
             if low < best:
                 best, survivors = low, []
-            tried: list[int] = []
-            for v in cands:
-                if codes[v] != low or any(
-                        (rows[u] ^ rows[v]) & ~(1 << u | 1 << v) == 0 for u in tried):
-                    continue
-                tried.append(v)
-                row = rows[v]
-                survivors.append((placed | 1 << v,
-                                  tuple(c << 1 | (row >> w) & 1 for w, c in enumerate(codes))))
+            for v in range(n):
+                if (cands >> v) & 1 and not twins_below[v] & cands:
+                    survivors.append((placed | 1 << v, order + (rows[v],)))
         value = value << t | best
         states = survivors
     return value
 
 
-def _canonical_value(rows: list[int]) -> int:
-    return _lex_min(rows, [(1 << len(rows)) - 1] * len(rows))
-
-
-def _refined_key(rows: list[int]) -> tuple[tuple[int, ...], int]:
-    """Complete isomorphism invariant: the colour multiset of 1-WL colour
-    refinement plus the smallest bit string over the orders that list the
-    colour classes in ascending colour order.
-
-    A colour is the rank of its vertices' signature (old colour, neighbours
-    per colour class) among this graph's signatures, never a vertex index, so
-    isomorphic graphs get the same colours and the same key; equal keys give
-    equal relabelled graphs.
-    """
-    n = len(rows)
-    colour = [0] * n
-    classes = [(1 << n) - 1]
-    while len(classes) < n:
-        sigs = [(c, tuple((rows[v] & m).bit_count() for m in classes))
-                for v, c in enumerate(colour)]
-        rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        if len(rank) == len(classes):
-            break
-        colour = [rank[s] for s in sigs]
-        classes = [0] * len(rank)
-        for v, c in enumerate(colour):
-            classes[c] |= 1 << v
-    order = sorted(colour)
-    return tuple(order), _lex_min(rows, [classes[c] for c in order])
-
-
 def canonical_form(g: Graph) -> Graph:
     """Relabelling of g whose column-order upper-triangle bit string is the
     smallest over all n! relabellings (n <= 8), found by the pruned search of
-    _lex_min rather than by trying every relabelling."""
+    _canonical_value rather than by trying every relabelling."""
     if g.n > CANONICAL_CAP:
         raise ValueError(f"canonical form capped at n={CANONICAL_CAP}")
     return _rows_graph(_value_rows(_canonical_value(_graph_rows(g)), g.n))
@@ -334,23 +313,58 @@ def canonical_graph6(g: Graph) -> str:
     return emit_graph6(canonical_form(g))
 
 
+def _is_min_label(old_rows: list[int], deg: list[int], nsum: list[int], nbhd: int) -> bool:
+    """Whether a new vertex joined to the bitmask nbhd of old vertices has
+    the smallest label (degree, sum of its neighbours' degrees) in the
+    extended graph; ties pass.  deg and nsum are the old vertices' degrees
+    and neighbour-degree sums in the parent."""
+    d = nbhd.bit_count()
+    s = -1
+    for v, row in enumerate(old_rows):
+        inside = nbhd >> v & 1
+        dv = deg[v] + inside
+        if dv < d:
+            return False
+        if dv == d:
+            if s < 0:
+                s = d + sum(deg[w] for w in range(len(deg)) if nbhd >> w & 1)
+            # Each neighbour of v joined to x gains a degree; v, if joined, gains x.
+            if nsum[v] + (row & nbhd).bit_count() + inside * d < s:
+                return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def _catalog_values(n: int) -> tuple[int, ...]:
     """Canonical values of ALL isomorphism classes on exactly n vertices,
     ascending.
 
-    Each extension of a class on n-1 vertices is keyed by _refined_key; the
-    exact canonical value is then computed once per distinct key."""
+    Each class on n-1 vertices, in its canonical labelling, is extended by a
+    new vertex x with every neighbourhood N.  An extension is kept only when
+    x has the smallest label (degree, sum of its neighbours' degrees) of all
+    n vertices, ties included, and N meets each twin class of the parent in
+    its lowest-numbered vertices.  Nothing is lost: every class has a vertex
+    w of smallest label, deleting w leaves some class on n-1 vertices, and
+    adding w back to that class's canonical representative is an extension
+    whose new vertex has w's label.  Permuting the parent's twins within
+    their classes is an automorphism, which carries this extension to an
+    isomorphic one with the same label for x whose N passes the twin rule.
+    A class can still arise from several kept extensions, so the canonical
+    values are collected in a set."""
     if n == 1:
         return (0,)
-    reps: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    values: set[int] = set()
     for old in _catalog_values(n - 1):
         old_rows = _value_rows(old, n - 1)
+        deg = [r.bit_count() for r in old_rows]
+        nsum = [sum(deg[w] for w in range(n - 1) if r >> w & 1) for r in old_rows]
+        twins_below = _twins_below(old_rows)
         for nbhd in range(1 << (n - 1)):
-            rows = [r | ((nbhd >> v) & 1) << (n - 1) for v, r in enumerate(old_rows)]
-            rows.append(nbhd)
-            reps.setdefault(_refined_key(rows), rows)
-    return tuple(sorted(_canonical_value(rows) for rows in reps.values()))
+            if _is_min_label(old_rows, deg, nsum, nbhd) and not any(
+                    nbhd >> v & 1 and twins_below[v] & ~nbhd for v in range(n - 1)):
+                rows = [r | ((nbhd >> v) & 1) << (n - 1) for v, r in enumerate(old_rows)]
+                values.add(_canonical_value(rows + [nbhd]))
+    return tuple(sorted(values))
 
 
 def enumerate_connected_graphs(n: int) -> list[Graph]:

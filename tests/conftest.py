@@ -5,8 +5,10 @@ rational Gaussian elimination, roots via plain bisection, polynomial algebra
 by direct convolution, graph6 records by the pair-by-pair loop,
 characteristic polynomials by Faddeev-LeVerrier over Python integers,
 primality by deterministic Miller-Rabin.  Tests compare library output
-against these.  The hypothesis strategies at the end make near-valid graph
-inputs for the parser and CLI fuzz tests.
+against these.  The one exception is catalog_values_oracle, the catalog
+sweep without its filters: it shares the canonical labelling, which
+brute_canonical_form checks on its own.  The hypothesis strategies at the
+end make near-valid graph inputs for the parser and CLI fuzz tests.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -171,6 +174,23 @@ def brute_canonical_form(g: Graph) -> Graph:
     best = min(itertools.permutations(range(1, n + 1)),
                key=lambda order: [adj[order[i]][order[j]] for i, j in pairs])
     return Graph(n, frozenset((i + 1, j + 1) for i, j in pairs if adj[best[i]][best[j]]))
+
+
+@lru_cache(maxsize=None)
+def catalog_values_oracle(n: int) -> tuple[int, ...]:
+    """Canonical values of all graphs on n vertices, from every neighbourhood
+    of a new vertex added to every class on n-1 vertices, with no filter."""
+    from mainswitch.search import _canonical_value, _value_rows
+
+    if n == 1:
+        return (0,)
+    values = set()
+    for old in catalog_values_oracle(n - 1):
+        old_rows = _value_rows(old, n - 1)
+        for nbhd in range(1 << (n - 1)):
+            rows = [r | ((nbhd >> v) & 1) << (n - 1) for v, r in enumerate(old_rows)]
+            values.add(_canonical_value(rows + [nbhd]))
+    return tuple(sorted(values))
 
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:

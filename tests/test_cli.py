@@ -205,6 +205,27 @@ def test_empty_graph6_file_is_usage_error(tmp_path, capsys, cmd, content):
     assert captured.err == f"error: no graph6 records in {f}\n"
 
 
+@pytest.mark.parametrize("cmd", ["spectrum", "main-profile", "find-switching",
+                                 "verify-conjecture"])
+def test_bad_graph6_record_names_its_line(tmp_path, capsys, cmd):
+    f = tmp_path / "bad.g6"
+    f.write_text("Bw\n~~bad\nA_\n")
+    argv = [cmd, "--graph6-file", str(f)] if cmd == "verify-conjecture" else [cmd, f"@{f}"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == ("error: graph6 record 2: multi-byte vertex count "
+                                       "(n > 62) not supported (byte 0)\n")
+
+
+def test_verify_conjecture_disconnected_record_names_its_line(tmp_path, capsys):
+    f = tmp_path / "cat.g6"
+    f.write_text("Bw\n\nB_\n")  # line 3: one edge on three vertices
+    assert run(["verify-conjecture", "--graph6-file", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: graph6 record 3: the switching search requires "
+                            "a connected graph\n")
+
+
 def test_sel_above_vertex_cap_is_usage_error(tmp_path, capsys):
     f = tmp_path / "big.sel"
     f.write_text("63 0\n")
