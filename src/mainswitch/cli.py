@@ -59,27 +59,31 @@ def _default_workers() -> int:
         return 1
 
 
-def _graph6_file(path: str) -> list[tuple[int, Graph]]:
-    """Every graph6 record of a file with its line number; a bad record is a
-    GraphFormatError that names its line."""
+def _graph6_file(path: str, connected: bool = False) -> list[Graph]:
+    """Every graph6 record of a file.  A bad record, or with ``connected`` a
+    disconnected one, raises an error that names its line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(i, line) for i, line in enumerate(fh, start=1) if line.strip()]
-    records = []
+    graphs = []
     for i, line in lines:
         try:
-            records.append((i, parse_graph6(line)))
+            g = parse_graph6(line)
         except GraphFormatError as exc:
             raise GraphFormatError(f"graph6 record {i}: {exc}") from None
-    return records
+        if connected and not is_connected(g):
+            raise DisconnectedGraphError(
+                f"graph6 record {i}: the switching search requires a connected graph")
+        graphs.append(g)
+    return graphs
 
 
-def _load_inputs(arg: str) -> list[Graph | SignedGraph]:
+def _load_inputs(arg: str, connected: bool = False) -> list[Graph | SignedGraph]:
     if arg.startswith("@"):
         path = arg[1:]
         if path.endswith(".sel"):
             with open(path, "r", encoding="utf-8") as fh:
                 return [parse_signed_edge_list(fh.read())]
-        graphs = [g for _, g in _graph6_file(path)]
+        graphs = _graph6_file(path, connected)
         if not graphs:
             raise GraphFormatError(f"no graph6 records in {path}")
         return graphs
@@ -150,7 +154,7 @@ def _cmd_main_profile(args: argparse.Namespace) -> int:
 
 def _cmd_find_switching(args: argparse.Namespace) -> int:
     status = 0
-    for g in _load_inputs(args.input):
+    for g in _load_inputs(args.input, connected=True):
         graph = _as_search_graph(g)
         cert = find_all_main_switching(graph)
         if cert is None:
@@ -199,14 +203,7 @@ def _is_known_exception(graph6: str) -> bool:
 
 def _cmd_verify_conjecture(args: argparse.Namespace) -> int:
     workers = args.workers if args.workers is not None else _default_workers()
-    graphs = None
-    if args.graph6_file:
-        graphs = []
-        for i, g in _graph6_file(args.graph6_file):
-            if not is_connected(g):
-                raise DisconnectedGraphError(
-                    f"graph6 record {i}: the switching search requires a connected graph")
-            graphs.append(g)
+    graphs = _graph6_file(args.graph6_file, connected=True) if args.graph6_file else None
     report = verify_conjecture(args.max_n, workers=workers, graphs=graphs)
     if args.certificates:
         with open(args.certificates, "w", encoding="utf-8") as fh:
@@ -310,10 +307,7 @@ def run(argv: list[str] | None = None) -> int:
     except NoAllMainSwitchingError as exc:
         print(f"NO SWITCHING (exception): {exc}", file=sys.stderr)
         return 1
-    except DisconnectedGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GraphFormatError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # also GraphFormatError, JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

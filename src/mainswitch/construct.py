@@ -447,71 +447,36 @@ def _witnesses(graph: Graph, p: MultipartiteParams, roots: Sequence[float],
     return out
 
 
-# Extras rules: ordered extra-flip candidates on top of a base switching.
+def _shape_rule(p: MultipartiteParams) -> tuple[frozenset[int], list[tuple[int, int]]] | None:
+    """(base switching, extra-flip specs) for a shape with n >= 3, or None for
+    the small shapes (n <= 7) whose case analysis bottoms out in a finite check.
 
-
-def _no_extras(p: MultipartiteParams, base: frozenset[int]) -> list[tuple[int, ...]]:
-    return [()]
-
-
-def _eta_extras(p: MultipartiteParams, base: frozenset[int]) -> list[tuple[int, ...]]:
-    # Candidate order: no extra flip; one more in group 1; two more in each of
-    # groups 1..s-1.
-    specs: list[tuple[int, int] | None] = [None, (1, 1)]
-    specs.extend((i, 2) for i in range(1, p.s))
-    return [() if sp is None else _pick_extras(p, sp[0], sp[1], base) for sp in specs]
-
-
-def _single_flip_extras(p: MultipartiteParams, base: frozenset[int]) -> list[tuple[int, ...]]:
-    # No extra flip, then one extra flip in each group 1..s.
-    out: list[tuple[int, ...]] = [()]
-    out.extend(_pick_extras(p, i, 1, base) for i in range(1, p.s + 1))
-    return out
-
-
-def _last_head_extras(p: MultipartiteParams, base: frozenset[int]) -> list[tuple[int, ...]]:
-    # Nested flips at the head of the last group, after its base vertex.
-    f = p.offsets[-1]
-    return [(), (f + 2,), (f + 2, f + 3)]
-
-
-def _group1_nested_extras(p: MultipartiteParams, base: frozenset[int]) -> list[tuple[int, ...]]:
-    # Nested flips inside group 1, whose vertices v2..v5 share a coordinate.
-    return [(), (2, 3), (2, 3, 4, 5)]
-
-
-# Base rules.
-
-
-def _standard_base(p: MultipartiteParams) -> frozenset[int]:
-    base = {p.offsets[i - 1] + 1 for i in range(1, p.s) if p.counts[i - 1] >= 2}
-    base.add(p.offsets[p.s - 1] + 1)
-    return frozenset(base)
-
-
-def _head_base(p: MultipartiteParams) -> frozenset[int]:
-    return frozenset({1, p.offsets[-1] + 1})
-
-
-def _shape_rule(p: MultipartiteParams) -> tuple | None:
-    """(base rule, extras rule) for a shape with n >= 3, or None for the
-    small shapes (n <= 7) whose case analysis bottoms out in a finite check."""
+    A spec (group, count) is the candidate that flips ``count`` more vertices
+    of that group, as chosen by ``_pick_extras``; the candidate with no extra
+    flip always comes first.
+    """
     t, l, m = p.sizes, p.counts, p.group_sizes
+    last = p.offsets[-1] + 1
+    standard = frozenset({p.offsets[i] + 1 for i in range(p.s - 1) if l[i] >= 2} | {last})
+    head = frozenset({1, last})
+    # One more flip in group 1, then two more in each of groups 1..s-1.
+    eta = [(1, 1)] + [(i, 2) for i in range(1, p.s)]
     if p.s == 1:
-        return _standard_base, _no_extras
+        return standard, []
     if t[-1] >= 2:
-        return _standard_base, _eta_extras
+        return standard, eta
     # From here on t_s == 1.
     if t[0] == 2:
-        # Blocks ((l1,2),(l2,1)).
+        # Blocks ((l1,2),(l2,1)): nested flips at the head of the last group,
+        # or inside group 1, whose vertices v2..v5 share a coordinate.
         if m[1] >= 4:
-            return _head_base, _last_head_extras
-        return None if m[0] <= 4 else (_head_base, _group1_nested_extras)
+            return head, [(2, 1), (2, 2)]
+        return None if m[0] <= 4 else (head, [(1, 2), (1, 4)])
     if any(li >= 2 for li in l[:-1]):
-        return _standard_base, _eta_extras
+        return standard, eta
     if t[0] == 3:
-        return None if l[-1] <= 2 else (_head_base, _single_flip_extras)
-    return _head_base, _eta_extras
+        return None if l[-1] <= 2 else (head, [(i, 1) for i in range(1, p.s + 1)])
+    return head, eta
 
 
 def _from_search(p: MultipartiteParams) -> ConstructionResult:
@@ -538,10 +503,13 @@ def _from_search(p: MultipartiteParams) -> ConstructionResult:
 def multipartite_all_main_switching(p: MultipartiteParams) -> ConstructionResult:
     """All-main switching for a complete multipartite graph.
 
-    A shape rule gives a base switching and ordered extra-flip candidates;
-    the first candidate main for every secular root wins.  The only rejected
-    inputs are the two graphs with no all-main switching at all: the single
-    edge (blocks (2,1)) and the 4-clique minus an edge (blocks (1,2),(2,1)).
+    ``_shape_rule`` gives a base switching and (group, count) specs; the
+    candidates are the base alone, then the base plus ``_pick_extras`` for
+    each spec in order, and the first one main for every secular root wins.
+    The small shapes without a rule go to the brute-force search.  The only
+    rejected inputs are the two graphs with no all-main switching at all: the
+    single edge (blocks (2,1)) and the 4-clique minus an edge (blocks
+    (1,2),(2,1)).
     """
     if p.n < 2:
         raise ValueError("need at least 2 vertices")
@@ -555,11 +523,10 @@ def multipartite_all_main_switching(p: MultipartiteParams) -> ConstructionResult
     rule = _shape_rule(p)
     if rule is None:
         return _from_search(p)  # includes the rejected 4-clique minus an edge
-    base_rule, extras_rule = rule
+    base, specs = rule
     roots = multipartite_secular_roots(p)
-    base = base_rule(p)
-    switched = _scan(p.n, roots, functools.partial(_secular_vector, p), base,
-                     extras_rule(p, base))
+    extras = [()] + [_pick_extras(p, g, c, base) for g, c in specs]
+    switched = _scan(p.n, roots, functools.partial(_secular_vector, p), base, extras)
     return _finish(graph, switched, _witnesses(graph, p, roots, switched), "constructive")
 
 

@@ -102,15 +102,8 @@ class Certificate:
     tool_version: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "switching": list(self.switching),
-            "distinct_count": self.distinct_count,
-            "main_count": self.main_count,
-            "all_main": self.all_main,
-            "method": self.method,
-            "tool_version": self.tool_version,
-        }
+        return ({k: getattr(self, k) for k in _CERT_FIELDS}
+                | {"switching": list(self.switching)})
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())

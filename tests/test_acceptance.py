@@ -149,7 +149,7 @@ def test_criterion_04_multipartite_spectrum_random():
 def test_criterion_05_multipartite_constructive_all_shapes():
     start = time.perf_counter()
     rejected = []
-    checked = 0
+    certs = []
     for n in range(2, 21):
         for part in _partitions(n):
             p = MultipartiteParams.of(_blocks_of(part))
@@ -159,11 +159,17 @@ def test_criterion_05_multipartite_constructive_all_shapes():
                 rejected.append(p.blocks)
                 continue
             assert res.verified, p.blocks
-            checked += 1
+            certs.append(make_certificate(res.graph, res.switching, res.method,
+                                          res.profile).to_json() + "\n")
     # The two rejected inputs are the only graphs in the family with no
     # all-main switching at all: the single edge, and the 4-clique minus an
     # edge (blocks (1,2),(2,1)), which is itself complete multipartite.
     assert sorted(rejected) == [((1, 2), (2, 1)), ((2, 1),)]
+    # The certificate bytes of every shape, so a change to the shape rules
+    # that picks another switching shows here.
+    assert hashlib.sha256("".join(certs).encode()).hexdigest() == \
+        "48dd2e6ef21439bca190af7ad866223792dff38765991b7775060a2bce5598c9"
+    checked = len(certs)
     rng = random.Random(48)
     for _ in range(50):
         p = _random_blocks(rng, 8, 40)

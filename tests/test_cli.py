@@ -219,11 +219,14 @@ def test_bad_graph6_record_names_its_line(tmp_path, capsys, cmd):
 def test_verify_conjecture_disconnected_record_names_its_line(tmp_path, capsys):
     f = tmp_path / "cat.g6"
     f.write_text("Bw\n\nB_\n")  # line 3: one edge on three vertices
-    assert run(["verify-conjecture", "--graph6-file", str(f)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: graph6 record 3: the switching search requires "
-                            "a connected graph\n")
+    # find-switching checks every record before it prints a certificate.
+    for argv in (["verify-conjecture", "--graph6-file", str(f)],
+                 ["find-switching", f"@{f}"]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: graph6 record 3: the switching search "
+                                "requires a connected graph\n")
 
 
 def test_sel_above_vertex_cap_is_usage_error(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mainswitch import construct
 from mainswitch import (
     MultipartiteParams,
     NoAllMainSwitchingError,
@@ -453,6 +454,30 @@ def test_multipartite_extras_candidates_stable():
         res = multipartite_all_main_switching(MultipartiteParams.of(blocks))
         assert sorted(res.switching) == expected, blocks
         _check_result(res)
+
+
+@pytest.mark.parametrize("blocks, base, extras", [
+    ([(1, 2), (4, 1)], [1, 3], [(), (4,), (4, 5)]),                  # last-head
+    ([(3, 2), (1, 1)], [1, 7], [(), (2, 3), (2, 3, 4, 5)]),           # group-1 nested
+    ([(1, 3), (3, 1)], [1, 4], [(), (2,), (5,)]),                     # single flip
+    ([(1, 3), (1, 2)], [4], [(), (1,), (1, 2)]),                      # eta, standard base
+    ([(1, 4), (1, 1)], [1, 5], [(), (2,), (2, 3)]),                   # eta, head base
+    ([(3, 1)], [1], [()]),                                            # one group
+])
+def test_multipartite_candidate_lists(monkeypatch, blocks, base, extras):
+    # Nearly every shape is settled by the base alone, so the switchings do
+    # not show the later candidates; record what the scan is given instead.
+    calls = []
+    scan = construct._scan
+
+    def recording_scan(n, roots, vector, base_set, extras_list):
+        calls.append((sorted(base_set), list(extras_list)))
+        return scan(n, roots, vector, base_set, extras_list)
+
+    monkeypatch.setattr(construct, "_scan", recording_scan)
+    res = multipartite_all_main_switching(MultipartiteParams.of(blocks))
+    assert calls == [(base, extras)]
+    _check_result(res)
 
 
 def test_snr_candidate_flips_are_eigenvectors():
