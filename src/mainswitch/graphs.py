@@ -77,13 +77,6 @@ class Graph:
             seen.add(e)
         return cls(n, frozenset(seen))
 
-    def neighbor_sets(self) -> dict[int, frozenset[int]]:
-        nbrs: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return {v: frozenset(s) for v, s in nbrs.items()}
-
     def degree(self, u: int) -> int:
         return sum(1 for e in self.edges if u in e)
 
@@ -157,20 +150,26 @@ def adjacency_matrix(g: Graph | SignedGraph) -> list[list[int]]:
     return a
 
 
+def _neighbor_masks(g: Graph) -> list[int]:
+    """Neighbourhood bitmask of every vertex: bit w-1 of entry v-1 is edge vw."""
+    rows = [0] * g.n
+    for u, v in g.edges:
+        rows[u - 1] |= 1 << (v - 1)
+        rows[v - 1] |= 1 << (u - 1)
+    return rows
+
+
 def is_connected(g: Graph | SignedGraph) -> bool:
     base = g.graph if isinstance(g, SignedGraph) else g
-    if base.n == 1:
-        return True
-    nbrs = base.neighbor_sets()
-    seen = {1}
-    stack = [1]
-    while stack:
-        u = stack.pop()
-        for v in nbrs[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == base.n
+    rows = _neighbor_masks(base)
+    seen = todo = 1
+    while todo:
+        v = todo.bit_length() - 1
+        todo ^= 1 << v
+        new = rows[v] & ~seen
+        seen |= new
+        todo |= new
+    return seen == (1 << base.n) - 1
 
 
 # ---------------------------------------------------------------------------

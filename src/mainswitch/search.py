@@ -5,8 +5,12 @@ Switching classes of an all-positive graph are parametrised by the subsets of
 be pinned unswitched.  The brute-force verifier walks these 2^(n-1) classes in
 size order and keeps the first all-main one, so certificates prefer small
 switchings.  No switched matrix is built: a class with sign vector s (-1 on
-the switched vertices) has the walk matrix diag(s) walk_matrix(A, s), so the
-Bareiss rank of walk_matrix(A, s) is its main count.
+the switched vertices) has the walk matrix diag(s) walk_matrix(A, s), so its
+main count is the Bareiss rank of the walk columns s, As, A^2 s, ...  The
+powers A^0 .. A^(n-1) are computed once per graph, as one stack.  The
+distinct count is the rank of the Hankel matrix of power traces, which the
+stack gives as a Gram matrix, and the walk columns of a whole chunk of
+classes come from one product of the stack with the chunk's sign vectors.
 
 Graph catalogs are generated one vertex at a time, by the deletion half of
 canonical augmentation (McKay, "Isomorph-free exhaustive generation", 1998):
@@ -29,9 +33,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from ._version import __version__
-from .exact import MainProfile, char_poly, distinct_eigenvalue_count, main_profile, rank_exact, walk_matrix
-from .graphs import Graph, adjacency_matrix, apply_switching, emit_graph6, is_connected, parse_graph6
+from .exact import MainProfile, main_profile, rank_exact
+from .graphs import (Graph, _neighbor_masks, adjacency_matrix, apply_switching, emit_graph6,
+                     is_connected, parse_graph6)
 
 TOOL_VERSION = f"mainswitch {__version__}"
 
@@ -179,34 +186,100 @@ def _connected_adjacency(g: Graph) -> list[list[int]]:
     return adjacency_matrix(g)
 
 
-def _class_main_counts(a: list[list[int]]) -> Iterator[tuple[frozenset[int], int]]:
-    """Every switching class with its exact main count, ranked from its sign
-    vector, in enumeration order."""
+def _power_stack(a: list[list[int]]) -> np.ndarray:
+    """A^0, A^1, ..., A^(n-1) as one (n, n, n) array.
+
+    Entries of A^k are bounded by rho^k, rho the largest absolute row sum, so
+    every walk entry (A^k s)_v and every trace tr(A^i A^j) (i, j < n) is
+    bounded by n rho^(2n-2); the stack is int64 while that is below 2^63,
+    else Python ints.
+    """
     n = len(a)
-    for x in enumerate_switchings(n):
-        s = [-1 if v in x else 1 for v in range(1, n + 1)]
-        yield x, rank_exact(walk_matrix(a, s))
+    rho = max(sum(map(abs, row)) for row in a)
+    dtype = np.int64 if n * rho ** (2 * n - 2) < 2 ** 63 else object
+    arr = np.array(a, dtype=dtype)
+    powers = np.empty((n, n, n), dtype=dtype)
+    powers[0] = np.eye(n, dtype=dtype)
+    for k in range(1, n):
+        powers[k] = np.matmul(powers[k - 1], arr)
+    return powers
+
+
+def _distinct_count(powers: np.ndarray) -> int:
+    """Distinct eigenvalue count of symmetric A from its power stack: the
+    rank of the Hankel matrix H_ij = tr(A^(i+j)), i, j < n.
+
+    With A = sum_l lambda_l P_l over its d distinct eigenvalues, H = V^T M V
+    for the d x n Vandermonde V_lj = lambda_l^j and the positive diagonal M
+    of multiplicities, so rank H = d.  As A^j is symmetric, tr(A^i A^j) is
+    the sum of the entrywise product of A^i and A^j: H is the Gram matrix of
+    the flattened powers.
+    """
+    n = len(powers)
+    flat = powers.reshape(n, n * n)
+    return rank_exact(np.matmul(flat, flat.T).tolist())
+
+
+def _new_sign_chunks(n: int) -> Iterator[np.ndarray]:
+    """Sign vectors of all switching classes in enumeration order, 8 and then
+    64 per chunk (most graphs have an all-main class among their first few):
+    s is -1 exactly on the switched vertices."""
+    switchings = enumerate_switchings(n)
+    size = 8
+    while chunk := list(itertools.islice(switchings, size)):
+        yield np.array([[-1 if v in x else 1 for v in range(1, n + 1)] for x in chunk],
+                       dtype=np.int8)
+        size = 64
+
+
+@lru_cache(maxsize=4)
+def _head_sign_chunks(n: int) -> tuple[np.ndarray, ...]:
+    # The first two chunks, 72 n bytes at most; later ones are never kept.
+    return tuple(itertools.islice(_new_sign_chunks(n), 2))
+
+
+def _sign_chunks(n: int) -> Iterator[np.ndarray]:
+    """_new_sign_chunks(n), with the first two chunks kept between calls."""
+    yield from _head_sign_chunks(n)
+    yield from itertools.islice(_new_sign_chunks(n), 2, None)
+
+
+def _class_main_counts(powers: np.ndarray, cols: int) -> Iterator[tuple[list[int], int]]:
+    """Every switching class's sign vector and exact main count, in
+    enumeration order.
+
+    The main count is the rank of the walk columns s, As, ..., A^(cols-1) s,
+    made for a whole chunk of classes in one product with the power stack;
+    the rank stops growing at the main count, so any cols at least the
+    distinct count gives it.
+    """
+    for signs in _sign_chunks(len(powers)):
+        walks = np.matmul(powers[:cols], signs.T).transpose(2, 1, 0)  # class, vertex, k
+        yield from zip(signs.tolist(), map(rank_exact, walks.tolist()))
 
 
 def find_all_main_switching(g: Graph) -> Certificate | None:
     """First switching class (in enumeration order) whose exact profile is
     all-main, as a certificate; None when every class fails.
 
-    The distinct eigenvalue count is computed once: switching conjugates the
-    adjacency matrix, so the characteristic polynomial never changes.
+    Switching conjugates the adjacency matrix, which leaves the spectrum
+    unchanged, so the distinct count dc (the Hankel rank) is computed once
+    per graph, and the first dc walk columns decide each class.
     """
-    a = _connected_adjacency(g)
-    dc = distinct_eigenvalue_count(char_poly(a))
-    for x, mc in _class_main_counts(a):
+    powers = _power_stack(_connected_adjacency(g))
+    dc = _distinct_count(powers)
+    for s, mc in _class_main_counts(powers, dc):
         if mc == dc:
             profile = MainProfile(main_count=mc, distinct_count=dc, all_main=True)
+            x = [v for v, sv in enumerate(s, start=1) if sv < 0]
             return make_certificate(g, x, "brute_force", profile)
     return None
 
 
 def switching_main_counts(g: Graph) -> list[int]:
     """Exact main count of every switching class, in enumeration order."""
-    return [mc for _, mc in _class_main_counts(_connected_adjacency(g))]
+    powers = _power_stack(_connected_adjacency(g))
+    return [mc for _, mc in _class_main_counts(powers, len(powers))]
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +308,6 @@ def _value_rows(value: int, n: int) -> list[int]:
 def _rows_graph(rows: list[int]) -> Graph:
     n = len(rows)
     return Graph(n, frozenset((i + 1, j + 1) for i, j in _pairs(n) if (rows[i] >> j) & 1))
-
-
-def _graph_rows(g: Graph) -> list[int]:
-    rows = [0] * g.n
-    for u, v in g.edges:
-        rows[u - 1] |= 1 << (v - 1)
-        rows[v - 1] |= 1 << (u - 1)
-    return rows
 
 
 def _twins_below(rows: list[int]) -> list[int]:
@@ -299,7 +364,7 @@ def canonical_form(g: Graph) -> Graph:
     _canonical_value rather than by trying every relabelling."""
     if g.n > CANONICAL_CAP:
         raise ValueError(f"canonical form capped at n={CANONICAL_CAP}")
-    return _rows_graph(_value_rows(_canonical_value(_graph_rows(g)), g.n))
+    return _rows_graph(_value_rows(_canonical_value(_neighbor_masks(g)), g.n))
 
 
 def canonical_graph6(g: Graph) -> str:

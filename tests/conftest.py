@@ -5,10 +5,13 @@ rational Gaussian elimination, roots via plain bisection, polynomial algebra
 by direct convolution, graph6 records by the pair-by-pair loop,
 characteristic polynomials by Faddeev-LeVerrier over Python integers,
 primality by deterministic Miller-Rabin.  Tests compare library output
-against these.  The one exception is catalog_values_oracle, the catalog
-sweep without its filters: it shares the canonical labelling, which
-brute_canonical_form checks on its own.  The hypothesis strategies at the
-end make near-valid graph inputs for the parser and CLI fuzz tests.
+against these.  Two exceptions share library code on purpose.
+catalog_values_oracle, the catalog sweep without its filters, shares the
+canonical labelling, which brute_canonical_form checks on its own.
+class_profiles_oracle ranks one switching class at a time with char_poly
+and walk_matrix, which the exact tests check against the oracles above; it
+shares nothing with the search's power stack.  The hypothesis strategies at
+the end make near-valid graph inputs for the parser and CLI fuzz tests.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from mainswitch import Graph, SignedGraph, apply_switching, is_connected
+from mainswitch import (Graph, SignedGraph, adjacency_matrix, apply_switching, char_poly,
+                        distinct_eigenvalue_count, enumerate_switchings, is_connected,
+                        rank_exact, walk_matrix)
 
 
 def fraction_rank(m) -> int:
@@ -191,6 +196,22 @@ def catalog_values_oracle(n: int) -> tuple[int, ...]:
             rows = [r | ((nbhd >> v) & 1) << (n - 1) for v, r in enumerate(old_rows)]
             values.add(_canonical_value(rows + [nbhd]))
     return tuple(sorted(values))
+
+
+def class_profiles_oracle(g: Graph, stop_at_all_main: bool = False) -> tuple[int, list[int]]:
+    """Distinct count of g and the main count of each switching class in
+    enumeration order, one class at a time: the distinct count from the
+    characteristic polynomial, a class's main count as the rank of
+    walk_matrix(A, s).  With stop_at_all_main the list ends at the first
+    all-main class."""
+    a = adjacency_matrix(g)
+    dc = distinct_eigenvalue_count(char_poly(a))
+    counts = []
+    for x in enumerate_switchings(g.n):
+        counts.append(rank_exact(walk_matrix(a, [-1 if v in x else 1 for v in range(1, g.n + 1)])))
+        if stop_at_all_main and counts[-1] == dc:
+            break
+    return dc, counts
 
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:

@@ -16,6 +16,7 @@ from mainswitch import (
     eigen_sym,
     emit_graph6,
     format_signed_edge_list,
+    is_connected,
     make_multipartite,
     make_snr,
     parse_graph6,
@@ -119,6 +120,21 @@ def test_graph6_cross_check_networkx(rng):
         # And our parser agrees with networkx's emitter.
         back = nx.to_graph6_bytes(h, header=False).decode().strip()
         assert parse_graph6(back) == g
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_is_connected_matches_networkx(data):
+    nx = pytest.importorskip("networkx")
+    n = data.draw(st.integers(1, 12))
+    pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
+    # At most 2n edges: near the connectivity threshold, both answers occur.
+    edges = data.draw(st.sets(st.sampled_from(pairs), max_size=2 * n)) if pairs else set()
+    h = nx.Graph()
+    h.add_nodes_from(range(1, n + 1))
+    h.add_edges_from(edges)
+    g = Graph(n, frozenset(edges))
+    assert is_connected(g) == is_connected(as_signed(g)) == nx.is_connected(h)
 
 
 # ---------------------------------------------------------------------------

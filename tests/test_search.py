@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from mainswitch import (
@@ -15,6 +16,8 @@ from mainswitch import (
     apply_switching,
     canonical_form,
     canonical_graph6,
+    char_poly,
+    distinct_eigenvalue_count,
     emit_graph6,
     enumerate_connected_graphs,
     enumerate_switchings,
@@ -29,6 +32,8 @@ from mainswitch import (
     verify_conjecture,
 )
 from mainswitch import MultipartiteParams, SnrParams
+from mainswitch.search import _distinct_count, _head_sign_chunks, _power_stack, _sign_chunks
+from conftest import class_profiles_oracle, random_connected_graph, random_signed_graph
 
 K4_MINUS_EDGE = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
 
@@ -134,6 +139,93 @@ def test_search_rejects_disconnected():
     g = Graph.from_edges(4, [(1, 2), (3, 4)])
     with pytest.raises(DisconnectedGraphError):
         find_all_main_switching(g)
+
+
+# ---------------------------------------------------------------------------
+# Power stack, Hankel distinct count, chunked class ranks
+# ---------------------------------------------------------------------------
+
+
+def _assert_matches_class_oracle(g, all_counts=True):
+    dc, counts = class_profiles_oracle(g, stop_at_all_main=not all_counts)
+    first = next((i for i, mc in enumerate(counts) if mc == dc), None)
+    expected = (None if first is None
+                else tuple(sorted(next(itertools.islice(enumerate_switchings(g.n), first, None)))))
+    cert = find_all_main_switching(g)
+    assert (None if cert is None else cert.switching) == expected
+    if cert is not None:
+        assert cert.main_count == cert.distinct_count == dc and cert.all_main
+    if all_counts:
+        assert switching_main_counts(g) == counts
+
+
+def test_search_past_int64_bound_matches_class_oracle(rng):
+    # n rho^(2n-2) >= 2^63 on each, so the power stack holds Python ints; on
+    # K12 and S_{12,2} the Hankel entry tr(A^(2n-2)) itself is past 2^63.
+    k12 = Graph.from_edges(12, itertools.combinations(range(1, 13), 2))
+    dense = Graph.from_edges(11, [e for e in itertools.combinations(range(1, 12), 2)
+                                  if rng.random() < 0.8])
+    for g in [k12, make_snr(SnrParams(12, 2)), dense]:
+        powers = _power_stack(adjacency_matrix(g))
+        assert powers.dtype == object
+        assert ((powers[-1] * powers[-1]).sum() >= 2 ** 63) == (g is not dense)
+        _assert_matches_class_oracle(g)
+
+
+def test_search_on_eight_vertices_matches_class_oracle(rng):
+    graphs = [random_connected_graph(rng, 8) for _ in range(200)]
+    assert all(_power_stack(adjacency_matrix(g)).dtype == np.int64 for g in graphs)
+    # Every class count of one graph in four keeps this near a second.
+    for i, g in enumerate(graphs):
+        _assert_matches_class_oracle(g, all_counts=i % 4 == 0)
+
+
+def _switched(a, rng):
+    # D A D for a random +-1 diagonal D: same spectrum, other signs.
+    s = [rng.choice((-1, 1)) for _ in a]
+    return [[s[i] * x * s[j] for j, x in enumerate(row)] for i, row in enumerate(a)]
+
+
+def _repeated_eigenvalue_matrices(rng):
+    yield [[0]]
+    for n in range(2, 13):
+        yield [[int(i != j) for j in range(n)] for i in range(n)]  # K_n
+    for m in range(1, 8):
+        yield [[int((i < m) != (j < m)) for j in range(2 * m)] for i in range(2 * m)]  # K_{m,m}
+    for _ in range(30):
+        a = adjacency_matrix(random_signed_graph(rng, rng.randrange(2, 8)))
+        for _ in range(rng.randrange(1, 4)):  # a twin of v, joined to v by w
+            v, w = rng.randrange(len(a)), rng.choice((-1, 0, 1))
+            row = a[v][:v] + [w] + a[v][v + 1:]
+            a = [r + [x] for r, x in zip(a, row)] + [row + [0]]
+        yield a
+        h = adjacency_matrix(random_signed_graph(rng, rng.randrange(2, 7)))
+        n = len(h)  # H x K2: [[H, I], [I, H]], eigenvalues lambda +- 1
+        yield [[h[i % n][j % n] if i // n == j // n else int(i % n == j % n)
+                for j in range(2 * n)] for i in range(2 * n)]
+
+
+def test_hankel_distinct_count_matches_char_poly(rng):
+    dtypes = set()
+    for a in _repeated_eigenvalue_matrices(rng):
+        a = _switched(a, rng)
+        powers = _power_stack(a)
+        dtypes.add(powers.dtype)
+        assert _distinct_count(powers) == distinct_eigenvalue_count(char_poly(a)), a
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def test_sign_chunks_are_the_classes_in_order():
+    for n in range(1, 10):
+        chunks = list(_sign_chunks(n))
+        total = 2 ** (n - 1)
+        sizes = [min(8, total)] + [min(64, total - k) for k in range(8, total, 64)]
+        assert [len(c) for c in chunks] == sizes
+        assert np.concatenate(chunks).tolist() == [
+            [-1 if v in x else 1 for v in range(1, n + 1)] for x in enumerate_switchings(n)]
+    # Only the first 8 + 64 rows of a few vertex counts are kept, one byte each.
+    assert sum(c.nbytes for c in _head_sign_chunks(20)) == 72 * 20
+    assert _head_sign_chunks.cache_info().maxsize <= 8
 
 
 # ---------------------------------------------------------------------------
