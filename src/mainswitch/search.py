@@ -7,10 +7,12 @@ size order and keeps the first all-main one, so certificates prefer small
 switchings.  No switched matrix is built: a class with sign vector s (-1 on
 the switched vertices) has the walk matrix diag(s) walk_matrix(A, s), so its
 main count is the Bareiss rank of the walk columns s, As, A^2 s, ...  The
-powers A^0 .. A^(n-1) are computed once per graph, as one stack.  The
-distinct count is the rank of the Hankel matrix of power traces, which the
-stack gives as a Gram matrix, and the walk columns of a whole chunk of
-classes come from one product of the stack with the chunk's sign vectors.
+powers A^0 .. A^(n-1) are computed once per graph, as one stack, by the
+same exact kernel that decides main_profile on small matrices (in exact).
+The distinct count is the rank of the Hankel matrix of power traces, which
+the stack gives as a Gram matrix, and the walk columns of a whole chunk of
+classes come from one product of the stack with the chunk's sign vectors;
+each class's walk array goes to rank_exact as it is.
 
 Graph catalogs are generated one vertex at a time, by the deletion half of
 canonical augmentation (McKay, "Isomorph-free exhaustive generation", 1998):
@@ -36,7 +38,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ._version import __version__
-from .exact import MainProfile, main_profile, rank_exact
+from .exact import MainProfile, _distinct_count, _power_stack, main_profile, rank_exact
 from .graphs import (Graph, _neighbor_masks, adjacency_matrix, apply_switching, emit_graph6,
                      is_connected, parse_graph6)
 
@@ -186,40 +188,6 @@ def _connected_adjacency(g: Graph) -> list[list[int]]:
     return adjacency_matrix(g)
 
 
-def _power_stack(a: list[list[int]]) -> np.ndarray:
-    """A^0, A^1, ..., A^(n-1) as one (n, n, n) array.
-
-    Entries of A^k are bounded by rho^k, rho the largest absolute row sum, so
-    every walk entry (A^k s)_v and every trace tr(A^i A^j) (i, j < n) is
-    bounded by n rho^(2n-2); the stack is int64 while that is below 2^63,
-    else Python ints.
-    """
-    n = len(a)
-    rho = max(sum(map(abs, row)) for row in a)
-    dtype = np.int64 if n * rho ** (2 * n - 2) < 2 ** 63 else object
-    arr = np.array(a, dtype=dtype)
-    powers = np.empty((n, n, n), dtype=dtype)
-    powers[0] = np.eye(n, dtype=dtype)
-    for k in range(1, n):
-        powers[k] = np.matmul(powers[k - 1], arr)
-    return powers
-
-
-def _distinct_count(powers: np.ndarray) -> int:
-    """Distinct eigenvalue count of symmetric A from its power stack: the
-    rank of the Hankel matrix H_ij = tr(A^(i+j)), i, j < n.
-
-    With A = sum_l lambda_l P_l over its d distinct eigenvalues, H = V^T M V
-    for the d x n Vandermonde V_lj = lambda_l^j and the positive diagonal M
-    of multiplicities, so rank H = d.  As A^j is symmetric, tr(A^i A^j) is
-    the sum of the entrywise product of A^i and A^j: H is the Gram matrix of
-    the flattened powers.
-    """
-    n = len(powers)
-    flat = powers.reshape(n, n * n)
-    return rank_exact(np.matmul(flat, flat.T).tolist())
-
-
 def _new_sign_chunks(n: int) -> Iterator[np.ndarray]:
     """Sign vectors of all switching classes in enumeration order, 8 and then
     64 per chunk (most graphs have an all-main class among their first few):
@@ -255,7 +223,7 @@ def _class_main_counts(powers: np.ndarray, cols: int) -> Iterator[tuple[list[int
     """
     for signs in _sign_chunks(len(powers)):
         walks = np.matmul(powers[:cols], signs.T).transpose(2, 1, 0)  # class, vertex, k
-        yield from zip(signs.tolist(), map(rank_exact, walks.tolist()))
+        yield from zip(signs.tolist(), map(rank_exact, walks))
 
 
 def find_all_main_switching(g: Graph) -> Certificate | None:

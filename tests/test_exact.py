@@ -247,6 +247,42 @@ def test_rank_exact_rank_deficient_structured(rng):
         assert rank_exact(m) == fraction_rank(m) <= k
 
 
+def test_rank_exact_reads_int64_arrays_as_lists(rng):
+    # Entries near 2^40 make Bareiss products far past int64: the array is
+    # read into Python ints, and left as it was.
+    for _ in range(60):
+        rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+        k = rng.randrange(1, 4)
+        u = np.array([[rng.randrange(-2 ** 20, 2 ** 20) for _ in range(k)] for _ in range(rows)])
+        v = np.array([[rng.randrange(-2 ** 20, 2 ** 20) for _ in range(cols)] for _ in range(k)])
+        arr = u @ v if rng.random() < 0.5 else u @ v + np.eye(rows, cols, dtype=np.int64)
+        before = arr.copy()
+        assert arr.dtype == np.int64
+        assert rank_exact(arr) == rank_exact(arr.tolist()) == fraction_rank(arr.tolist())
+        assert rank_exact(arr.T) == rank_exact(arr.T.tolist())  # a strided view
+        assert np.array_equal(arr, before)
+
+
+def test_rank_exact_rejects_empty_and_ragged_input():
+    for bad in ([], [[]], [[1, 2], [3]], np.zeros((0, 3), dtype=np.int64),
+                np.zeros((3, 0), dtype=np.int64), np.array([1, 2], dtype=np.int64),
+                np.ones((2, 2, 2), dtype=np.int64), np.array(5), np.zeros((0, 2), dtype=object),
+                np.ones(3, dtype=object)):
+        with pytest.raises(ValueError):
+            rank_exact(bad)
+
+
+def test_rank_exact_copies_lists_and_other_arrays_to_python_ints():
+    # numpy int64 scalars in a list and Python ints past 2^63 in an object
+    # array both take the int() copy; Bareiss in int64 would overflow.
+    m = [[2 ** 40 + 1, 2 ** 40], [2 ** 40, 2 ** 40 - 1], [3, 5]]
+    assert rank_exact([[np.int64(x) for x in row] for row in m]) == 2
+    singular = [[2 ** 70, 2 ** 71], [2 ** 69, 2 ** 70]]
+    assert rank_exact(np.array(singular, dtype=object)) == 1
+    assert rank_exact(np.array(m[:2], dtype=object).T) == fraction_rank(m[:2]) == 2
+    assert rank_exact(np.array([[1, 2], [2, 4]], dtype=np.int32)) == 1
+
+
 def test_main_profile_examples():
     prof = main_profile(adjacency_matrix(parse_graph6("Bw")))
     assert (prof.main_count, prof.distinct_count, prof.all_main) == (1, 2, False)
@@ -285,6 +321,64 @@ def test_main_profile_matches_exact_rank():
     assert verdicts == {True, False}
 
 
+def _oracle_profile(a):
+    mc = fraction_rank(walk_matrix(a))
+    dc = distinct_eigenvalue_count(faddeev_leverrier_char_poly(a))
+    return exact.MainProfile(mc, dc, mc == dc)
+
+
+def _kernel_cases(rng):
+    # Catalog graphs under seeded switchings, then signed graphs with twins
+    # (repeated eigenvalues) up to 10 vertices, n = 1, and an empty graph.
+    graphs = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
+    for g in rng.sample(graphs, 300):
+        for _ in range(2):
+            yield adjacency_matrix(apply_switching(
+                g, [v for v in range(1, g.n + 1) if rng.random() < 0.5]))
+    for _ in range(60):
+        a = adjacency_matrix(random_signed_graph(rng, rng.randrange(2, 7)))
+        while len(a) < 10 and rng.random() < 0.8:  # a twin of v, joined to v by w
+            v, w = rng.randrange(len(a)), rng.choice((-1, 0, 1))
+            row = a[v][:v] + [w] + a[v][v + 1:]
+            a = [r + [x] for r, x in zip(a, row)] + [row + [0]]
+        yield a
+    yield [[0]]
+    yield [[0] * 4 for _ in range(4)]
+
+
+def test_power_stack_kernel_matches_oracles(monkeypatch, rng):
+    # Below the gate neither the annihilator nor char_poly runs.
+    def tier(*args):
+        raise AssertionError("a tier ran below the power-stack gate")
+
+    cases = list(_kernel_cases(rng))
+    expected = [_oracle_profile(a) for a in cases]
+    monkeypatch.setattr(exact, "_annihilator", tier)
+    monkeypatch.setattr(exact, "_char_poly", tier)
+    assert [main_profile(a) for a in cases] == expected
+    assert max(len(a) for a in cases) == 10
+    counts = {(p.main_count, p.distinct_count, len(a)) for p, a in zip(expected, cases)}
+    # Both verdicts, and main counts one short of n with n distinct
+    # eigenvalues or with fewer.
+    assert {mc == dc for mc, dc, _ in counts} == {True, False}
+    assert any(mc == n - 1 and dc == n for mc, dc, n in counts)
+    assert any(mc == n - 1 and dc < n for mc, dc, n in counts)
+    assert expected[-2:] == [exact.MainProfile(1, 1, True)] * 2
+
+
+def test_power_stack_gate(monkeypatch, rng):
+    # Eleven vertices, or an entry of 2^19 (n rho^(2n-2) past 2^63), take
+    # tier 1.
+    cases = [adjacency_matrix(random_signed_graph(rng, 11)),
+             [[0, 2 ** 19, 1], [2 ** 19, 3, -1], [1, -1, 0]]]
+    assert not exact._int64_stack(3, 2 ** 19 + 1)
+    tier1 = []
+    annihilator = exact._annihilator
+    monkeypatch.setattr(exact, "_annihilator", lambda *args: tier1.append(1) or annihilator(*args))
+    assert [main_profile(a) for a in cases] == [_oracle_profile(a) for a in cases]
+    assert len(tier1) == len(cases)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_failed_modular_certificate_falls_back_to_exact_rank(monkeypatch, p):
     cases = _profile_cases()
@@ -304,16 +398,16 @@ def test_failed_modular_certificate_falls_back_to_exact_rank(monkeypatch, p):
 def test_short_distinct_count_cannot_pass_as_all_main(monkeypatch):
     # Once the annihilator is rejected, the main count comes from Bareiss
     # elimination, never from rank_p: a distinct count that is too small must
-    # not pass as a certificate.
-    a = adjacency_matrix(apply_switching(make_snr(SnrParams(8, 2)), [1, 8]))
+    # not pass as a certificate.  n = 12 is past the power-stack kernel.
+    a = adjacency_matrix(apply_switching(make_snr(SnrParams(12, 2)), [1, 12]))
     dc = main_profile(a).distinct_count
     assert main_profile(a).all_main and dc < len(a)
-    bareiss = []
-    monkeypatch.setattr(exact, "_vanishes", lambda *args: (False, False))
+    bareiss, vanishes = [], []
+    monkeypatch.setattr(exact, "_vanishes", lambda *args: vanishes.append(1) or (False, False))
     monkeypatch.setattr(exact, "distinct_eigenvalue_count", lambda p: dc - 1)
     monkeypatch.setattr(exact, "rank_exact", lambda m: bareiss.append(m) or rank_exact(m))
     assert main_profile(a) == exact.MainProfile(dc, dc - 1, False)
-    assert len(bareiss) == 1
+    assert len(bareiss) == 1 and len(vanishes) == 1
 
 
 def _family_matrices():
@@ -351,8 +445,10 @@ def test_main_profile_matches_rank_and_gcd_oracle(rng):
 
 def test_not_all_main_counts_come_from_the_annihilator(monkeypatch):
     # q(A) j = 0 with q of degree rank_p fixes the main count; Bareiss is not
-    # needed.  H x K2 has main count 20 and distinct count 40.
-    cases = [a for a in _profile_cases() + _family_matrices() if not main_profile(a).all_main]
+    # needed.  H x K2 has main count 20 and distinct count 40.  Matrices of
+    # at most 10 vertices take the power-stack kernel instead.
+    cases = [a for a in _profile_cases() + _family_matrices()
+             if len(a) > 10 and not main_profile(a).all_main]
     expected = [main_profile(a) for a in cases]
     assert (20, 40) in {(p.main_count, p.distinct_count) for p in expected}
 

@@ -32,7 +32,8 @@ from mainswitch import (
     verify_conjecture,
 )
 from mainswitch import MultipartiteParams, SnrParams
-from mainswitch.search import _distinct_count, _head_sign_chunks, _power_stack, _sign_chunks
+from mainswitch.exact import _distinct_count, _power_stack
+from mainswitch.search import _head_sign_chunks, _sign_chunks
 from conftest import class_profiles_oracle, random_connected_graph, random_signed_graph
 
 K4_MINUS_EDGE = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
