@@ -441,16 +441,13 @@ def _int64_stack(n: int, rho: int) -> bool:
     return n * rho ** (2 * n - 2) < 2 ** 63
 
 
-def _power_stack(a: IntMatrix) -> np.ndarray:
-    """A^0, A^1, ..., A^(n-1) as one (n, n, n) array: int64 when
+def _power_stack(arr: np.ndarray, rho: int) -> np.ndarray:
+    """A^0, A^1, ..., A^(n-1) of the int64 matrix arr, whose largest absolute
+    row sum is rho (_row_bound), as one (n, n, n) array: int64 when
     _int64_stack allows, else Python ints."""
-    rho = max(sum(map(abs, row)) for row in a)
-    return _powers(np.array(a, dtype=np.int64 if _int64_stack(len(a), rho) else object))
-
-
-def _powers(arr: np.ndarray) -> np.ndarray:
-    # The power stack in arr's dtype.
     n = len(arr)
+    if not _int64_stack(n, rho):
+        arr = arr.astype(object)
     powers = np.empty((n, n, n), dtype=arr.dtype)
     powers[0] = np.eye(n, dtype=arr.dtype)
     for k in range(1, n):
@@ -592,7 +589,7 @@ def main_profile(a: IntMatrix) -> MainProfile:
     if arr is not None:
         n, rho = len(arr), _row_bound(arr)
         if n <= _STACK_MAX_N and _int64_stack(n, rho):
-            return _stack_profile(_powers(arr))
+            return _stack_profile(_power_stack(arr, rho))
         d, q = _annihilator(arr, rho)
         if d == n:
             return MainProfile(main_count=n, distinct_count=n, all_main=True)

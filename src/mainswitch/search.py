@@ -38,7 +38,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ._version import __version__
-from .exact import MainProfile, _distinct_count, _power_stack, main_profile, rank_exact
+from .exact import (MainProfile, _distinct_count, _power_stack, _row_bound, main_profile,
+                    rank_exact)
 from .graphs import (Graph, _neighbor_masks, adjacency_matrix, apply_switching, emit_graph6,
                      is_connected, parse_graph6)
 
@@ -182,10 +183,12 @@ def verify_certificate(cert: Certificate) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _connected_adjacency(g: Graph) -> list[list[int]]:
+def _connected_powers(g: Graph) -> np.ndarray:
+    # The power stack of g's signed adjacency matrix.
     if not is_connected(g):
         raise DisconnectedGraphError("the switching search requires a connected graph")
-    return adjacency_matrix(g)
+    arr = np.array(adjacency_matrix(g), dtype=np.int64)
+    return _power_stack(arr, _row_bound(arr))
 
 
 def _new_sign_chunks(n: int) -> Iterator[np.ndarray]:
@@ -234,7 +237,7 @@ def find_all_main_switching(g: Graph) -> Certificate | None:
     unchanged, so the distinct count dc (the Hankel rank) is computed once
     per graph, and the first dc walk columns decide each class.
     """
-    powers = _power_stack(_connected_adjacency(g))
+    powers = _connected_powers(g)
     dc = _distinct_count(powers)
     for s, mc in _class_main_counts(powers, dc):
         if mc == dc:
@@ -246,7 +249,7 @@ def find_all_main_switching(g: Graph) -> Certificate | None:
 
 def switching_main_counts(g: Graph) -> list[int]:
     """Exact main count of every switching class, in enumeration order."""
-    powers = _power_stack(_connected_adjacency(g))
+    powers = _connected_powers(g)
     return [mc for _, mc in _class_main_counts(powers, len(powers))]
 
 

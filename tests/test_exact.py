@@ -381,17 +381,24 @@ def test_power_stack_gate(monkeypatch, rng):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_failed_modular_certificate_falls_back_to_exact_rank(monkeypatch, p):
-    cases = _profile_cases()
+    # Only matrices past the power-stack kernel reach the modular rank, so
+    # every rank_exact call below comes from the tier-2 fallback.
+    cases = [a for a in _profile_cases() if len(a) > exact._STACK_MAX_N]
     expected = [main_profile(a) for a in cases]
-    pairs = [(exact._krylov_mod(np.array(a, dtype=np.int64), p)[0],
-              fraction_rank(walk_matrix(a))) for a in cases if len(a) <= 25]
+    ranks = [exact._krylov_mod(np.array(a, dtype=np.int64), p)[0] for a in cases]
+    pairs = [(r, fraction_rank(walk_matrix(a))) for r, a in zip(ranks, cases) if len(a) <= 25]
     assert all(r <= q for r, q in pairs)
     assert any(r < q for r, q in pairs)
     fallbacks = []
     monkeypatch.setattr(exact, "_RANK_PRIME", p)
     monkeypatch.setattr(exact, "rank_exact",
                         lambda m: fallbacks.append(m) or rank_exact(m))
-    assert [main_profile(a) for a in cases] == expected
+    for a, r, e in zip(cases, ranks, expected):
+        before = len(fallbacks)
+        assert main_profile(a) == e
+        # A rank mod p short of the main count leaves no annihilator of j
+        # of degree r, so Bareiss elimination must have run.
+        assert r == e.main_count or len(fallbacks) == before + 1
     assert fallbacks
 
 

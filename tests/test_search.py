@@ -32,7 +32,7 @@ from mainswitch import (
     verify_conjecture,
 )
 from mainswitch import MultipartiteParams, SnrParams
-from mainswitch.exact import _distinct_count, _power_stack
+from mainswitch.exact import _distinct_count, _power_stack, _row_bound
 from mainswitch.search import _head_sign_chunks, _sign_chunks
 from conftest import class_profiles_oracle, random_connected_graph, random_signed_graph
 
@@ -160,6 +160,11 @@ def _assert_matches_class_oracle(g, all_counts=True):
         assert switching_main_counts(g) == counts
 
 
+def _stack(a):
+    arr = np.array(a, dtype=np.int64)
+    return _power_stack(arr, _row_bound(arr))
+
+
 def test_search_past_int64_bound_matches_class_oracle(rng):
     # n rho^(2n-2) >= 2^63 on each, so the power stack holds Python ints; on
     # K12 and S_{12,2} the Hankel entry tr(A^(2n-2)) itself is past 2^63.
@@ -167,7 +172,7 @@ def test_search_past_int64_bound_matches_class_oracle(rng):
     dense = Graph.from_edges(11, [e for e in itertools.combinations(range(1, 12), 2)
                                   if rng.random() < 0.8])
     for g in [k12, make_snr(SnrParams(12, 2)), dense]:
-        powers = _power_stack(adjacency_matrix(g))
+        powers = _stack(adjacency_matrix(g))
         assert powers.dtype == object
         assert ((powers[-1] * powers[-1]).sum() >= 2 ** 63) == (g is not dense)
         _assert_matches_class_oracle(g)
@@ -175,7 +180,7 @@ def test_search_past_int64_bound_matches_class_oracle(rng):
 
 def test_search_on_eight_vertices_matches_class_oracle(rng):
     graphs = [random_connected_graph(rng, 8) for _ in range(200)]
-    assert all(_power_stack(adjacency_matrix(g)).dtype == np.int64 for g in graphs)
+    assert all(_stack(adjacency_matrix(g)).dtype == np.int64 for g in graphs)
     # Every class count of one graph in four keeps this near a second.
     for i, g in enumerate(graphs):
         _assert_matches_class_oracle(g, all_counts=i % 4 == 0)
@@ -210,7 +215,7 @@ def test_hankel_distinct_count_matches_char_poly(rng):
     dtypes = set()
     for a in _repeated_eigenvalue_matrices(rng):
         a = _switched(a, rng)
-        powers = _power_stack(a)
+        powers = _stack(a)
         dtypes.add(powers.dtype)
         assert _distinct_count(powers) == distinct_eigenvalue_count(char_poly(a)), a
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
