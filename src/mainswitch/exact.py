@@ -1,41 +1,37 @@
 """Exact integer linear algebra behind the main-eigenvalue decision.
 
-Whether every eigenvalue of a signed graph is main reduces to two integer
-computations: the rank of the walk matrix [j, Aj, ..., A^{n-1}j] equals the
-number of main eigenvalues, and the degree of charpoly / gcd(charpoly,
-charpoly') equals the number of distinct eigenvalues (the minimal polynomial
-of a symmetric matrix is squarefree).  Every answer is exact, so the
-accept/reject decision involves no tolerances.
+Whether every eigenvalue of a signed graph is main compares two integer
+counts: the rank of the walk matrix [j, Aj, ..., A^{n-1}j] is the number of
+main eigenvalues, and the degree of the minimal polynomial (squarefree, as
+A is symmetric) is the number of distinct eigenvalues.  Every answer is
+exact, so the accept/reject decision involves no tolerances.
 
-main_profile converts its input once, to an int64 array.  A matrix of at
-most 10 vertices whose powers A^0, ..., A^(n-1) fit int64 (n rho^(2n-2) <
-2^63, rho the largest absolute row sum) is decided by one exact kernel from
-that power stack, which the switching search shares: the main count is the
-Bareiss rank of the walk columns A^k j, and, when that is short of n, the
-distinct count is the rank of the Hankel matrix of power traces
-tr(A^(i+j)), the Gram matrix of the flattened powers.  Every other matrix is
-decided in two tiers:
+main_profile converts its input once, to an int64 array, and decides on one
+of two paths:
 
-1. An annihilating polynomial.  The walk columns are eliminated modulo a
-   prime until column d depends on the earlier ones; that dependency is a
-   monic q of degree d = rank_p(W), lifted by CRT.  rank_p(W) <= main count
-   <= distinct count always, so d = n is all-main.  Otherwise q(A) is
-   evaluated once, exactly modulo primes whose product passes a bound taken
-   from q's own coefficients: q(A) = 0 puts every eigenvalue among d roots,
-   so the matrix is all-main with d of each (an all-main matrix's main
-   polynomial is its minimal polynomial), and q(A) j = 0 alone makes d the
-   main count.
-2. The plain exact counts: the distinct count from the characteristic
-   polynomial, and fraction-free (Bareiss) elimination over the integers
-   for the main count when tier 1 left it open.  A matrix with an entry or
-   row sum of 2^20 or more skips tier 1.
+1. Annihilating polynomials, for matrices past the power-stack kernel below.
+   The Krylov columns s, As, A^2 s, ... are eliminated modulo a prime until
+   column d depends on the earlier ones; that dependency is a monic q of
+   degree d, lifted by CRT, and one exact evaluation of q(A) checks it
+   (Wiedemann, IEEE Trans. Inf. Theory 1986).  A Krylov rank modulo a prime
+   is at most the rank over the rationals, which is at most the distinct
+   count, and q(A) = 0 bounds the distinct count by d from above.  From
+   s = j, d = n or q(A) = 0 proves the matrix all-main, and q(A) j = 0 alone
+   makes d the main count; the distinct count then comes the same way from
+   s = (1, 2, ..., n).
+2. The power stack A^0, ..., A^(n-1): the main count is the Bareiss rank of
+   the walk columns A^k j, and, when that is short of n, the distinct count
+   is the rank of the Hankel matrix of power traces tr(A^(i+j)), the Gram
+   matrix of the flattened powers.  It decides every matrix of at most 10
+   vertices whose stack fits int64 (n rho^(2n-2) < 2^63, rho the largest
+   absolute row sum), shared with the switching search, and every matrix
+   the certificates leave open or that has an entry or row sum of 2^20 or
+   more, in Python ints when the stack does not fit int64.
 
-The characteristic polynomial is computed by Faddeev-LeVerrier modulo word-size
-primes and lifted by the Chinese remainder theorem: each coefficient obeys
-|c_k| <= C(n,k) rho^k <= (1+rho)^n, where rho is the largest absolute row sum,
-so primes whose product exceeds 2 (1+rho)^n determine it.  Its distinct
-root count needs no gcd over the integers when it is coprime to its
-derivative modulo one prime.
+char_poly (Faddeev-LeVerrier modulo word-size primes, lifted by CRT past
+2 (1+rho)^n, which bounds every coefficient), distinct_eigenvalue_count
+(deg p - deg gcd(p, p')) and walk_matrix stay as public helpers; the
+decision uses none of them.
 
 Matrices are plain lists of rows of Python ints (rank_exact also reads 2-D
 int64 arrays); polynomials are coefficient lists in ascending powers ([] is
@@ -97,14 +93,15 @@ _PRIMES = tuple(2 ** 31 - d for d in (
     1299, 1305, 1321, 1357, 1375, 1411))
 _PRIME_PRODUCTS = tuple(math.prod(_PRIMES[:k]) for k in range(1, len(_PRIMES) + 1))
 
-# The prime of the walk-matrix rank in main_profile, and the first prime its
-# annihilator is lifted over.
+# The prime of the Krylov ranks in main_profile, and the first prime their
+# annihilators are lifted over.
 _RANK_PRIME = _PRIMES[0]
 
 
-def _guarded_array(a: IntMatrix) -> np.ndarray | None:
-    """a as an int64 array when n and every absolute row sum are below
-    _LIMIT, else None (the modular paths would not be exact)."""
+def _guarded_array(a: IntMatrix) -> tuple[np.ndarray, int] | None:
+    """a as an int64 array, with its largest absolute row sum (_row_bound),
+    when n and every absolute row sum are below _LIMIT, else None (the
+    modular paths would not be exact)."""
     n = _check_square(a)
     try:
         arr = np.array(a, dtype=np.int64)
@@ -112,9 +109,8 @@ def _guarded_array(a: IntMatrix) -> np.ndarray | None:
         return None
     if n >= _LIMIT or arr.min() <= -_LIMIT or arr.max() >= _LIMIT:
         return None
-    if np.abs(arr).sum(axis=1).max() >= _LIMIT:
-        return None
-    return arr
+    rho = _row_bound(arr)
+    return None if rho >= _LIMIT else (arr, rho)
 
 
 @functools.lru_cache(maxsize=None)
@@ -123,18 +119,6 @@ def _crt_basis(k: int) -> tuple[int, tuple[int, ...]]:
     (e_i = 1 mod p_i, 0 mod the others)."""
     m = _PRIME_PRODUCTS[k - 1]
     return m, tuple((m // p) * pow(m // p % p, -1, p) for p in _PRIMES[:k])
-
-
-def char_poly(a: IntMatrix) -> IntPoly:
-    """Monic characteristic polynomial det(xI - A), ascending coefficients.
-
-    Runs the Faddeev-LeVerrier recurrence modulo as many table primes as the
-    coefficient bound 2 (1+rho)^n needs, all primes in one float64 matrix
-    product per step, and lifts the residues to symmetric integers by CRT.
-    Matrices outside the modular range (huge entries or coefficient bound
-    beyond the table) take the same recurrence over Python integers.
-    """
-    return _char_poly(a, _guarded_array(a))
 
 
 def _prime_count(bound: int) -> int | None:
@@ -159,14 +143,20 @@ def _row_bound(arr: np.ndarray) -> int:
     return int(np.abs(arr).sum(axis=1).max())
 
 
-def _char_poly(a: IntMatrix, arr: np.ndarray | None) -> IntPoly:
-    # char_poly of a, given its _guarded_array arr.
-    if arr is None:
-        return _char_poly_bigint(a)
-    n = len(arr)
-    k = _prime_count(2 * (1 + _row_bound(arr)) ** n)
+def char_poly(a: IntMatrix) -> IntPoly:
+    """Monic characteristic polynomial det(xI - A), ascending coefficients.
+
+    Runs the Faddeev-LeVerrier recurrence modulo as many table primes as the
+    coefficient bound 2 (1+rho)^n needs, all primes in one float64 matrix
+    product per step, and lifts the residues to symmetric integers by CRT.
+    Matrices outside the modular range (huge entries or coefficient bound
+    beyond the table) take the same recurrence over Python integers.
+    """
+    guarded = _guarded_array(a)
+    k = None if guarded is None else _prime_count(2 * (1 + guarded[1]) ** len(a))
     if k is None:
         return _char_poly_bigint(a)
+    arr, n = guarded[0], len(a)
     primes = np.array(_PRIMES[:k], dtype=np.int64)
     pf = primes.astype(np.float64)[:, None]
     af = arr.astype(np.float64)
@@ -272,40 +262,15 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     return a
 
 
-def _coprime_mod(a: IntPoly, b: IntPoly, p: int) -> bool:
-    """Whether a and b, both of nonzero leading coefficient mod p, are
-    coprime over F_p (Euclid's algorithm)."""
-    a, b = [c % p for c in a], [c % p for c in b]
-    while len(b) > 1:
-        inv = pow(b[-1], -1, p)
-        for top in range(len(a) - 1, len(b) - 2, -1):
-            f = a[top] * inv % p
-            if f:
-                base = top - len(b) + 1
-                for i, c in enumerate(b):
-                    a[base + i] = (a[base + i] - f * c) % p
-        a, b = b, _trim(a[:len(b) - 1])
-    return len(b) == 1
-
-
 def distinct_eigenvalue_count(p: IntPoly) -> int:
     """Number of distinct roots of a characteristic polynomial of a symmetric
-    integer matrix: deg p - deg gcd(p, p').
-
-    When p and p' are coprime modulo one table prime that divides neither
-    leading coefficient, their resultant is nonzero mod that prime, so
-    nonzero: p is squarefree and no gcd over the integers is needed.
-    """
+    integer matrix: deg p - deg gcd(p, p')."""
     q = _trim(p)
     if not q:
         raise ValueError("zero polynomial")
     if len(q) == 1:
         raise ValueError("constant polynomial has no eigenvalues")
-    dq = poly_derivative(q)
-    ell = _PRIMES[0]
-    if dq[-1] % ell and _coprime_mod(q, dq, ell):
-        return len(q) - 1
-    g = poly_gcd(q, dq)
+    g = poly_gcd(q, poly_derivative(q))
     return (len(q) - 1) - (len(g) - 1)
 
 
@@ -333,23 +298,24 @@ def walk_matrix(a: IntMatrix, start: list[int] | None = None) -> IntMatrix:
     return np.stack(cols, axis=1).tolist()
 
 
-def _krylov_mod(arr: np.ndarray, p: int) -> tuple[int, np.ndarray | None]:
-    """Rank d over F_p of the walk matrix of a _guarded_array matrix, and the
-    residues mod p (ascending, monic) of the q of degree d with q(A) j = 0
-    mod p; None in place of q when d = n.
+def _krylov_mod(arr: np.ndarray, p: int, start: np.ndarray) -> tuple[int, np.ndarray | None]:
+    """Rank d over F_p of the Krylov matrix [s, As, ..., A^(n-1) s] of a
+    _guarded_array matrix and an int64 start vector s, and the residues mod p
+    (ascending, monic) of the q of degree d with q(A) s = 0 mod p; None in
+    place of q when d = n.
 
-    Walk columns are made in blocks (8, then doubling) and eliminated in
-    order, each carrying the combination of walk columns it stands for, so
-    the first column that reduces to zero gives q.  Once one column depends
-    on the earlier ones every later column does too, so d is the rank mod p
-    of the whole walk matrix, and at most its rank over the rationals.
+    Krylov columns are made in blocks (8, then doubling) and eliminated in
+    order, each carrying the combination of columns it stands for, so the
+    first column that reduces to zero gives q.  Once one column depends on
+    the earlier ones every later column does too, so d is the rank mod p of
+    the whole Krylov matrix, and at most its rank over the rationals.
     """
     n = len(arr)
-    # Row t: walk column t mod p (n entries), then the combination of walk
+    # Row t: Krylov column t mod p (n entries), then the combination of
     # columns that it stands for (n entries, at first the unit vector of t).
     pivots: list[int] = []
     done = np.zeros((0, 2 * n), dtype=np.int64)
-    w = np.ones(n, dtype=np.int64)
+    w = start % p
     t = 0
     while t < n:
         size = min(max(8, t), n - t)
@@ -423,7 +389,7 @@ def rank_exact(m: IntMatrix | np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 # main_profile decides from the int64 power stack up to this many vertices.
-# Past it the annihilator tier is faster on all-main multipartite matrices
+# Past it the annihilator path is faster on all-main multipartite matrices
 # (about 106 against 94 us at n = 11 on a 2-core x86 VM, 89 against 93 at
 # n = 10), and the stack's n^3 entries keep growing.
 _STACK_MAX_N = 10
@@ -442,9 +408,9 @@ def _int64_stack(n: int, rho: int) -> bool:
 
 
 def _power_stack(arr: np.ndarray, rho: int) -> np.ndarray:
-    """A^0, A^1, ..., A^(n-1) of the int64 matrix arr, whose largest absolute
-    row sum is rho (_row_bound), as one (n, n, n) array: int64 when
-    _int64_stack allows, else Python ints."""
+    """A^0, A^1, ..., A^(n-1) of the int64 or Python-int matrix arr, whose
+    largest absolute row sum is rho (_row_bound), as one (n, n, n) array:
+    int64 when arr is and _int64_stack allows, else Python ints."""
     n = len(arr)
     if not _int64_stack(n, rho):
         arr = arr.astype(object)
@@ -475,24 +441,25 @@ def _distinct_count(powers: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _annihilator(arr: np.ndarray, rho: int) -> tuple[int, IntPoly | None]:
-    """Rank d mod _RANK_PRIME of the walk matrix of a _guarded_array matrix,
-    and a monic candidate q of degree d for q(A) j = 0 over the integers
-    (None when d = n or the lift fails).
+def _annihilator(arr: np.ndarray, rho: int, start: np.ndarray) -> tuple[int, IntPoly | None]:
+    """Rank d mod _RANK_PRIME of the Krylov matrix of a _guarded_array matrix
+    and a start vector s, and a monic candidate q of degree d for
+    q(A) s = 0 over the integers (None when d = n or the lift fails).
 
-    q is the walk dependency mod p, lifted by CRT over as many table primes
+    q is the Krylov dependency mod p, lifted by CRT over as many table primes
     as the bound 2 (1+rho)^d needs.  That bound covers the coefficients of
     any product of x - lambda over d eigenvalues, which q is when d is the
-    main count.  A degree that differs between primes gives no candidate;
-    any other wrong lift is left to _vanishes to reject.
+    Krylov rank of s over the rationals: q is then the minimal polynomial of
+    s.  A degree that differs between primes gives no candidate; any other
+    wrong lift is left to _vanishes to reject.
     """
-    d, q = _krylov_mod(arr, _RANK_PRIME)
+    d, q = _krylov_mod(arr, _RANK_PRIME, start)
     k = None if q is None else _prime_count(2 * (1 + rho) ** d)
     if k is None:
         return d, None
     residues = [q]
     for p in _PRIMES[1:k]:  # _RANK_PRIME is the first
-        dp, qp = _krylov_mod(arr, p)
+        dp, qp = _krylov_mod(arr, p, start)
         if dp != d:
             return d, None
         residues.append(qp)
@@ -556,6 +523,31 @@ def _stack_profile(powers: np.ndarray) -> MainProfile:
     return MainProfile(main_count=mc, distinct_count=dc, all_main=mc == dc)
 
 
+def _certified_profile(arr: np.ndarray, rho: int) -> MainProfile | None:
+    """The profile of a symmetric _guarded_array matrix from annihilating
+    polynomials, or None when a certificate fails.
+
+    From j: d = n, or q(A) = 0, puts every eigenvalue among the d roots of
+    q, so the matrix is all-main with d of each (d <= main <= distinct
+    always); q(A) j = 0 alone makes d the main count.  From v = (1, 2, ...,
+    n): d_v = n, or q_v(A) = 0, makes d_v the distinct count.  v has pairwise
+    distinct entries, so no twin eigenvector e_u - e_w is orthogonal to it.
+    """
+    n = len(arr)
+    mc, q = _annihilator(arr, rho, np.ones(n, dtype=np.int64))
+    if mc == n:
+        return MainProfile(main_count=n, distinct_count=n, all_main=True)
+    whole, on_j = (False, False) if q is None else _vanishes(arr, rho, q)
+    if whole:
+        return MainProfile(main_count=mc, distinct_count=mc, all_main=True)
+    if not on_j:
+        return None
+    dc, q = _annihilator(arr, rho, np.arange(1, n + 1, dtype=np.int64))
+    if dc < n and (q is None or not _vanishes(arr, rho, q)[0]):
+        return None
+    return MainProfile(main_count=mc, distinct_count=dc, all_main=mc == dc)
+
+
 def main_profile(a: IntMatrix) -> MainProfile:
     """Exact decision: main_count = rank of the walk matrix, distinct_count
     = number of distinct eigenvalues.
@@ -565,40 +557,26 @@ def main_profile(a: IntMatrix) -> MainProfile:
     whose power stack A^0, ..., A^(n-1) fits int64 is decided from that
     stack: the main count is the Bareiss rank of the walk columns A^k j, and
     when it is short of n the distinct count is the rank of the Hankel
-    matrix of power traces.  Every other matrix goes through two tiers, each
-    exact:
-
-    1. Annihilator.  The walk matrix has rank d modulo one prime, and its
-       first dependent column gives a monic q of degree d, lifted by CRT.
-       d <= main <= distinct always, so d = n is all-main.  One exact
-       evaluation of q(A) settles the rest of the tier: q(A) = 0 puts every
-       eigenvalue among the d roots of q, so the matrix is all-main with
-       d = main = distinct; q(A) j = 0 alone makes the main count d.
-    2. Plain counts.  The distinct count comes from the characteristic
-       polynomial, and Bareiss elimination over the integers gives the main
-       count when tier 1 did not.
+    matrix of power traces.  Every other matrix is decided by annihilating
+    polynomials, each checked by one exact evaluation of q(A): from j for
+    the main count and from v = (1, 2, ..., n) for the distinct count.  A
+    matrix that these leave open, or one outside the int64 guard, is decided
+    from its power stack, in Python ints when it does not fit int64.
 
     This is the authoritative accept/reject for every certificate; the float
     classifier is advisory only.
     """
-    arr = _guarded_array(a)
-    m = np.array(a, dtype=object) if arr is None else arr
+    guarded = _guarded_array(a)
+    if guarded is None:
+        m = np.array(a, dtype=object)
+        rho = _row_bound(m)
+    else:
+        m, rho = guarded
     if not (m == m.T).all():
         raise ValueError("main_profile requires a symmetric matrix")
-    mc = None
-    if arr is not None:
-        n, rho = len(arr), _row_bound(arr)
-        if n <= _STACK_MAX_N and _int64_stack(n, rho):
-            return _stack_profile(_power_stack(arr, rho))
-        d, q = _annihilator(arr, rho)
-        if d == n:
-            return MainProfile(main_count=n, distinct_count=n, all_main=True)
-        whole, on_j = (False, False) if q is None else _vanishes(arr, rho, q)
-        if whole:
-            return MainProfile(main_count=d, distinct_count=d, all_main=True)
-        if on_j:
-            mc = d
-    dc = distinct_eigenvalue_count(_char_poly(a, arr))
-    if mc is None:
-        mc = rank_exact(walk_matrix(a))
-    return MainProfile(main_count=mc, distinct_count=dc, all_main=mc == dc)
+    n = len(m)
+    if guarded is not None and (n > _STACK_MAX_N or not _int64_stack(n, rho)):
+        profile = _certified_profile(m, rho)
+        if profile is not None:
+            return profile
+    return _stack_profile(_power_stack(m, rho))

@@ -135,6 +135,18 @@ def test_prime_table_is_prime_and_overflow_safe():
     assert exact._PRIME_PRODUCTS[-1] > 2 * 62 ** 62
 
 
+def test_guard_returns_its_row_bound():
+    # Accepted exactly when every entry and absolute row sum is below
+    # _LIMIT; the largest absolute row sum comes back with the array.
+    top = exact._LIMIT - 1
+    arr, rho = exact._guarded_array([[0, top - 1], [top - 1, -1]])
+    assert arr.dtype == np.int64 and rho == exact._row_bound(arr) == top
+    for a in ([[0, top, 1], [top, 0, 0], [1, 0, 0]],      # a row sum of _LIMIT
+              [[0, -exact._LIMIT], [-exact._LIMIT, 0]],    # an entry of -_LIMIT
+              [[2 ** 70]]):                                # past int64
+        assert exact._guarded_array(a) is None
+
+
 def test_distinct_count_examples():
     assert distinct_eigenvalue_count([-1, 0, 1]) == 2          # x^2 - 1
     assert distinct_eigenvalue_count([-2, -3, 0, 1]) == 2      # (x-2)(x+1)^2
@@ -156,30 +168,26 @@ def test_poly_gcd_known_factor():
     assert poly_gcd(a, b) == [-1, 1]
 
 
-def test_distinct_count_shortcut_matches_full_gcd(monkeypatch, rng):
-    # Squarefree polynomials stop at the gcd mod one prime; repeated roots
-    # fall through to the gcd over the integers.  Both must count as
-    # deg p - deg gcd(p, p').
-    polys = [[rng.randrange(-50, 51) for _ in range(rng.randrange(1, 25))]
-             + [rng.choice((1, -3, 7))] for _ in range(40)]
-    for _ in range(40):
-        p = [1]
-        for _ in range(rng.randrange(1, 6)):
-            factor = [rng.randrange(-6, 7), 1] if rng.random() < 0.7 else [rng.randrange(-5, 6), 0, 1]
-            p = poly_mul(p, factor)
-        polys.append(poly_mul(p, p if rng.random() < 0.8 else [1]))
-    polys += [char_poly(a) for a in _CHARPOLY_CASES.values()]
-    full_gcd = poly_gcd
-    gcd_calls = []
-    monkeypatch.setattr(exact, "poly_gcd", lambda a, b: gcd_calls.append(1) or full_gcd(a, b))
-    repeated = 0
-    for p in polys:
-        expected = (len(p) - 1) - (len(full_gcd(p, exact.poly_derivative(p))) - 1)
-        assert distinct_eigenvalue_count(p) == expected
-        repeated += expected < len(p) - 1
-    assert repeated >= 30
-    # Every squarefree polynomial here took the shortcut.
-    assert len(gcd_calls) == repeated
+def test_distinct_count_matches_factor_counts(rng):
+    # Products of factors with known roots: x - r for integer r, and x^2 - c
+    # for c not the square of an integer (two irrational or imaginary roots
+    # that no other factor shares).  Repeated factors, squaring and a
+    # constant factor raise the degree but not the number of distinct roots.
+    factors = [[-r, 1] for r in range(-6, 7)]
+    factors += [[-c, 0, 1] for c in (-5, -4, -3, -2, -1, 2, 3, 5)]
+    repeated = squarefree = 0
+    for _ in range(80):
+        picks = [rng.choice(factors) for _ in range(rng.randrange(1, 6))]
+        p = [rng.choice((1, -3, 7))]
+        for f in picks:
+            p = poly_mul(p, f)
+        if rng.random() < 0.5:
+            p = poly_mul(p, p)
+        distinct = sum(len(f) - 1 for f in {tuple(f) for f in picks})
+        assert distinct_eigenvalue_count(p) == distinct, p
+        repeated += distinct < len(p) - 1
+        squarefree += distinct == len(p) - 1
+    assert repeated >= 30 and squarefree >= 20
 
 
 def test_walk_matrix_examples():
@@ -347,14 +355,14 @@ def _kernel_cases(rng):
 
 
 def test_power_stack_kernel_matches_oracles(monkeypatch, rng):
-    # Below the gate neither the annihilator nor char_poly runs.
-    def tier(*args):
-        raise AssertionError("a tier ran below the power-stack gate")
+    # Below the gate no annihilator is lifted or checked.
+    def certificate(*args):
+        raise AssertionError("a certificate ran below the power-stack gate")
 
     cases = list(_kernel_cases(rng))
     expected = [_oracle_profile(a) for a in cases]
-    monkeypatch.setattr(exact, "_annihilator", tier)
-    monkeypatch.setattr(exact, "_char_poly", tier)
+    monkeypatch.setattr(exact, "_annihilator", certificate)
+    monkeypatch.setattr(exact, "_vanishes", certificate)
     assert [main_profile(a) for a in cases] == expected
     assert max(len(a) for a in cases) == 10
     counts = {(p.main_count, p.distinct_count, len(a)) for p, a in zip(expected, cases)}
@@ -368,50 +376,54 @@ def test_power_stack_kernel_matches_oracles(monkeypatch, rng):
 
 def test_power_stack_gate(monkeypatch, rng):
     # Eleven vertices, or an entry of 2^19 (n rho^(2n-2) past 2^63), take
-    # tier 1.
+    # the annihilator path.
     cases = [adjacency_matrix(random_signed_graph(rng, 11)),
              [[0, 2 ** 19, 1], [2 ** 19, 3, -1], [1, -1, 0]]]
     assert not exact._int64_stack(3, 2 ** 19 + 1)
-    tier1 = []
-    annihilator = exact._annihilator
-    monkeypatch.setattr(exact, "_annihilator", lambda *args: tier1.append(1) or annihilator(*args))
+    certified = []
+    certified_profile = exact._certified_profile
+    monkeypatch.setattr(exact, "_certified_profile",
+                        lambda *args: certified.append(1) or certified_profile(*args))
     assert [main_profile(a) for a in cases] == [_oracle_profile(a) for a in cases]
-    assert len(tier1) == len(cases)
+    assert len(certified) == len(cases)
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_failed_modular_certificate_falls_back_to_exact_rank(monkeypatch, p):
     # Only matrices past the power-stack kernel reach the modular rank, so
-    # every rank_exact call below comes from the tier-2 fallback.
+    # every power stack below is the fallback's.
     cases = [a for a in _profile_cases() if len(a) > exact._STACK_MAX_N]
     expected = [main_profile(a) for a in cases]
-    ranks = [exact._krylov_mod(np.array(a, dtype=np.int64), p)[0] for a in cases]
+    ranks = [exact._krylov_mod(np.array(a, dtype=np.int64), p, np.ones(len(a), dtype=np.int64))[0]
+             for a in cases]
     pairs = [(r, fraction_rank(walk_matrix(a))) for r, a in zip(ranks, cases) if len(a) <= 25]
     assert all(r <= q for r, q in pairs)
     assert any(r < q for r, q in pairs)
     fallbacks = []
+    stack_profile = exact._stack_profile
     monkeypatch.setattr(exact, "_RANK_PRIME", p)
-    monkeypatch.setattr(exact, "rank_exact",
-                        lambda m: fallbacks.append(m) or rank_exact(m))
+    monkeypatch.setattr(exact, "_stack_profile",
+                        lambda powers: fallbacks.append(1) or stack_profile(powers))
     for a, r, e in zip(cases, ranks, expected):
         before = len(fallbacks)
         assert main_profile(a) == e
         # A rank mod p short of the main count leaves no annihilator of j
-        # of degree r, so Bareiss elimination must have run.
+        # of degree r, so the power stack must have decided.
         assert r == e.main_count or len(fallbacks) == before + 1
     assert fallbacks
 
 
 def test_short_distinct_count_cannot_pass_as_all_main(monkeypatch):
     # Once the annihilator is rejected, the main count comes from Bareiss
-    # elimination, never from rank_p: a distinct count that is too small must
-    # not pass as a certificate.  n = 12 is past the power-stack kernel.
+    # elimination on the power stack, never from rank_p: a distinct count
+    # that is too small must not pass as a certificate.  n = 12 is past the
+    # power-stack kernel.
     a = adjacency_matrix(apply_switching(make_snr(SnrParams(12, 2)), [1, 12]))
     dc = main_profile(a).distinct_count
     assert main_profile(a).all_main and dc < len(a)
     bareiss, vanishes = [], []
     monkeypatch.setattr(exact, "_vanishes", lambda *args: vanishes.append(1) or (False, False))
-    monkeypatch.setattr(exact, "distinct_eigenvalue_count", lambda p: dc - 1)
+    monkeypatch.setattr(exact, "_distinct_count", lambda powers: dc - 1)
     monkeypatch.setattr(exact, "rank_exact", lambda m: bareiss.append(m) or rank_exact(m))
     assert main_profile(a) == exact.MainProfile(dc, dc - 1, False)
     assert len(bareiss) == 1 and len(vanishes) == 1
@@ -451,7 +463,8 @@ def test_main_profile_matches_rank_and_gcd_oracle(rng):
 
 
 def test_not_all_main_counts_come_from_the_annihilator(monkeypatch):
-    # q(A) j = 0 with q of degree rank_p fixes the main count; Bareiss is not
+    # q(A) j = 0 with q of degree rank_p fixes the main count, and the
+    # annihilator of v = (1, ..., n) the distinct count; Bareiss is not
     # needed.  H x K2 has main count 20 and distinct count 40.  Matrices of
     # at most 10 vertices take the power-stack kernel instead.
     cases = [a for a in _profile_cases() + _family_matrices()
@@ -462,22 +475,23 @@ def test_not_all_main_counts_come_from_the_annihilator(monkeypatch):
     def no_bareiss(m):
         raise AssertionError("Bareiss elimination was called")
 
-    # One evaluation of q(A) answers both q(A) = 0 and q(A) j = 0.
+    # One evaluation of q(A) answers both q(A) = 0 and q(A) j = 0; a second
+    # checks q_v unless the Krylov rank from v is already n.
     checks = []
     vanishes = exact._vanishes
     monkeypatch.setattr(exact, "rank_exact", no_bareiss)
     monkeypatch.setattr(exact, "_vanishes", lambda *args: checks.append(1) or vanishes(*args))
     assert [main_profile(a) for a in cases] == expected
-    assert len(checks) == len(cases)
+    assert len(checks) == sum(1 + (p.distinct_count < len(a)) for p, a in zip(expected, cases))
+    assert any(p.distinct_count < len(a) for p, a in zip(expected, cases))
 
 
 def test_annihilator_check_prime_count_comes_from_the_candidate():
     # q + M, M the lift modulus, agrees with q modulo every lift prime; only
     # the primes that its own coefficients call for tell them apart.
     for a in _family_matrices() + _profile_cases():
-        arr = exact._guarded_array(a)
-        rho = exact._row_bound(arr)
-        d, q = exact._annihilator(arr, rho)
+        arr, rho = exact._guarded_array(a)
+        d, q = exact._annihilator(arr, rho, np.ones(len(a), dtype=np.int64))
         if q is None:
             continue
         m = exact._PRIME_PRODUCTS[exact._prime_count(2 * (1 + rho) ** d) - 1]
@@ -486,25 +500,92 @@ def test_annihilator_check_prime_count_comes_from_the_candidate():
         assert exact._vanishes(arr, rho, shifted) == (False, False)
 
 
-def test_wrong_lift_falls_back_to_char_poly(monkeypatch):
+def test_wrong_lift_falls_back_to_power_stack(monkeypatch):
     # With the second table prime as the rank prime, the residues lifted as
     # if modulo the first prime give a wrong q whenever q has a negative
-    # coefficient: it must be rejected and the char_poly path must decide.
-    res = multipartite_all_main_switching(MultipartiteParams.of([(3, 10), (2, 7), (4, 3)]))
+    # coefficient: it must be rejected and the power stack must decide.
+    # n = 13 keeps that fallback cheap.
+    res = multipartite_all_main_switching(MultipartiteParams.of([(1, 6), (2, 2), (3, 1)]))
     a = adjacency_matrix(apply_switching(res.graph, res.switching))
-    arr = exact._guarded_array(a)
-    rho = exact._row_bound(arr)
+    arr, rho = exact._guarded_array(a)
+    j = np.ones(len(a), dtype=np.int64)
     expected = main_profile(a)
-    _, q = exact._annihilator(arr, rho)
+    _, q = exact._annihilator(arr, rho, j)
     assert expected.all_main and min(q) < 0
     monkeypatch.setattr(exact, "_RANK_PRIME", exact._PRIMES[1])
-    _, wrong = exact._annihilator(arr, rho)
+    _, wrong = exact._annihilator(arr, rho, j)
     assert len(wrong) == len(q) and wrong != q
     calls = []
-    char_poly_core = exact._char_poly
-    monkeypatch.setattr(exact, "_char_poly", lambda *args: calls.append(1) or char_poly_core(*args))
+    stack_profile = exact._stack_profile
+    monkeypatch.setattr(exact, "_stack_profile",
+                        lambda powers: calls.append(1) or stack_profile(powers))
     assert main_profile(a) == expected
     assert calls == [1]
+
+
+def _big_entry_matrices():
+    # Outside the int64 guard: an entry of 2^70, and entries of 2^22.
+    return [[[0, 2 ** 70, 1], [2 ** 70, 0, 1], [1, 1, 0]],
+            _CHARPOLY_CASES["entries-2^70"], _CHARPOLY_CASES["entries-2^22"]]
+
+
+def test_main_profile_never_reaches_polynomial_code(monkeypatch):
+    # Both paths decide without a characteristic polynomial, a gcd or a walk
+    # matrix of Python ints.
+    big = _big_entry_matrices()
+    cases = _profile_cases() + _family_matrices() + big
+    expected = [main_profile(a) for a in cases]
+    assert expected[-len(big):] == [_oracle_profile(a) for a in big]
+
+    def polynomial_code(*args):
+        raise AssertionError("main_profile reached the polynomial code")
+
+    for name in ("char_poly", "_char_poly_bigint", "distinct_eigenvalue_count",
+                 "walk_matrix", "poly_gcd"):
+        monkeypatch.setattr(exact, name, polynomial_code)
+    assert [main_profile(a) for a in cases] == expected
+
+
+def test_rejected_certificates_fall_back_to_the_power_stack_once(monkeypatch):
+    # n = 12 and 16 are past the power-stack kernel: one all-main matrix
+    # with fewer than n distinct eigenvalues, and one that is not all-main.
+    res = snr_all_main_switching(12, 3)
+    cases = [adjacency_matrix(apply_switching(res.graph, res.switching)),
+             adjacency_matrix(make_multipartite(MultipartiteParams.of([(2, 5), (3, 2)])))]
+    expected = [_oracle_profile(a) for a in cases]
+    assert [e.all_main for e in expected] == [True, False]
+    assert all(e.distinct_count < len(a) for e, a in zip(expected, cases))
+    calls = []
+    stack_profile = exact._stack_profile
+    monkeypatch.setattr(exact, "_vanishes", lambda *args: (False, False))
+    monkeypatch.setattr(exact, "_stack_profile",
+                        lambda powers: calls.append(len(powers)) or stack_profile(powers))
+    assert [main_profile(a) for a in cases] == expected
+    assert calls == [len(a) for a in cases]
+
+
+def test_start_vector_j_cannot_certify_the_distinct_count(monkeypatch):
+    # With j in place of v, the second Krylov run finds the main polynomial
+    # again.  The matrix is not all-main, so q(A) != 0 and the fallback, not
+    # the main count, gives the distinct count.
+    a = adjacency_matrix(make_multipartite(MultipartiteParams.of([(2, 5), (3, 2)])))
+    expected = _oracle_profile(a)
+    assert not expected.all_main
+    annihilator, vanishes, stack_profile = exact._annihilator, exact._vanishes, exact._stack_profile
+    starts, wholes, fallbacks = [], [], []
+
+    def start_at_j(arr, rho, start):
+        starts.append(start.tolist())
+        return annihilator(arr, rho, np.ones(len(arr), dtype=np.int64))
+
+    monkeypatch.setattr(exact, "_annihilator", start_at_j)
+    monkeypatch.setattr(exact, "_vanishes",
+                        lambda *args: wholes.append(vanishes(*args)[0]) or vanishes(*args))
+    monkeypatch.setattr(exact, "_stack_profile",
+                        lambda powers: fallbacks.append(1) or stack_profile(powers))
+    assert main_profile(a) == expected
+    assert starts == [[1] * len(a), list(range(1, len(a) + 1))]
+    assert wholes == [False, False] and fallbacks == [1]
 
 
 def test_main_profile_outside_modular_range():
