@@ -6,8 +6,10 @@ main eigenvalues, and the degree of the minimal polynomial (squarefree, as
 A is symmetric) is the number of distinct eigenvalues.  Every answer is
 exact, so the accept/reject decision involves no tolerances.
 
-main_profile converts its input once, to an int64 array, and decides on one
-of two paths:
+main_profile converts its input once, to an int64 array; it decides only
+matrices whose n and absolute row sums are below 2^20, far beyond any signed
+graph, and rejects every other input with a ValueError.  It takes one of two
+paths:
 
 1. Annihilating polynomials, for matrices past the power-stack kernel below.
    The Krylov columns s, As, A^2 s, ... are eliminated modulo a prime until
@@ -25,13 +27,12 @@ of two paths:
    matrix of the flattened powers.  It decides every matrix of at most 10
    vertices whose stack fits int64 (n rho^(2n-2) < 2^63, rho the largest
    absolute row sum), shared with the switching search, and every matrix
-   the certificates leave open or that has an entry or row sum of 2^20 or
-   more, in Python ints when the stack does not fit int64.
+   the certificates leave open, in Python ints when the stack does not fit
+   int64.
 
-char_poly (Faddeev-LeVerrier modulo word-size primes, lifted by CRT past
-2 (1+rho)^n, which bounds every coefficient), distinct_eigenvalue_count
-(deg p - deg gcd(p, p')) and walk_matrix stay as public helpers; the
-decision uses none of them.
+char_poly (the Faddeev-LeVerrier recurrence over Python ints),
+distinct_eigenvalue_count (deg p - deg gcd(p, p')) and walk_matrix stay as
+public helpers; the decision uses none of them.
 
 Matrices are plain lists of rows of Python ints (rank_exact also reads 2-D
 int64 arrays); polynomials are coefficient lists in ascending powers ([] is
@@ -72,16 +73,16 @@ def _check_square(a: IntMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Characteristic polynomial (Faddeev-LeVerrier modulo primes, CRT lift)
+# The int64 guard, the prime table and CRT
 # ---------------------------------------------------------------------------
 
-# Both n and the largest absolute row sum rho must stay below _LIMIT for the
-# modular paths.  Every table prime p lies in (_LIMIT, 2^31), so each k <= n
-# is invertible mod p and p^2 < 2^63 (int64 residue products).  char_poly
+# main_profile decides only matrices whose n and largest absolute row sum rho
+# are below _LIMIT; no signed graph comes near it.  Every table prime p lies
+# in (_LIMIT, 2^31), so p^2 < 2^63 (int64 residue products).  _vanishes
 # reduces x to x - floor(x / p) p in float64, which lands in [-p, 2p) because
 # the computed quotient is off by at most one; adding a coefficient to the
 # diagonal gives entries in [-p, 3p), so a row . column product is below
-# 3 rho p < 2^53 and a trace below 3 n p < 2^53, both exact in float64.
+# 3 rho p < 2^53, exact in float64.
 _LIMIT = 2 ** 20
 
 # The 64 largest primes below 2^31, in descending order.
@@ -98,19 +99,22 @@ _PRIME_PRODUCTS = tuple(math.prod(_PRIMES[:k]) for k in range(1, len(_PRIMES) + 
 _RANK_PRIME = _PRIMES[0]
 
 
-def _guarded_array(a: IntMatrix) -> tuple[np.ndarray, int] | None:
-    """a as an int64 array, with its largest absolute row sum (_row_bound),
-    when n and every absolute row sum are below _LIMIT, else None (the
-    modular paths would not be exact)."""
+def _guarded_array(a: IntMatrix) -> tuple[np.ndarray, int]:
+    """a as an int64 array, with its largest absolute row sum (_row_bound).
+
+    Raises ValueError unless n and every absolute row sum are below _LIMIT,
+    the range in which the modular steps are exact.
+    """
     n = _check_square(a)
     try:
         arr = np.array(a, dtype=np.int64)
-    except OverflowError:
-        return None
-    if n >= _LIMIT or arr.min() <= -_LIMIT or arr.max() >= _LIMIT:
-        return None
-    rho = _row_bound(arr)
-    return None if rho >= _LIMIT else (arr, rho)
+    except OverflowError:  # an entry past int64
+        arr = None
+    inside = arr is not None and n < _LIMIT and -_LIMIT < arr.min() and arr.max() < _LIMIT
+    rho = _row_bound(arr) if inside else _LIMIT
+    if rho >= _LIMIT:
+        raise ValueError("exact decisions need n and every absolute row sum below 2^20")
+    return arr, rho
 
 
 @functools.lru_cache(maxsize=None)
@@ -143,45 +147,15 @@ def _row_bound(arr: np.ndarray) -> int:
     return int(np.abs(arr).sum(axis=1).max())
 
 
+# ---------------------------------------------------------------------------
+# Characteristic polynomial and the gcd-based distinct count
+# ---------------------------------------------------------------------------
+
+
 def char_poly(a: IntMatrix) -> IntPoly:
-    """Monic characteristic polynomial det(xI - A), ascending coefficients.
-
-    Runs the Faddeev-LeVerrier recurrence modulo as many table primes as the
-    coefficient bound 2 (1+rho)^n needs, all primes in one float64 matrix
-    product per step, and lifts the residues to symmetric integers by CRT.
-    Matrices outside the modular range (huge entries or coefficient bound
-    beyond the table) take the same recurrence over Python integers.
-    """
-    guarded = _guarded_array(a)
-    k = None if guarded is None else _prime_count(2 * (1 + guarded[1]) ** len(a))
-    if k is None:
-        return _char_poly_bigint(a)
-    arr, n = guarded[0], len(a)
-    primes = np.array(_PRIMES[:k], dtype=np.int64)
-    pf = primes.astype(np.float64)[:, None]
-    af = arr.astype(np.float64)
-    # -1/step mod p for every step and prime.
-    neg_inverses = np.array([[p - pow(step, -1, p) for p in _PRIMES[:k]]
-                             for step in range(1, n + 1)], dtype=np.int64)
-    # b[:, i, :] is the Faddeev-LeVerrier matrix modulo primes[i]; keeping the
-    # prime axis in the middle makes A @ b one (n, n) x (n, k n) product.
-    b = np.zeros((n, k, n))
-    x = np.empty_like(b)
-    diagonals = np.einsum("iji->ij", b)  # writable view, one column per prime
-    diagonals += 1.0
-    coeffs = np.empty((n, k), dtype=np.int64)
-    for step in range(1, n + 1):
-        np.matmul(af, b.reshape(n, k * n), out=x.reshape(n, k * n))
-        np.floor(np.divide(x, pf, out=b), out=b)
-        np.subtract(x, np.multiply(b, pf, out=b), out=b)
-        c = diagonals.sum(axis=0).astype(np.int64) % primes * neg_inverses[step - 1] % primes
-        coeffs[n - step] = c
-        diagonals += c
-    return _crt_lift(coeffs, k) + [1]
-
-
-def _char_poly_bigint(a: IntMatrix) -> IntPoly:
-    # Faddeev-LeVerrier over Python integers; each trace division is exact.
+    """Monic characteristic polynomial det(xI - A), ascending coefficients,
+    by the Faddeev-LeVerrier recurrence over Python ints; each trace
+    division is exact."""
     n = _check_square(a)
     A = np.array([[int(x) for x in row] for row in a], dtype=object)
     B = np.eye(n, dtype=object)
@@ -196,11 +170,6 @@ def _char_poly_bigint(a: IntMatrix) -> IntPoly:
         idx = np.diag_indices(n)
         B[idx] = B[idx] + c
     return [int(c) for c in reversed(desc)]
-
-
-# ---------------------------------------------------------------------------
-# Integer polynomial utilities (primitive pseudo-remainder gcd)
-# ---------------------------------------------------------------------------
 
 
 def _trim(p: IntPoly) -> IntPoly:
@@ -408,9 +377,9 @@ def _int64_stack(n: int, rho: int) -> bool:
 
 
 def _power_stack(arr: np.ndarray, rho: int) -> np.ndarray:
-    """A^0, A^1, ..., A^(n-1) of the int64 or Python-int matrix arr, whose
-    largest absolute row sum is rho (_row_bound), as one (n, n, n) array:
-    int64 when arr is and _int64_stack allows, else Python ints."""
+    """A^0, A^1, ..., A^(n-1) of the int64 matrix arr, whose largest
+    absolute row sum is rho (_row_bound), as one (n, n, n) array: int64 when
+    _int64_stack allows, else Python ints."""
     n = len(arr)
     if not _int64_stack(n, rho):
         arr = arr.astype(object)
@@ -553,30 +522,26 @@ def main_profile(a: IntMatrix) -> MainProfile:
     = number of distinct eigenvalues.
 
     The input is converted once, to the guarded int64 array that serves the
-    symmetry check and every later step.  A matrix of at most 10 vertices
+    symmetry check and every later step; a matrix with n or an absolute row
+    sum of 2^20 or more raises ValueError.  A matrix of at most 10 vertices
     whose power stack A^0, ..., A^(n-1) fits int64 is decided from that
     stack: the main count is the Bareiss rank of the walk columns A^k j, and
     when it is short of n the distinct count is the rank of the Hankel
     matrix of power traces.  Every other matrix is decided by annihilating
     polynomials, each checked by one exact evaluation of q(A): from j for
     the main count and from v = (1, 2, ..., n) for the distinct count.  A
-    matrix that these leave open, or one outside the int64 guard, is decided
-    from its power stack, in Python ints when it does not fit int64.
+    matrix that these leave open is decided from its power stack, in Python
+    ints when it does not fit int64.
 
     This is the authoritative accept/reject for every certificate; the float
     classifier is advisory only.
     """
-    guarded = _guarded_array(a)
-    if guarded is None:
-        m = np.array(a, dtype=object)
-        rho = _row_bound(m)
-    else:
-        m, rho = guarded
-    if not (m == m.T).all():
+    arr, rho = _guarded_array(a)
+    if not (arr == arr.T).all():
         raise ValueError("main_profile requires a symmetric matrix")
-    n = len(m)
-    if guarded is not None and (n > _STACK_MAX_N or not _int64_stack(n, rho)):
-        profile = _certified_profile(m, rho)
+    n = len(arr)
+    if n > _STACK_MAX_N or not _int64_stack(n, rho):
+        profile = _certified_profile(arr, rho)
         if profile is not None:
             return profile
-    return _stack_profile(_power_stack(m, rho))
+    return _stack_profile(_power_stack(arr, rho))

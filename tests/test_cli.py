@@ -15,11 +15,14 @@ from mainswitch import (
     TOOL_VERSION,
     Certificate,
     GraphFormatError,
+    canonical_graph6,
     parse_graph6,
     parse_signed_edge_list,
     verify_certificate,
 )
+from mainswitch import search
 from mainswitch.cli import run
+from mainswitch.graphs import Graph, emit_graph6
 from conftest import graph6_like, sel_like
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -138,14 +141,32 @@ def test_verify_conjecture_graph6_file(tmp_path, capsys):
     assert "2 checked" in out
 
 
-def test_verify_conjecture_unexpected_exception_fails(tmp_path, capsys):
-    # A catalog consisting only of K2 still exits 0 (known exception), but a
-    # hypothetical unexpected failure must flip the exit code; simulate by
-    # checking K2-only first.
+def test_verify_conjecture_unexpected_exception_fails(tmp_path, capsys, monkeypatch):
+    # K2 alone is a known exception and exits 0; a graph without an all-main
+    # switching that is neither K2 nor K4-e must exit 1.  The triangle Bw is
+    # made to look like one.
     f = tmp_path / "k2.g6"
-    f.write_text("A_\n")
+    f.write_text("A_\nBw\n")
     assert run(["verify-conjecture", "--graph6-file", str(f)]) == 0
-    capsys.readouterr()
+    find = search.find_all_main_switching
+    monkeypatch.setattr(search, "find_all_main_switching",
+                        lambda g: None if emit_graph6(g) == "Bw" else find(g))
+    assert run(["verify-conjecture", "--graph6-file", str(f)]) == 1
+    assert "Bw" in capsys.readouterr().out
+
+
+def test_known_exceptions_are_canonical_graph6():
+    k2 = Graph.from_edges(2, [(1, 2)])
+    k4e = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+    assert (canonical_graph6(k2), canonical_graph6(k4e)) == ("A_", "C^")
+
+
+def test_verify_conjecture_non_canonical_k4e_is_known(tmp_path, capsys):
+    # C} is K4-e labelled so that its graph6 is not the canonical C^.
+    f = tmp_path / "k4e.g6"
+    f.write_text("C}\n")
+    assert run(["verify-conjecture", "--graph6-file", str(f)]) == 0
+    assert "C}  class main counts" in capsys.readouterr().out
 
 
 def test_verify_conjecture_certificates_file(tmp_path, capsys):
