@@ -17,10 +17,8 @@ from .construct import (
     NoAllMainSwitchingError,
     candidate_family_distinct,
     candidate_family_equal,
-    duplicate_switch_eigvecs,
     flip,
     multipartite_all_main_switching,
-    multipartite_ti_eigvec,
     one_per_part_switching,
     snr_all_main_switching,
     snr_eigvec,

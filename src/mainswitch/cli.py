@@ -173,14 +173,16 @@ def _cmd_find_switching(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    if args.family == "snr":
+    params = _parse_blocks(args.blocks) if args.family == "multipartite" else None
+    if (args.n if params is None else params.n) > 62:
+        # The certificate names the graph in graph6: refuse before building it.
+        raise ValueError("graph6 emission supports n <= 62 only")
+    if params is None:
         res = snr_all_main_switching(args.n, args.r)
+    elif args.one_per_part:
+        res = one_per_part_switching(params)
     else:
-        params = _parse_blocks(args.blocks)
-        if args.one_per_part:
-            res = one_per_part_switching(params)
-        else:
-            res = multipartite_all_main_switching(params)
+        res = multipartite_all_main_switching(params)
     print(make_certificate(res.graph, res.switching, res.method, res.profile).to_json())
     return 0 if res.verified else 1
 

@@ -4,7 +4,11 @@ Two families are covered: the clique-with-pendants graph (pendants first,
 attachment vertex in the middle, remaining clique vertices last) and the
 complete multipartite graph.  Each construction returns the switching, one
 main eigenvector per distinct eigenvalue as witness evidence, and an exact
-verification verdict from the integer decision procedure.
+verification verdict from the integer decision procedure.  Every repeated
+eigenvalue of both families (0 and -1 of the clique-with-pendants graph, 0
+and -t_i of the multipartite graph) comes from interchangeable twin blocks,
+and its witness is the projection of j onto its eigenspace, one closed form
+for all of them (``_twin_witness``).
 
 Candidate eigenvectors are scanned in a fixed order and the first success is
 kept, so results are deterministic and certificates reproducible.  Flip
@@ -47,10 +51,8 @@ __all__ = [
     "NoAllMainSwitchingError",
     "candidate_family_distinct",
     "candidate_family_equal",
-    "duplicate_switch_eigvecs",
     "flip",
     "multipartite_all_main_switching",
-    "multipartite_ti_eigvec",
     "one_per_part_switching",
     "snr_all_main_switching",
     "snr_eigvec",
@@ -151,51 +153,31 @@ def candidate_family_equal(beta: Sequence, indices: Sequence[int]) -> CandidateF
 
 
 # ---------------------------------------------------------------------------
-# Duplicate-vertex eigenvectors (eigenvalues 0 and -1)
+# Twin-block witnesses (repeated eigenvalues)
 # ---------------------------------------------------------------------------
 
 
-def duplicate_switch_eigvecs(graph: Graph, vertices: Sequence[int], t: int,
-                             mode: str) -> list[np.ndarray]:
-    """Main eigenvectors contributed by a duplicate class after switching its
-    first ``t`` members (and possibly other vertices outside the class).
+def _signs(n: int, switched: frozenset[int]) -> np.ndarray:
+    """The switching's sign vector s: -1 on switched vertices, 1 elsewhere."""
+    s = np.ones(n)
+    s[[v - 1 for v in switched]] = -1.0
+    return s
 
-    ``vertices`` lists a class of vertices sharing the same open ("open",
-    eigenvalue 0) or closed ("closed", eigenvalue -1) neighbourhood in the
-    unswitched graph, ordered so that the switched members come first.
-    Returns r-1 independent eigenvectors of the switched graph, each with
-    nonzero entry sum: e_i + e_{t+1} for i <= t and e_1 + e_{t+k} for k >= 2
-    (positions within the class).
+
+def _twin_witness(s: np.ndarray, fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+    """s times (mean of s over v's fine block - mean of s over v's coarse
+    class), for dense 0-based labels with blocks of one size in each class.
+
+    This is the projection of j onto D {sum_b c_b 1_b : the c_b of each class
+    sum to zero}, D = diag(s).  When a class's blocks are interchangeable
+    twins for an eigenvalue whose whole eigenspace that set spans, it is the
+    main part of j there (Rowlinson, AADM 2007); its entry sum,
+    sum_b |b| (mean_b - mean_class)^2, is zero only when every class has
+    its blocks switched alike.
     """
-    verts = list(vertices)
-    r = len(verts)
-    if r < 2:
-        raise ValueError("duplicate class needs at least two vertices")
-    if not (1 <= t <= r - 1):
-        raise ValueError(f"switched prefix size must be in 1..{r - 1}, got {t}")
-    if mode not in ("open", "closed"):
-        raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
-    n = graph.n
-    if not all(1 <= v <= n for v in verts):
-        raise ValueError(f"class vertices {verts} out of range 1..{n}")
-    sets = {v: {v} if mode == "closed" else set() for v in verts}
-    for u, v in graph.edges:
-        if u in sets:
-            sets[u].add(v)
-        if v in sets:
-            sets[v].add(u)
-    if any(s != sets[verts[0]] for s in sets.values()):
-        raise ValueError(f"vertices {verts} are not {mode}-duplicates")
-
-    def unit_pair(u: int, v: int) -> np.ndarray:
-        vec = np.zeros(n)
-        vec[u - 1] = 1.0
-        vec[v - 1] = 1.0
-        return vec
-
-    vecs = [unit_pair(verts[i], verts[t]) for i in range(t)]
-    vecs.extend(unit_pair(verts[0], verts[k]) for k in range(t + 1, r))
-    return vecs
+    block = np.bincount(fine, s) / np.bincount(fine)
+    cls = np.bincount(coarse, s) / np.bincount(coarse)
+    return s * (block[fine] - cls[coarse])
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +187,13 @@ def duplicate_switch_eigvecs(graph: Graph, vertices: Sequence[int], t: int,
 
 @dataclass(frozen=True, eq=False)
 class ConstructionResult:
-    """A switching plus witness eigenvectors and the exact verification."""
+    """A switching plus witness eigenvectors and the exact verification.
+
+    ``witnesses`` pairs each distinct eigenvalue with a unit eigenvector of
+    the switched graph of nonzero entry sum; for a repeated eigenvalue of a
+    constructive result it is the normalised projection of j onto the
+    eigenspace.
+    """
 
     graph: Graph
     switching: frozenset[int]
@@ -297,8 +285,7 @@ def snr_all_main_switching(n: int, r: int) -> ConstructionResult:
     """
     if r < 1 or n < r + 3:
         raise ValueError(f"need r >= 1 and n >= r+3, got n={n} r={r}")
-    params = SnrParams(n, r)
-    graph = make_snr(params)
+    graph = make_snr(SnrParams(n, r))
     roots = snr_cubic_roots(n, r)
 
     def vector(lam: float, switched: frozenset[int]) -> np.ndarray:
@@ -311,17 +298,14 @@ def snr_all_main_switching(n: int, r: int) -> ConstructionResult:
     extras = [()] if r <= 2 or n == r + 3 else [(), (2,), (r + 1,), (n - 1,)]
     switched = _scan(n, roots, vector, frozenset((1, n)), extras)
     witnesses = [(lam, vector(lam, switched)) for lam in roots]
+    s = _signs(n, switched)
+    vertex = np.arange(n)
+    # The pendants v1..vr are twins for 0 and the clique rest v_{r+2}..vn
+    # for -1; each class holds a switched vertex (v1, vn) and an unswitched
+    # one, so both witnesses are main.
     if r >= 2:
-        p_switched = sum(1 for v in switched if v <= r)
-        pendants = tuple(params.pendants)  # switched pendants are a prefix
-        witnesses.append(
-            (0.0, duplicate_switch_eigvecs(graph, pendants, p_switched, "open")[0]))
-    # Clique-rest class ordered switched-first, descending labels: the
-    # switched members are vn and possibly v_{n-1}.
-    q_switched = sum(1 for v in switched if v >= r + 2)
-    rest = sorted(params.clique_rest, key=lambda v: (v not in switched, -v))
-    witnesses.append(
-        (-1.0, duplicate_switch_eigvecs(graph, rest, q_switched, "closed")[0]))
+        witnesses.append((0.0, _twin_witness(s, vertex, np.maximum(vertex - r + 1, 0))))
+    witnesses.append((-1.0, _twin_witness(s, vertex, np.minimum(vertex, r + 1))))
     return _finish(graph, switched, witnesses, "constructive")
 
 
@@ -348,46 +332,6 @@ def _secular_vector(p: MultipartiteParams, lam: float,
     return v
 
 
-def _part_pair_eigvec(p: MultipartiteParams, i: int, j: int, k: int,
-                      p_switched: int, q_switched: int) -> np.ndarray:
-    """Eigenvector for -t_i supported on parts j and k of group i, valid when
-    exactly the first p vertices of part j and the first q != p of part k
-    are switched.  Entry sum is 2(q - p), hence nonzero."""
-    t = p.sizes[i - 1]
-    if not (0 <= p_switched <= t and 0 <= q_switched <= t):
-        raise ValueError(f"need 0 <= p, q <= {t}, got p={p_switched} q={q_switched}")
-    if q_switched == p_switched:
-        raise ValueError(f"need q != p, got q = p = {p_switched}")
-    v = np.zeros(p.n)
-    pj = list(p.part_range(i, j))
-    pk = list(p.part_range(i, k))
-    for idx, u in enumerate(pj):
-        v[u - 1] = -1.0 if idx < p_switched else 1.0
-    for idx, u in enumerate(pk):
-        v[u - 1] = 1.0 if idx < q_switched else -1.0
-    return v
-
-
-def multipartite_ti_eigvec(p: MultipartiteParams, i: int, p_switched: int,
-                           q_switched: int) -> np.ndarray:
-    """Main eigenvector for eigenvalue -t_i of the switched complete
-    multipartite graph, supported on the first two parts of group i."""
-    if p.counts[i - 1] < 2:
-        raise ValueError(f"group {i} has a single part; -t_{i} is not an eigenvalue")
-    return _part_pair_eigvec(p, i, 1, 2, p_switched, q_switched)
-
-
-def _prefix_count(p: MultipartiteParams, switched: frozenset[int], i: int,
-                  j: int) -> int:
-    """Number of switched vertices in part (i, j); they must form a prefix."""
-    part = list(p.part_range(i, j))
-    flags = [v in switched for v in part]
-    count = sum(flags)
-    if any(flags[count:]):
-        raise ConstructionError(f"switched vertices in part ({i},{j}) are not a prefix")
-    return count
-
-
 def _pick_extras(p: MultipartiteParams, group: int, count: int,
                  base: frozenset[int]) -> tuple[int, ...]:
     """Choose ``count`` extra flip vertices in a group, never reusing a base
@@ -409,41 +353,20 @@ def _pick_extras(p: MultipartiteParams, group: int, count: int,
     return tuple(avail[:count])
 
 
-def _zero_witness(graph: Graph, p: MultipartiteParams,
-                  switched: frozenset[int]) -> np.ndarray:
-    """Main eigenvector for eigenvalue 0 from a part containing both switched
-    and unswitched vertices (the switched ones always form a prefix)."""
-    for i in range(1, p.s + 1):
-        if p.sizes[i - 1] < 2:
-            continue
-        for j in range(1, p.counts[i - 1] + 1):
-            cnt = _prefix_count(p, switched, i, j)
-            if 0 < cnt < p.sizes[i - 1]:
-                part = tuple(p.part_range(i, j))
-                return duplicate_switch_eigvecs(graph, part, cnt, "open")[0]
-    raise ConstructionError("no part is partially switched; cannot witness eigenvalue 0")
-
-
-def _ti_witness(p: MultipartiteParams, switched: frozenset[int], i: int) -> np.ndarray:
-    """Main eigenvector for -t_i on the first two parts of group i whose
-    switched prefixes differ in length."""
-    counts = [_prefix_count(p, switched, i, j) for j in range(1, p.counts[i - 1] + 1)]
-    for k, cnt in enumerate(counts[1:], start=2):
-        if cnt != counts[0]:
-            return _part_pair_eigvec(p, i, 1, k, counts[0], cnt)
-    raise ConstructionError(f"every part of group {i} is switched alike; cannot witness -t_{i}")
-
-
-def _witnesses(graph: Graph, p: MultipartiteParams, roots: Sequence[float],
+def _witnesses(p: MultipartiteParams, roots: Sequence[float],
                switched: frozenset[int]) -> list[tuple[float, np.ndarray]]:
     """One main eigenvector per distinct eigenvalue: the secular roots, 0 when
-    some part has two or more vertices, and -t_i for every group of two or
-    more parts."""
+    some part has two or more vertices (the vertices of each part are twins),
+    and -t_i for every group of two or more parts (its parts are twins)."""
     out = [(lam, _secular_vector(p, lam, switched)) for lam in roots]
+    s = _signs(p.n, switched)
+    part = np.repeat(np.arange(sum(p.counts)), np.repeat(p.sizes, p.counts))
+    group = np.repeat(np.arange(p.s), p.group_sizes)
     if p.sizes[0] >= 2:
-        out.append((0.0, _zero_witness(graph, p, switched)))
-    out.extend((-float(p.sizes[i - 1]), _ti_witness(p, switched, i))
-               for i in range(1, p.s + 1) if p.counts[i - 1] >= 2)
+        out.append((0.0, _twin_witness(s, np.arange(p.n), part)))
+    ti = _twin_witness(s, part, group)
+    out.extend((-float(t), np.where(group == i, ti, 0.0))
+               for i, (l, t) in enumerate(p.blocks) if l >= 2)
     return out
 
 
@@ -527,7 +450,7 @@ def multipartite_all_main_switching(p: MultipartiteParams) -> ConstructionResult
     roots = multipartite_secular_roots(p)
     extras = [()] + [_pick_extras(p, g, c, base) for g, c in specs]
     switched = _scan(p.n, roots, functools.partial(_secular_vector, p), base, extras)
-    return _finish(graph, switched, _witnesses(graph, p, roots, switched), "constructive")
+    return _finish(graph, switched, _witnesses(p, roots, switched), "constructive")
 
 
 def one_per_part_switching(p: MultipartiteParams) -> ConstructionResult:
@@ -543,7 +466,7 @@ def one_per_part_switching(p: MultipartiteParams) -> ConstructionResult:
     graph = make_multipartite(p)
     switched = frozenset(off + 1 for off in p.offsets)
     roots = multipartite_secular_roots(p)
-    result = _finish(graph, switched, _witnesses(graph, p, roots, switched), "constructive")
+    result = _finish(graph, switched, _witnesses(p, roots, switched), "constructive")
     if not result.verified:
         raise ConstructionError(
             "one-per-part switching failed the exact all-main check")

@@ -67,6 +67,27 @@ def faddeev_leverrier_char_poly(a) -> list[int]:
     return [int(c) for c in reversed(desc)]
 
 
+def det_mod(m, p: int) -> int:
+    """det(m) mod a prime p, by Gaussian elimination over Python integers."""
+    a = [[int(x) % p for x in row] for row in m]
+    n = len(a)
+    det = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det = det * a[c][c] % p
+        inv = pow(a[c][c], -1, p)
+        for i in range(c + 1, n):
+            if a[i][c]:
+                f = a[i][c] * inv % p
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[c])]
+    return det % p
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; the first twelve prime bases decide every
     n < 3.3e24."""

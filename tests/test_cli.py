@@ -20,7 +20,7 @@ from mainswitch import (
     parse_signed_edge_list,
     verify_certificate,
 )
-from mainswitch import search
+from mainswitch import cli, search
 from mainswitch.cli import run
 from mainswitch.graphs import Graph, emit_graph6
 from conftest import graph6_like, sel_like
@@ -117,6 +117,22 @@ def test_construct_bad_blocks_usage_error(capsys):
 
 def test_construct_snr_bad_params():
     assert run(["construct", "snr", "--n", "4", "--r", "3"]) == 2
+
+
+def test_construct_rejects_n_above_62_before_building(monkeypatch, capsys):
+    # The certificate's graph6 cannot name more than 62 vertices; the
+    # command must say so without building the graph.
+    def refuse(*args):
+        raise AssertionError("construction started")
+
+    monkeypatch.setattr(cli, "snr_all_main_switching", refuse)
+    monkeypatch.setattr(cli, "multipartite_all_main_switching", refuse)
+    for argv in (["construct", "snr", "--n", "100000", "--r", "1"],
+                 ["construct", "multipartite", "--blocks", "1x100000"]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: graph6 emission supports n <= 62 only\n"
 
 
 def test_verify_conjecture_max_n_4(capsys):

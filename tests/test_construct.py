@@ -1,6 +1,7 @@
-"""Flip vectors, candidate families, duplicate-class eigenvectors, and the
-all-main switching constructions for both graph families."""
+"""Flip vectors, candidate families, twin-block witnesses, and the all-main
+switching constructions for both graph families."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -17,14 +18,12 @@ from mainswitch import (
     apply_switching,
     candidate_family_distinct,
     candidate_family_equal,
-    duplicate_switch_eigvecs,
     eigen_sym,
     flip,
     make_multipartite,
     make_snr,
     multipartite_all_main_switching,
     multipartite_secular_roots,
-    multipartite_ti_eigvec,
     one_per_part_switching,
     parse_graph6,
     snr_all_main_switching,
@@ -192,75 +191,84 @@ def test_family_zero_count_exact_with_fractions(rng):
 
 
 # ---------------------------------------------------------------------------
-# Duplicate-class eigenvectors
+# Twin-block witnesses: the projection of j onto a repeated eigenvalue's
+# eigenspace
 # ---------------------------------------------------------------------------
 
 
+def _signs(n, switched):
+    return construct._signs(n, frozenset(switched))
+
+
+def _pendant_classes(n, r):
+    # Pendants v1..vr form one class, every other vertex its own.
+    return np.array([0] * r + list(range(1, n - r + 1)))
+
+
+def _rest_classes(n, r):
+    # The clique rest v_{r+2}..vn forms one class, every other vertex its own.
+    return np.minimum(np.arange(n), r + 1)
+
+
 def test_duplicate_vectors_shape_r3_t1():
-    g = make_snr(SnrParams(5, 3))  # pendants 1..3 share the attachment vertex
-    vecs = duplicate_switch_eigvecs(g, (1, 2, 3), 1, "open")
-    supports = [tuple(np.nonzero(v)[0] + 1) for v in vecs]
-    assert supports == [(1, 2), (1, 3)]
+    # One of three pendants switched: s (s - 1/3) on the class, 0 elsewhere.
+    w = construct._twin_witness(_signs(5, {1}), np.arange(5), _pendant_classes(5, 3))
+    assert np.allclose(w, [4 / 3, 2 / 3, 2 / 3, 0, 0])
 
 
 def test_duplicate_vectors_shape_r4_t2():
-    g = make_snr(SnrParams(6, 4))
-    vecs = duplicate_switch_eigvecs(g, (1, 2, 3, 4), 2, "open")
-    supports = [tuple(np.nonzero(v)[0] + 1) for v in vecs]
-    assert supports == [(1, 3), (2, 3), (1, 4)]
+    w = construct._twin_witness(_signs(6, {1, 2}), np.arange(6), _pendant_classes(6, 4))
+    assert np.allclose(w, [1, 1, 1, 1, 0, 0])
 
 
 def test_duplicate_vectors_smallest_case():
-    g = make_snr(SnrParams(4, 2))
-    vecs = duplicate_switch_eigvecs(g, (1, 2), 1, "open")
-    assert len(vecs) == 1 and tuple(np.nonzero(vecs[0])[0] + 1) == (1, 2)
+    w = construct._twin_witness(_signs(4, {1}), np.arange(4), _pendant_classes(4, 2))
+    assert np.allclose(w, [1, 1, 0, 0])
 
 
 def test_duplicate_vectors_are_eigenvectors_after_switching():
-    # Open class: pendants of the clique-with-pendants graph (eigenvalue 0);
-    # closed class: its non-attachment clique vertices (eigenvalue -1).
-    g = make_snr(SnrParams(7, 3))
-    for t in (1, 2):
-        sw = apply_switching(g, set(range(1, t + 1)))
-        a = np.array(adjacency_matrix(sw), float)
-        for v in duplicate_switch_eigvecs(g, (1, 2, 3), t, "open"):
-            assert np.linalg.norm(a @ v) < 1e-12
-            assert v.sum() > 0
-    rest = (5, 6, 7)
-    for t in (1, 2):
-        sw = apply_switching(g, set(rest[:t]))
-        a = np.array(adjacency_matrix(sw), float)
-        for v in duplicate_switch_eigvecs(g, rest, t, "closed"):
-            assert np.linalg.norm(a @ v + v) < 1e-12
-            assert v.sum() > 0
+    # Open twins: pendants of the clique-with-pendants graph (eigenvalue 0);
+    # closed twins: its non-attachment clique vertices (eigenvalue -1).
+    n, r = 7, 3
+    g = make_snr(SnrParams(n, r))
+    for switched in ({1}, {1, 2}, {2}, {1, 3}):
+        s = _signs(n, switched)
+        a = np.array(adjacency_matrix(apply_switching(g, switched)), float)
+        v = construct._twin_witness(s, np.arange(n), _pendant_classes(n, r))
+        assert np.linalg.norm(a @ v) < 1e-12
+        assert v.sum() > 0
+    for switched in ({5}, {5, 6}, {7}, {5, 7}):
+        s = _signs(n, switched)
+        a = np.array(adjacency_matrix(apply_switching(g, switched)), float)
+        v = construct._twin_witness(s, np.arange(n), _rest_classes(n, r))
+        assert np.linalg.norm(a @ v + v) < 1e-12
+        assert v.sum() > 0
 
 
 def test_duplicate_vectors_reject_non_duplicates():
-    g = parse_graph6("Bw")  # triangle: vertices are closed, not open, duplicates
-    with pytest.raises(ValueError):
-        duplicate_switch_eigvecs(g, (1, 2), 1, "open")
-    # and the closed check passes
-    assert len(duplicate_switch_eigvecs(g, (1, 2, 3), 1, "closed")) == 2
-
-
-@pytest.mark.parametrize("vertices, mode, message", [
-    ((1,), "open", "at least two"),
-    ((1, 2, 3), "twin", "mode"),
-    ((1, 2, 9), "open", "out of range"),
-    ((1, 4), "closed", "closed-duplicates"),
-])
-def test_duplicate_vectors_reject_bad_arguments(vertices, mode, message):
-    g = make_snr(SnrParams(7, 3))
-    with pytest.raises(ValueError, match=message):
-        duplicate_switch_eigvecs(g, vertices, 1, mode)
+    # Triangle: vertices 1 and 2 are closed, not open, twins.  The 0-witness
+    # built on them is no eigenvector, and the residual check rejects it.
+    g = parse_graph6("Bw")
+    s = _signs(3, {1})
+    a = np.array(adjacency_matrix(apply_switching(g, {1})), float)
+    v = construct._twin_witness(s, np.arange(3), np.array([0, 0, 1]))
+    with pytest.raises(construct.ConstructionError, match="residual"):
+        construct._validated_witness(a, 0.0, v)
+    # and as closed twins for -1 the whole triangle passes
+    v = construct._twin_witness(s, np.arange(3), np.zeros(3, int))
+    assert construct._validated_witness(a, -1.0, v).sum() > 0
 
 
 def test_duplicate_vectors_reject_bad_t():
+    # A class switched alike (none or all of it) has no main vector for the
+    # twins' eigenvalue: the witness is zero and is rejected.
     g = make_snr(SnrParams(5, 3))
-    with pytest.raises(ValueError):
-        duplicate_switch_eigvecs(g, (1, 2, 3), 0, "open")
-    with pytest.raises(ValueError):
-        duplicate_switch_eigvecs(g, (1, 2, 3), 3, "open")
+    for switched in (set(), {1, 2, 3}, {4}):
+        a = np.array(adjacency_matrix(apply_switching(g, switched)), float)
+        v = construct._twin_witness(_signs(5, switched), np.arange(5), _pendant_classes(5, 3))
+        assert not v.any()
+        with pytest.raises(construct.ConstructionError, match="zero witness"):
+            construct._validated_witness(a, 0.0, v)
 
 
 # ---------------------------------------------------------------------------
@@ -337,32 +345,44 @@ def test_snr_grid_verified():
 # ---------------------------------------------------------------------------
 
 
+def _part_group_labels(p):
+    part = np.repeat(np.arange(sum(p.counts)), np.repeat(p.sizes, p.counts))
+    return part, np.repeat(np.arange(p.s), p.group_sizes)
+
+
 def test_ti_eigvec_examples():
+    # fine = part, coarse = group: s (part mean - group mean).
     p = MultipartiteParams.of([(2, 2), (1, 1)])
-    v = multipartite_ti_eigvec(p, 1, 1, 0)
-    assert list(v) == [-1, 1, -1, -1, 0]
-    assert v.sum() == -2
+    v = construct._twin_witness(_signs(5, {1}), *_part_group_labels(p))
+    assert list(v) == [0.5, -0.5, 0.5, 0.5, 0]
+    assert v.sum() == 1  # 2 (0 - 1/2)^2 + 2 (1 - 1/2)^2
     p2 = MultipartiteParams.of([(2, 3)])
-    v2 = multipartite_ti_eigvec(p2, 1, 2, 1)
-    assert v2.sum() == 2 * (1 - 2)
+    v2 = construct._twin_witness(_signs(6, {1, 2, 4}), *_part_group_labels(p2))
+    assert np.allclose(v2, np.array([1, 1, -1, -1, 1, 1]) / 3)
+    assert np.isclose(v2.sum(), 2 / 3)
 
 
 def test_ti_eigvec_rejects_bad_args():
+    # A single-part group and a group whose parts are switched alike both
+    # give a zero witness, which is rejected.
     p = MultipartiteParams.of([(1, 3), (1, 2)])
-    with pytest.raises(ValueError):
-        multipartite_ti_eigvec(p, 1, 1, 0)  # single part: no -t_i eigenvalue
+    v = construct._twin_witness(_signs(5, {1}), *_part_group_labels(p))
+    assert not v.any()
     p2 = MultipartiteParams.of([(2, 2)])
-    with pytest.raises(ValueError):
-        multipartite_ti_eigvec(p2, 1, 1, 1)  # q must be < p
+    a = np.array(adjacency_matrix(apply_switching(make_multipartite(p2), {1, 3})), float)
+    v = construct._twin_witness(_signs(4, {1, 3}), *_part_group_labels(p2))
+    with pytest.raises(construct.ConstructionError, match="zero witness"):
+        construct._validated_witness(a, -2.0, v)
 
 
 def test_ti_eigvec_is_eigenvector():
     p = MultipartiteParams.of([(3, 2), (1, 1)])
-    g = make_multipartite(p)
-    sw = apply_switching(g, {1})
+    sw = apply_switching(make_multipartite(p), {1})
     a = np.array(adjacency_matrix(sw), float)
-    v = multipartite_ti_eigvec(p, 1, 1, 0)
+    part, group = _part_group_labels(p)
+    v = np.where(group == 0, construct._twin_witness(_signs(7, {1}), part, group), 0.0)
     assert np.linalg.norm(a @ v + 2.0 * v) < 1e-12
+    assert v.sum() > 0
 
 
 def test_multipartite_k33():
@@ -484,8 +504,8 @@ def test_snr_candidate_flips_are_eigenvectors():
     # No parameter pair in the verified ranges actually needs a flip beyond
     # the base {v1, vn}, so exercise the mechanics the scan relies on
     # directly: each candidate flip pattern yields eigenvectors of the
-    # correspondingly switched graph, and the duplicate-class witnesses track
-    # the switched prefix sizes p and q.
+    # correspondingly switched graph, and so do the twin witnesses for 0 and
+    # -1 built from its sign vector.
     n, r = 12, 4
     g = make_snr(SnrParams(n, r))
     roots = snr_cubic_roots(n, r)
@@ -495,13 +515,12 @@ def test_snr_candidate_flips_are_eigenvectors():
         for lam in roots:
             v = flip(snr_eigvec(n, r, lam), flips)
             assert np.linalg.norm(a @ v - lam * v) < 1e-8
-        p_sw = sum(1 for x in flips if x <= r)
-        zero_vec = duplicate_switch_eigvecs(g, tuple(range(1, r + 1)), p_sw, "open")[0]
+        s = _signs(n, flips)
+        zero_vec = construct._twin_witness(s, np.arange(n), _pendant_classes(n, r))
         assert np.linalg.norm(a @ zero_vec) < 1e-12
-        q_sw = sum(1 for x in flips if x >= r + 2)
-        rest = sorted(range(r + 2, n + 1), key=lambda v: (v not in flips, -v))
-        neg_vec = duplicate_switch_eigvecs(g, rest, q_sw, "closed")[0]
+        neg_vec = construct._twin_witness(s, np.arange(n), _rest_classes(n, r))
         assert np.linalg.norm(a @ neg_vec + neg_vec) < 1e-12
+        assert zero_vec.sum() > 0 and neg_vec.sum() > 0
 
 
 def test_multipartite_three_of_size_three_rule():
@@ -533,6 +552,59 @@ def test_rule_no_vertex_switched_twice_audit(rng):
         switched = sorted(res.switching)
         assert len(switched) == len(set(switched))
         _check_result(res)
+
+
+def _partition_blocks(n, cap=None):
+    """The blocks (count, size), sizes decreasing, of every partition of n
+    into parts of size at most cap."""
+    if n == 0:
+        yield []
+        return
+    for t in range(n if cap is None else min(n, cap), 0, -1):
+        for l in range(1, n // t + 1):
+            for rest in _partition_blocks(n - l * t, t - 1):
+                yield [(l, t)] + rest
+
+
+def _assert_twin_witnesses_are_projections(res, twin_eigenvalues):
+    """The witnesses of a constructive result for its twin eigenvalues, which
+    come last, equal the projection of j onto the eigenspace from
+    numpy.linalg.eigh on the switched matrix, up to a positive scale."""
+    a = np.array(adjacency_matrix(apply_switching(res.graph, res.switching)), float)
+    vals, vecs = np.linalg.eigh(a)
+    twins = res.witnesses[len(res.witnesses) - len(twin_eigenvalues):]
+    assert [lam for lam, _ in twins] == twin_eigenvalues
+    for lam, w in twins:
+        block = vecs[:, np.abs(vals - lam) < 1e-6]
+        proj = block @ (block.T @ np.ones(len(vals)))
+        assert w.sum() > 0
+        assert np.allclose(w, proj / np.linalg.norm(proj), rtol=0, atol=1e-9), lam
+
+
+def test_twin_witnesses_are_projections_of_j():
+    checked = 0
+    for n in range(4, 31):
+        for r in range(1, n - 2):
+            _assert_twin_witnesses_are_projections(
+                snr_all_main_switching(n, r), [0.0, -1.0] if r >= 2 else [-1.0])
+            checked += 1
+    for n in range(2, 13):
+        for blocks in _partition_blocks(n):
+            p = MultipartiteParams.of(blocks)
+            try:
+                res = multipartite_all_main_switching(p)
+            except NoAllMainSwitchingError:
+                continue
+            if res.method == "constructive":
+                twins = [0.0] * (p.sizes[0] >= 2) + [-float(t) for l, t in blocks if l >= 2]
+                _assert_twin_witnesses_are_projections(res, twins)
+                checked += 1
+    for k in (2, 3, 4):
+        for sizes in itertools.combinations(range(7, 1, -1), k):
+            res = one_per_part_switching(MultipartiteParams.of([(1, t) for t in sizes]))
+            _assert_twin_witnesses_are_projections(res, [0.0])
+            checked += 1
+    assert checked > 600
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 distinct counts, walk matrices, Bareiss rank, and the main-profile decision."""
 
 import ast
+import functools
 import importlib
 import random
 from pathlib import Path
@@ -31,6 +32,7 @@ from mainswitch import (
 from mainswitch import exact
 from mainswitch.graphs import Graph, apply_switching
 from conftest import (
+    det_mod,
     faddeev_leverrier_char_poly,
     fraction_rank,
     is_prime,
@@ -64,6 +66,12 @@ def _charpoly_cases():
 
 
 _CHARPOLY_CASES = _charpoly_cases()
+
+
+@functools.lru_cache(maxsize=None)
+def _case_char_poly(name):
+    # char_poly takes about 0.7 s at n = 60; two tests check each result.
+    return char_poly(_CHARPOLY_CASES[name])
 
 
 def test_char_poly_k2():
@@ -108,7 +116,25 @@ def test_cayley_hamilton_spot_checks(rng):
 @pytest.mark.parametrize("name", sorted(_CHARPOLY_CASES))
 def test_char_poly_matches_faddeev_leverrier_oracle(name):
     a = _CHARPOLY_CASES[name]
-    assert char_poly(a) == faddeev_leverrier_char_poly(a)
+    assert _case_char_poly(name) == faddeev_leverrier_char_poly(a)
+
+
+@pytest.mark.parametrize("name", sorted(_CHARPOLY_CASES))
+def test_char_poly_matches_modular_determinant(name):
+    # char_poly(a)(x) = det(xI - A) mod the prime 2^61 - 1 at three seeded
+    # random x: a wrong polynomial of degree n agrees at a random point with
+    # probability at most n/p (Schwartz-Zippel), so at all three with at
+    # most (n/p)^3.
+    a = _CHARPOLY_CASES[name]
+    p = 2 ** 61 - 1
+    coeffs = _case_char_poly(name)
+    n = len(a)
+    rng = random.Random(name)
+    for _ in range(3):
+        x = rng.randrange(p)
+        value = sum(c * pow(x, k, p) for k, c in enumerate(coeffs)) % p
+        shifted = [[(x if i == j else 0) - int(a[i][j]) for j in range(n)] for i in range(n)]
+        assert value == det_mod(shifted, p)
 
 
 def test_prime_table_is_prime_and_overflow_safe():
