@@ -21,9 +21,12 @@ neighbourhood, and an extension is kept only when the new vertex has the
 smallest (degree, sum of neighbours' degrees) of all k vertices, and only
 once per way of permuting the parent's twins.  Each kept extension is
 labelled by its canonical form, the lexicographically smallest
-upper-triangle bit string over all k! relabellings, found by branch and
-bound over vertex positions that keeps only the minimal partial orders;
-the set of these values is the catalog.
+upper-triangle bit string over all k! relabellings; the set of these values
+is the catalog.  Both steps work on a whole level at once, on int64 arrays
+of neighbourhood bitmasks: the filter over every (parent, neighbourhood,
+old vertex) triple of a batch of parents, and the canonical form as one
+search over vertex positions for all kept extensions together, which keeps
+only each graph's minimal partial orders.
 """
 
 from __future__ import annotations
@@ -264,15 +267,17 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
-def _value_rows(value: int, n: int) -> list[int]:
-    """Neighbourhood bitmask of every vertex (bit w of rows[v] is edge vw) of
-    a column-order upper-triangle bit string, first pair most significant."""
-    rows = [0] * n
+def _value_rows(values, n: int) -> np.ndarray:
+    """Neighbourhood bitmask of every vertex (bit w of rows[..., v] is edge
+    vw) of column-order upper-triangle bit strings, first pair most
+    significant; values is one int or an array of them."""
+    values = np.asarray(values, dtype=np.int64)
+    rows = np.zeros(values.shape + (n,), dtype=np.int64)
     top = n * (n - 1) // 2 - 1
     for k, (i, j) in enumerate(_pairs(n)):
-        if (value >> (top - k)) & 1:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
+        bit = (values >> (top - k)) & 1
+        rows[..., i] |= bit << j
+        rows[..., j] |= bit << i
     return rows
 
 
@@ -281,118 +286,141 @@ def _rows_graph(rows: list[int]) -> Graph:
     return Graph(n, frozenset((i + 1, j + 1) for i, j in _pairs(n) if (rows[i] >> j) & 1))
 
 
-def _twins_below(rows: list[int]) -> list[int]:
-    """Bitmask of every vertex's lower-numbered twins.  Twins have equal
+def _lower_twins(rows: np.ndarray) -> np.ndarray:
+    """Bitmask of every vertex's lower-numbered twins, for each graph in a
+    (..., n) array of neighbourhood bitmasks.  Twins have equal
     neighbourhoods apart from each other; swapping two is an automorphism,
     and being twins is an equivalence relation."""
-    return [sum(1 << u for u in range(v) if (rows[u] ^ rows[v]) & ~(1 << u | 1 << v) == 0)
-            for v in range(len(rows))]
+    bits = np.int64(1) << np.arange(rows.shape[-1], dtype=np.int64)
+    twin = ((rows[..., :, None] ^ rows[..., None, :]) & ~(bits[:, None] | bits)) == 0
+    return ((twin & (bits[:, None] > bits)) * bits).sum(axis=-1)
 
 
-def _canonical_value(rows: list[int]) -> int:
-    """Smallest column-order upper-triangle bit string, read as an integer,
-    over all vertex orders.
+# Parents per batch of the catalog, and graphs per pass of the canonical
+# kernel: these bound every array either one builds.
+_PARENTS = 16
+_PASS = 4096
 
-    Positions are filled in turn.  Every surviving partial order has produced
-    the same bits so far, so only the extensions whose new column (the new
-    vertex's adjacency to the placed ones, first placed most significant) is
-    smallest can reach the minimum; those vertices are found by keeping, for
-    each placed vertex in turn, the non-neighbours when there are any.  Of
-    the twins among them only the first is tried: swapping two fixes the
-    placed vertices, so both give the same strings.
+
+def _canonical_values(rows: np.ndarray) -> np.ndarray:
+    """Smallest column-order upper-triangle bit string over all vertex
+    orders, read as an integer, of every graph in a (graphs, n) array of
+    neighbourhood bitmasks.
+
+    Positions are filled in turn, for all graphs at once.  A search state is
+    a graph, its free vertices and the non-neighbour masks of the vertices
+    placed so far.  Every surviving state of a graph has produced the same
+    bits so far, so only the extensions whose new column (the new vertex's
+    adjacency to the placed ones, first placed most significant) is the
+    graph's smallest can reach the minimum.  Those vertices are found by
+    keeping, for each placed vertex in turn, the non-neighbours when there
+    are any.  Of the twins among them only the first is tried: swapping two
+    fixes the placed vertices, so both give the same strings.  States stay
+    sorted by graph, so each graph's smallest column is one reduceat.
     """
-    n = len(rows)
-    twins_below = _twins_below(rows)
-    everyone = (1 << n) - 1
-    value = 0
-    states = [(0, ())]  # (placed vertices, their rows in placement order)
+    return np.concatenate([_canonical_pass(rows[lo:lo + _PASS])
+                           for lo in range(0, len(rows), _PASS)])
+
+
+def _canonical_pass(rows: np.ndarray) -> np.ndarray:
+    count, n = rows.shape
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    twins_below = _lower_twins(rows)
+    graph = np.arange(count)
+    free = np.full(count, (1 << n) - 1, dtype=np.int64)
+    non_nbrs = np.zeros((count, 0), dtype=np.int64)
+    value = np.zeros(count, dtype=np.int64)
     for t in range(n):
-        best = 1 << t  # above every t-bit column
-        survivors = []
-        for placed, order in states:
-            low, cands = 0, everyone & ~placed
-            for row in order:
-                low <<= 1
-                if cands & ~row:
-                    cands &= ~row
-                else:
-                    low |= 1
-            if low > best:
-                continue
-            if low < best:
-                best, survivors = low, []
-            for v in range(n):
-                if (cands >> v) & 1 and not twins_below[v] & cands:
-                    survivors.append((placed | 1 << v, order + (rows[v],)))
+        cands, low = free, np.zeros(len(graph), dtype=np.int64)
+        for k in range(t):
+            narrowed = cands & non_nbrs[:, k]
+            empty = narrowed == 0
+            cands = narrowed | cands * empty  # all of them when none is a non-neighbour
+            low = low << 1 | empty
+        best = np.minimum.reduceat(low, np.flatnonzero(np.diff(graph, prepend=-1)))
         value = value << t | best
-        states = survivors
+        if t == n - 1:
+            break
+        keep = low == best[graph]
+        graph, free, cands, non_nbrs = graph[keep], free[keep], cands[keep], non_nbrs[keep]
+        tried = ((cands[:, None] & bits) != 0) & (twins_below[graph] & cands[:, None] == 0)
+        state, v = np.nonzero(tried)
+        graph = graph[state]
+        free = free[state] & ~bits[v]
+        non_nbrs = np.column_stack([non_nbrs[state], ~rows[graph, v]])
     return value
 
 
 def canonical_form(g: Graph) -> Graph:
     """Relabelling of g whose column-order upper-triangle bit string is the
-    smallest over all n! relabellings (n <= 8), found by the pruned search of
-    _canonical_value rather than by trying every relabelling."""
+    smallest over all n! relabellings (n <= 8), found by the level search of
+    _canonical_values on a batch of one rather than by trying every
+    relabelling."""
     if g.n > CANONICAL_CAP:
         raise ValueError(f"canonical form capped at n={CANONICAL_CAP}")
-    return _rows_graph(_value_rows(_canonical_value(_neighbor_masks(g)), g.n))
+    value = _canonical_values(np.array([_neighbor_masks(g)], dtype=np.int64))
+    return _rows_graph(_value_rows(value[0], g.n).tolist())
 
 
 def canonical_graph6(g: Graph) -> str:
     return emit_graph6(canonical_form(g))
 
 
-def _is_min_label(old_rows: list[int], deg: list[int], nsum: list[int], nbhd: int) -> bool:
-    """Whether a new vertex joined to the bitmask nbhd of old vertices has
-    the smallest label (degree, sum of its neighbours' degrees) in the
-    extended graph; ties pass.  deg and nsum are the old vertices' degrees
-    and neighbour-degree sums in the parent."""
-    d = nbhd.bit_count()
-    s = -1
-    for v, row in enumerate(old_rows):
-        inside = nbhd >> v & 1
-        dv = deg[v] + inside
-        if dv < d:
-            return False
-        if dv == d:
-            if s < 0:
-                s = d + sum(deg[w] for w in range(len(deg)) if nbhd >> w & 1)
-            # Each neighbour of v joined to x gains a degree; v, if joined, gains x.
-            if nsum[v] + (row & nbhd).bit_count() + inside * d < s:
-                return False
-    return True
+def _extensions(parents: np.ndarray) -> np.ndarray:
+    """Rows of the extensions of every parent in a (parents, m) array of
+    canonical rows by a new vertex m whose neighbourhood passes the label
+    and twin rules of _catalog_values."""
+    m = parents.shape[1]
+    bits = np.int64(1) << np.arange(m, dtype=np.int64)
+    nbhds = np.arange(1 << m, dtype=np.int64)
+    popcount = np.zeros(1 << m, dtype=np.int64)
+    for b in bits:
+        popcount += (nbhds & b) != 0
+    inside = (nbhds[:, None] & bits) != 0  # neighbourhood, old vertex
+    d = popcount  # the new vertex's degree, per neighbourhood
+    deg = popcount[parents]
+    adj = (parents[:, :, None] & bits) != 0
+    nsum = (adj * deg[:, None, :]).sum(axis=2)
+    # Parent, neighbourhood, old vertex: v's degree and neighbour-degree sum
+    # in the extension.  Each neighbour of v joined to x gains a degree; v,
+    # if joined, gains x.
+    dv = deg[:, None, :] + inside
+    sv = (nsum[:, None, :] + popcount[parents[:, None, :] & nbhds[:, None]]
+          + inside * d[:, None])
+    s = d + (inside * deg[:, None, :]).sum(axis=2)
+    smaller = (dv < d[:, None]) | ((dv == d[:, None]) & (sv < s[:, :, None]))
+    split = inside & (_lower_twins(parents)[:, None, :] & ~nbhds[:, None] != 0)
+    parent, nbhd = np.nonzero(~(smaller | split).any(axis=2))
+    return np.column_stack([parents[parent] | inside[nbhd] * np.int64(1 << m), nbhds[nbhd]])
 
 
 @lru_cache(maxsize=None)
 def _catalog_values(n: int) -> tuple[int, ...]:
     """Canonical values of ALL isomorphism classes on exactly n vertices,
-    ascending.
+    ascending, found one level at a time.
 
-    Each class on n-1 vertices, in its canonical labelling, is extended by a
-    new vertex x with every neighbourhood N.  An extension is kept only when
-    x has the smallest label (degree, sum of its neighbours' degrees) of all
-    n vertices, ties included, and N meets each twin class of the parent in
-    its lowest-numbered vertices.  Nothing is lost: every class has a vertex
-    w of smallest label, deleting w leaves some class on n-1 vertices, and
-    adding w back to that class's canonical representative is an extension
-    whose new vertex has w's label.  Permuting the parent's twins within
-    their classes is an automorphism, which carries this extension to an
-    isomorphic one with the same label for x whose N passes the twin rule.
-    A class can still arise from several kept extensions, so the canonical
-    values are collected in a set."""
+    The classes on n-1 vertices, in their canonical labelling, are taken in
+    batches.  Each is extended by a new vertex x with every neighbourhood N,
+    all at once, as one array over parent, N and old vertex.  An extension is
+    kept only when x has the smallest label (degree, sum of its neighbours'
+    degrees) of all n vertices, ties included, and N meets each twin class
+    of the parent in its lowest-numbered vertices.  Nothing is lost: every
+    class has a vertex w of smallest label, deleting w leaves some class on
+    n-1 vertices, and adding w back to that class's canonical representative
+    is an extension whose new vertex has w's label.  Permuting the parent's
+    twins within their classes is an automorphism, which carries this
+    extension to an isomorphic one with the same label for x whose N passes
+    the twin rule.  The kept extensions of a batch go to _canonical_values
+    together.  A class can still arise from several kept extensions, so the
+    canonical values are collected in a set."""
+    if n < 1:
+        raise ValueError("the catalog needs at least one vertex")
     if n == 1:
         return (0,)
+    parents = _value_rows(_catalog_values(n - 1), n - 1)
     values: set[int] = set()
-    for old in _catalog_values(n - 1):
-        old_rows = _value_rows(old, n - 1)
-        deg = [r.bit_count() for r in old_rows]
-        nsum = [sum(deg[w] for w in range(n - 1) if r >> w & 1) for r in old_rows]
-        twins_below = _twins_below(old_rows)
-        for nbhd in range(1 << (n - 1)):
-            if _is_min_label(old_rows, deg, nsum, nbhd) and not any(
-                    nbhd >> v & 1 and twins_below[v] & ~nbhd for v in range(n - 1)):
-                rows = [r | ((nbhd >> v) & 1) << (n - 1) for v, r in enumerate(old_rows)]
-                values.add(_canonical_value(rows + [nbhd]))
+    for lo in range(0, len(parents), _PARENTS):
+        values.update(_canonical_values(_extensions(parents[lo:lo + _PARENTS])).tolist())
     return tuple(sorted(values))
 
 
@@ -401,7 +429,7 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
     graphs on exactly n vertices, in canonical order."""
     if not (1 <= n <= CATALOG_CAP):
         raise ValueError(f"catalog enumeration supports 1 <= n <= {CATALOG_CAP}")
-    graphs = (_rows_graph(_value_rows(value, n)) for value in _catalog_values(n))
+    graphs = map(_rows_graph, _value_rows(_catalog_values(n), n).tolist())
     return [g for g in graphs if is_connected(g)]
 
 

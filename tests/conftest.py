@@ -5,9 +5,11 @@ rational Gaussian elimination, roots via plain bisection, polynomial algebra
 by direct convolution, graph6 records by the pair-by-pair loop,
 characteristic polynomials by Faddeev-LeVerrier over Python integers,
 primality by deterministic Miller-Rabin.  Tests compare library output
-against these.  Two exceptions share library code on purpose.
-catalog_values_oracle, the catalog sweep without its filters, shares the
-canonical labelling, which brute_canonical_form checks on its own.
+against these.  Canonical values come from canonical_value_oracle, a
+one-graph-at-a-time branch and bound that brute_canonical_form checks on
+its own; catalog_values_oracle, the catalog sweep without its filters, uses
+it and shares no canonical-labelling code with the library's batched level
+search.  One exception shares library code on purpose.
 class_profiles_oracle ranks one switching class at a time with char_poly
 and walk_matrix, which the exact tests check against the oracles above; it
 shares nothing with the search's power stack.  The hypothesis strategies at
@@ -202,21 +204,85 @@ def brute_canonical_form(g: Graph) -> Graph:
     return Graph(n, frozenset((i + 1, j + 1) for i, j in pairs if adj[best[i]][best[j]]))
 
 
+def value_rows_oracle(value: int, n: int) -> list[int]:
+    """Neighbourhood bitmask of every vertex of a column-order upper-triangle
+    bit string, first pair most significant, one bit at a time."""
+    rows = [0] * n
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    for k, (i, j) in enumerate(reversed(pairs)):
+        if value >> k & 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return rows
+
+
+def twins_below_oracle(rows: list[int]) -> list[int]:
+    """Bitmask of every vertex's lower-numbered twins.  Twins have equal
+    neighbourhoods apart from each other; swapping two is an automorphism,
+    and being twins is an equivalence relation."""
+    return [sum(1 << u for u in range(v) if (rows[u] ^ rows[v]) & ~(1 << u | 1 << v) == 0)
+            for v in range(len(rows))]
+
+
+def canonical_value_oracle(rows: list[int]) -> int:
+    """Smallest column-order upper-triangle bit string, read as an integer,
+    over all vertex orders of one graph given by its neighbourhood bitmasks.
+
+    Positions are filled in turn.  Every surviving partial order has produced
+    the same bits so far, so only the extensions whose new column (the new
+    vertex's adjacency to the placed ones, first placed most significant) is
+    smallest can reach the minimum; those vertices are found by keeping, for
+    each placed vertex in turn, the non-neighbours when there are any.  Of
+    the twins among them only the first is tried: swapping two fixes the
+    placed vertices, so both give the same strings.
+    """
+    n = len(rows)
+    twins_below = twins_below_oracle(rows)
+    everyone = (1 << n) - 1
+    value = 0
+    states = [(0, ())]  # (placed vertices, their rows in placement order)
+    for t in range(n):
+        best = 1 << t  # above every t-bit column
+        survivors = []
+        for placed, order in states:
+            low, cands = 0, everyone & ~placed
+            for row in order:
+                low <<= 1
+                if cands & ~row:
+                    cands &= ~row
+                else:
+                    low |= 1
+            if low > best:
+                continue
+            if low < best:
+                best, survivors = low, []
+            for v in range(n):
+                if (cands >> v) & 1 and not twins_below[v] & cands:
+                    survivors.append((placed | 1 << v, order + (rows[v],)))
+        value = value << t | best
+        states = survivors
+    return value
+
+
+def unfiltered_extensions(n: int) -> list[list[int]]:
+    """Rows of every graph made by adding a new vertex n-1, with every
+    neighbourhood, to every class of catalog_values_oracle(n - 1)."""
+    out = []
+    for old in catalog_values_oracle(n - 1):
+        old_rows = value_rows_oracle(old, n - 1)
+        for nbhd in range(1 << (n - 1)):
+            out.append([r | ((nbhd >> v) & 1) << (n - 1) for v, r in enumerate(old_rows)]
+                       + [nbhd])
+    return out
+
+
 @lru_cache(maxsize=None)
 def catalog_values_oracle(n: int) -> tuple[int, ...]:
     """Canonical values of all graphs on n vertices, from every neighbourhood
     of a new vertex added to every class on n-1 vertices, with no filter."""
-    from mainswitch.search import _canonical_value, _value_rows
-
     if n == 1:
         return (0,)
-    values = set()
-    for old in catalog_values_oracle(n - 1):
-        old_rows = _value_rows(old, n - 1)
-        for nbhd in range(1 << (n - 1)):
-            rows = [r | ((nbhd >> v) & 1) << (n - 1) for v, r in enumerate(old_rows)]
-            values.add(_canonical_value(rows + [nbhd]))
-    return tuple(sorted(values))
+    return tuple(sorted({canonical_value_oracle(rows) for rows in unfiltered_extensions(n)}))
 
 
 def class_profiles_oracle(g: Graph, stop_at_all_main: bool = False) -> tuple[int, list[int]]:

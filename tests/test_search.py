@@ -39,7 +39,7 @@ from conftest import class_profiles_oracle, random_connected_graph, random_signe
 K4_MINUS_EDGE = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
 
 # Simple graphs per vertex count, connected or not (OEIS A000088).
-ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 # Connected simple graphs per vertex count (frozen; cross-checked below for
 # n <= 5 by exhaustive labelled enumeration with an independent iso test).
@@ -264,6 +264,42 @@ def test_catalog_matches_unfiltered_sweep():
 def test_catalog_rejects_beyond_cap():
     with pytest.raises(ValueError):
         enumerate_connected_graphs(8)
+
+
+def test_catalog_values_rejects_no_vertices():
+    from mainswitch.search import _catalog_values
+
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            _catalog_values(n)
+
+
+def test_canonical_kernel_matches_scalar_oracle():
+    # The batched level search against the one-graph branch and bound,
+    # graph by graph.  Each n <= 7 is one call over every unfiltered
+    # extension, more graphs than one pass of the kernel takes.
+    from conftest import canonical_value_oracle, unfiltered_extensions, value_rows_oracle
+    from mainswitch.search import _PASS, _canonical_values, _catalog_values
+
+    for n in range(2, 8):
+        graphs = unfiltered_extensions(n)
+        got = _canonical_values(np.array(graphs, dtype=np.int64)).tolist()
+        assert got == [canonical_value_oracle(rows) for rows in graphs]
+    assert len(graphs) > 2 * _PASS
+    # Every class on 8 vertices, under a seeded random relabelling.
+    rand = np.random.default_rng(8)
+    relabelled = []
+    for value in _catalog_values(8):
+        rows, perm = value_rows_oracle(value, 8), rand.permutation(8).tolist()
+        relabelled.append([sum(1 << perm[w] for w in range(8) if rows[v] >> w & 1)
+                           for v in np.argsort(perm).tolist()])
+    got = _canonical_values(np.array(relabelled, dtype=np.int64)).tolist()
+    assert got == [canonical_value_oracle(rows) for rows in relabelled]
+    assert got == list(_catalog_values(8))
+    # A batch of one.
+    for rows in ([0b110, 0b101, 0b011], relabelled[-1], relabelled[len(relabelled) // 2]):
+        assert _canonical_values(np.array([rows], dtype=np.int64)).tolist() == [
+            canonical_value_oracle(rows)]
 
 
 def test_catalog_graphs_are_canonical_and_connected():
