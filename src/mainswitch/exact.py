@@ -391,17 +391,17 @@ def _power_stack(arr: np.ndarray, rho: int) -> np.ndarray:
 
 
 def _distinct_count(powers: np.ndarray) -> int:
-    """Distinct eigenvalue count of symmetric A from its power stack: the
-    rank of the Hankel matrix H_ij = tr(A^(i+j)), i, j < n.
+    """Distinct eigenvalue count d of symmetric A from any leading block
+    A^0, ..., A^(k-1) of its power stack with k >= d: the rank of the
+    Hankel matrix H_ij = tr(A^(i+j)), i, j < k.
 
     With A = sum_l lambda_l P_l over its d distinct eigenvalues, H = V^T M V
-    for the d x n Vandermonde V_lj = lambda_l^j and the positive diagonal M
-    of multiplicities, so rank H = d.  As A^j is symmetric, tr(A^i A^j) is
-    the sum of the entrywise product of A^i and A^j: H is the Gram matrix of
-    the flattened powers.
+    for the d x k Vandermonde V_lj = lambda_l^j and the positive diagonal M
+    of multiplicities, so rank H = rank V = min(d, k); k = n always
+    suffices.  As A^j is symmetric, tr(A^i A^j) is the sum of the entrywise
+    product of A^i and A^j: H is the Gram matrix of the flattened powers.
     """
-    n = len(powers)
-    flat = powers.reshape(n, n * n)
+    flat = powers.reshape(len(powers), -1)
     return rank_exact(np.matmul(flat, flat.T))
 
 

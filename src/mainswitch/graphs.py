@@ -159,9 +159,8 @@ def _neighbor_masks(g: Graph) -> list[int]:
     return rows
 
 
-def is_connected(g: Graph | SignedGraph) -> bool:
-    base = g.graph if isinstance(g, SignedGraph) else g
-    rows = _neighbor_masks(base)
+def _rows_connected(rows: list[int]) -> bool:
+    """Whether the graph with these neighbourhood bitmasks is connected."""
     seen = todo = 1
     while todo:
         v = todo.bit_length() - 1
@@ -169,7 +168,11 @@ def is_connected(g: Graph | SignedGraph) -> bool:
         new = rows[v] & ~seen
         seen |= new
         todo |= new
-    return seen == (1 << base.n) - 1
+    return seen == (1 << len(rows)) - 1
+
+
+def is_connected(g: Graph | SignedGraph) -> bool:
+    return _rows_connected(_neighbor_masks(g.graph if isinstance(g, SignedGraph) else g))
 
 
 # ---------------------------------------------------------------------------

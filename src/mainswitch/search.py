@@ -7,12 +7,20 @@ size order and keeps the first all-main one, so certificates prefer small
 switchings.  No switched matrix is built: a class with sign vector s (-1 on
 the switched vertices) has the walk matrix diag(s) walk_matrix(A, s), so its
 main count is the Bareiss rank of the walk columns s, As, A^2 s, ...  The
-powers A^0 .. A^(n-1) are computed once per graph, as one stack, by the
-same exact kernel that decides main_profile on small matrices (in exact).
-The distinct count is the rank of the Hankel matrix of power traces, which
-the stack gives as a Gram matrix, and the walk columns of a whole chunk of
-classes come from one product of the stack with the chunk's sign vectors;
-each class's walk array goes to rank_exact as it is.
+graph's neighbourhood bitmasks are read once and give the connectivity
+check, the adjacency array and the twin classes.  The powers A^0 .. A^(n-1)
+are computed once per graph, as one stack, by the same exact kernel that
+decides main_profile on small matrices (in exact).  Open twins (equal
+neighbourhoods) and closed twins (equal closed neighbourhoods) are
+eigenvectors e_u - e_w for 0 and -1, so they bound the distinct count by
+some U <= n, and the distinct count is the rank of the leading U x U block
+of the Hankel matrix of power traces, which the stack gives as a Gram
+matrix.  The walk columns of a whole chunk of classes come from one product
+of the stack with the chunk's sign vectors; each class's walk array goes to
+rank_exact as it is.  When the distinct count reaches U, the 0- and
+-1-eigenspaces are spanned by twin differences, and a class whose sign
+vector is equal on every twin pair of one kind is skipped unranked: that
+eigenvalue is not main after switching (Rowlinson, AADM 2007).
 
 Graph catalogs are generated one vertex at a time, by the deletion half of
 canonical augmentation (McKay, "Isomorph-free exhaustive generation", 1998):
@@ -43,8 +51,8 @@ import numpy as np
 from ._version import __version__
 from .exact import (MainProfile, _distinct_count, _power_stack, _row_bound, main_profile,
                     rank_exact)
-from .graphs import (Graph, _neighbor_masks, adjacency_matrix, apply_switching, emit_graph6,
-                     is_connected, parse_graph6)
+from .graphs import (Graph, _neighbor_masks, _rows_connected, adjacency_matrix, apply_switching,
+                     emit_graph6, parse_graph6)
 
 TOOL_VERSION = f"mainswitch {__version__}"
 
@@ -186,12 +194,44 @@ def verify_certificate(cert: Certificate) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _connected_powers(g: Graph) -> np.ndarray:
-    # The power stack of g's signed adjacency matrix.
-    if not is_connected(g):
+def _connected_rows(g: Graph) -> list[int]:
+    # g's neighbourhood bitmasks, once connectivity is checked on them.
+    rows = _neighbor_masks(g)
+    if not _rows_connected(rows):
         raise DisconnectedGraphError("the switching search requires a connected graph")
-    arr = np.array(adjacency_matrix(g), dtype=np.int64)
+    return rows
+
+
+def _rows_powers(rows: list[int]) -> np.ndarray:
+    # The power stack of the adjacency matrix with these neighbourhood rows.
+    arr = (np.array(rows, dtype=np.int64)[:, None] >> np.arange(len(rows))) & 1
     return _power_stack(arr, _row_bound(arr))
+
+
+def _twin_bound(rows: list[int]) -> tuple[int, list[tuple[list[int], list[int]]]]:
+    """An upper bound U on the distinct count, and the twin pairs behind it.
+
+    Open twins u, w (equal neighbourhoods) make e_u - e_w an eigenvector for
+    0, closed twins (equal closed neighbourhoods) one for -1.  For each of
+    the two kinds that occurs, every vertex with an earlier twin of that
+    kind is paired with the first vertex of its class; the T pairs of a kind
+    give independent eigenvectors, so that eigenvalue has multiplicity at
+    least T and U = n - sum of (T - 1) over the kinds present bounds the
+    distinct count.  Each kind is returned as two index lists (firsts,
+    others).
+    """
+    present = []
+    for keys in (rows, [row | 1 << v for v, row in enumerate(rows)]):
+        first: dict[int, int] = {}
+        us, ws = [], []
+        for v, key in enumerate(keys):
+            u = first.setdefault(key, v)
+            if u != v:
+                us.append(u)
+                ws.append(v)
+        if us:
+            present.append((us, ws))
+    return len(rows) - sum(len(us) - 1 for us, _ in present), present
 
 
 def _new_sign_chunks(n: int) -> Iterator[np.ndarray]:
@@ -218,9 +258,12 @@ def _sign_chunks(n: int) -> Iterator[np.ndarray]:
     yield from itertools.islice(_new_sign_chunks(n), 2, None)
 
 
-def _class_main_counts(powers: np.ndarray, cols: int) -> Iterator[tuple[list[int], int]]:
+def _class_main_counts(powers: np.ndarray, cols: int,
+                       skip: Iterable[tuple[list[int], list[int]]] = ()
+                       ) -> Iterator[tuple[list[int], int]]:
     """Every switching class's sign vector and exact main count, in
-    enumeration order.
+    enumeration order, leaving out, unranked, each class whose sign vector
+    is equal on every pair (u, w) of one kind in skip (firsts, others).
 
     The main count is the rank of the walk columns s, As, ..., A^(cols-1) s,
     made for a whole chunk of classes in one product with the power stack;
@@ -228,6 +271,8 @@ def _class_main_counts(powers: np.ndarray, cols: int) -> Iterator[tuple[list[int
     distinct count gives it.
     """
     for signs in _sign_chunks(len(powers)):
+        for us, ws in skip:
+            signs = signs[(signs[:, us] != signs[:, ws]).any(axis=1)]
         walks = np.matmul(powers[:cols], signs.T).transpose(2, 1, 0)  # class, vertex, k
         yield from zip(signs.tolist(), map(rank_exact, walks))
 
@@ -237,12 +282,24 @@ def find_all_main_switching(g: Graph) -> Certificate | None:
     all-main, as a certificate; None when every class fails.
 
     Switching conjugates the adjacency matrix, which leaves the spectrum
-    unchanged, so the distinct count dc (the Hankel rank) is computed once
-    per graph, and the first dc walk columns decide each class.
+    unchanged, so the distinct count dc is computed once per graph: the
+    rank of the leading U x U Hankel block, for the twin bound U >= dc
+    (_twin_bound).  The first dc walk columns decide each class.
+
+    Twin classes also rule classes out.  dc = n - sum of (m - 1) over the
+    eigenvalues' multiplicities m, and the T twin pairs of a kind give its
+    eigenvalue m >= T, so dc = U forces m = T for 0 and -1 alike: each of
+    their eigenspaces is exactly the span of its twin differences e_u - e_w.
+    Switching by s maps an eigenvector x to diag(s) x, and j . diag(s) x =
+    s . x, so an eigenvalue stays main only if s is not orthogonal to its
+    eigenspace.  A class whose s is equal on every twin pair of one kind
+    therefore cannot be all-main, and is skipped without a rank.
     """
-    powers = _connected_powers(g)
-    dc = _distinct_count(powers)
-    for s, mc in _class_main_counts(powers, dc):
+    rows = _connected_rows(g)
+    powers = _rows_powers(rows)
+    bound, pairs = _twin_bound(rows)
+    dc = _distinct_count(powers[:bound])
+    for s, mc in _class_main_counts(powers, dc, pairs if dc == bound else ()):
         if mc == dc:
             profile = MainProfile(main_count=mc, distinct_count=dc, all_main=True)
             x = [v for v, sv in enumerate(s, start=1) if sv < 0]
@@ -252,7 +309,7 @@ def find_all_main_switching(g: Graph) -> Certificate | None:
 
 def switching_main_counts(g: Graph) -> list[int]:
     """Exact main count of every switching class, in enumeration order."""
-    powers = _connected_powers(g)
+    powers = _rows_powers(_connected_rows(g))
     return [mc for _, mc in _class_main_counts(powers, len(powers))]
 
 
@@ -429,8 +486,8 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
     graphs on exactly n vertices, in canonical order."""
     if not (1 <= n <= CATALOG_CAP):
         raise ValueError(f"catalog enumeration supports 1 <= n <= {CATALOG_CAP}")
-    graphs = map(_rows_graph, _value_rows(_catalog_values(n), n).tolist())
-    return [g for g in graphs if is_connected(g)]
+    rows = _value_rows(_catalog_values(n), n).tolist()
+    return [_rows_graph(r) for r in rows if _rows_connected(r)]
 
 
 # ---------------------------------------------------------------------------

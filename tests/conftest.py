@@ -10,9 +10,10 @@ one-graph-at-a-time branch and bound that brute_canonical_form checks on
 its own; catalog_values_oracle, the catalog sweep without its filters, uses
 it and shares no canonical-labelling code with the library's batched level
 search.  One exception shares library code on purpose.
-class_profiles_oracle ranks one switching class at a time with char_poly
-and walk_matrix, which the exact tests check against the oracles above; it
-shares nothing with the search's power stack.  The hypothesis strategies at
+class_profiles_oracle ranks one switching class at a time
+(class_main_count_oracle) with char_poly and walk_matrix, which the exact
+tests check against the oracles above; it shares nothing with the search's
+power stack.  The hypothesis strategies at
 the end make near-valid graph inputs for the parser and CLI fuzz tests.
 """
 
@@ -285,17 +286,25 @@ def catalog_values_oracle(n: int) -> tuple[int, ...]:
     return tuple(sorted({canonical_value_oracle(rows) for rows in unfiltered_extensions(n)}))
 
 
+def class_main_count_oracle(a, switching) -> int:
+    """Main count of adjacency matrix a switched about a vertex set: the rank
+    of walk_matrix(A, s) for the sign vector s, -1 on the switched
+    vertices."""
+    return rank_exact(walk_matrix(a, [-1 if v in switching else 1
+                                      for v in range(1, len(a) + 1)]))
+
+
 def class_profiles_oracle(g: Graph, stop_at_all_main: bool = False) -> tuple[int, list[int]]:
     """Distinct count of g and the main count of each switching class in
     enumeration order, one class at a time: the distinct count from the
-    characteristic polynomial, a class's main count as the rank of
-    walk_matrix(A, s).  With stop_at_all_main the list ends at the first
-    all-main class."""
+    characteristic polynomial, a class's main count from
+    class_main_count_oracle.  With stop_at_all_main the list ends at the
+    first all-main class."""
     a = adjacency_matrix(g)
     dc = distinct_eigenvalue_count(char_poly(a))
     counts = []
     for x in enumerate_switchings(g.n):
-        counts.append(rank_exact(walk_matrix(a, [-1 if v in x else 1 for v in range(1, g.n + 1)])))
+        counts.append(class_main_count_oracle(a, x))
         if stop_at_all_main and counts[-1] == dc:
             break
     return dc, counts

@@ -212,13 +212,88 @@ def _repeated_eigenvalue_matrices(rng):
 
 
 def test_hankel_distinct_count_matches_char_poly(rng):
+    # Any leading block of k >= dc powers has Hankel rank dc; k = n is the
+    # whole stack.
     dtypes = set()
     for a in _repeated_eigenvalue_matrices(rng):
         a = _switched(a, rng)
         powers = _stack(a)
         dtypes.add(powers.dtype)
-        assert _distinct_count(powers) == distinct_eigenvalue_count(char_poly(a)), a
+        dc = distinct_eigenvalue_count(char_poly(a))
+        for k in range(dc, len(a) + 1):
+            assert _distinct_count(powers[:k]) == dc, (k, a)
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def _multipartite(parts):
+    ends = list(itertools.accumulate(parts))
+    part = [i for i, end in enumerate(ends) for _ in range(parts[i])]
+    return Graph.from_edges(ends[-1], [(u + 1, v + 1) for v in range(ends[-1])
+                                       for u in range(v) if part[u] != part[v]])
+
+
+def _partitions(n, largest=None):
+    if n == 0:
+        yield ()
+    for p in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - p, p):
+            yield (p,) + rest
+
+
+def _with_twins(g, rng):
+    # g plus an open twin of one vertex and a closed twin of another.
+    n = g.n
+    u, w = rng.sample(range(1, n + 1), 2)
+    nbrs = {v: {a + b - v for a, b in g.edges if v in (a, b)} for v in (u, w)}
+    edges = set(g.edges) | {(v, n + 1) for v in nbrs[u]}
+    edges |= {(v, n + 2) for v in nbrs[w] | {w} if v != n + 1}
+    if w in nbrs[u]:
+        edges.add((n + 1, n + 2))  # the closed twin of w is joined to u's twin
+    return Graph.from_edges(n + 2, edges)
+
+
+def _assert_twin_rule_sound(g):
+    """The twin bound U is at least the oracle's distinct count dc, every
+    class the search leaves unranked when dc = U has an oracle main count
+    below dc, and the search's certificate matches the oracle.  Returns
+    (dc == U, classes skipped)."""
+    from conftest import class_main_count_oracle
+    from mainswitch.graphs import _neighbor_masks
+    from mainswitch.search import _class_main_counts, _twin_bound
+
+    rows = _neighbor_masks(g)
+    bound, pairs = _twin_bound(rows)
+    dc, _ = class_profiles_oracle(g, stop_at_all_main=True)
+    assert dc <= bound <= g.n
+    skipped = []
+    if dc == bound:
+        powers = _stack(adjacency_matrix(g))
+        ranked = {tuple(s) for s, _ in _class_main_counts(powers, dc, pairs)}
+        skipped = [x for x in enumerate_switchings(g.n)
+                   if tuple(-1 if v in x else 1 for v in range(1, g.n + 1)) not in ranked]
+        a = adjacency_matrix(g)
+        assert all(class_main_count_oracle(a, x) < dc for x in skipped), emit_graph6(g)
+    _assert_matches_class_oracle(g, all_counts=False)
+    return dc == bound, len(skipped)
+
+
+def test_twin_rule_on_catalog_matches_class_oracle():
+    graphs = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
+    tight, skipped = zip(*map(_assert_twin_rule_sound, graphs))
+    assert (len(graphs), sum(tight)) == (995, 842)
+    assert sum(skipped) > 0
+
+
+def test_twin_rule_on_twin_rich_graphs_matches_class_oracle(rng):
+    graphs = [make_snr(SnrParams(n, r)) for n in range(2, 10) for r in range(n)]
+    graphs += [_multipartite(p) for n in range(2, 10) for p in _partitions(n) if len(p) > 1]
+    twinned = [_with_twins(random_connected_graph(rng, 8), rng) for _ in range(12)]
+    from mainswitch.graphs import _neighbor_masks
+    from mainswitch.search import _twin_bound
+    assert all(len(_twin_bound(_neighbor_masks(g))[1]) == 2 for g in twinned)
+    graphs += twinned
+    tight, skipped = zip(*map(_assert_twin_rule_sound, graphs))
+    assert sum(tight) > len(graphs) // 2 and sum(skipped) > 0
 
 
 def test_sign_chunks_are_the_classes_in_order():
