@@ -33,8 +33,10 @@ from mainswitch import (
 )
 from mainswitch import MultipartiteParams, SnrParams
 from mainswitch.exact import _distinct_count, _power_stack, _row_bound
-from mainswitch.search import _head_sign_chunks, _sign_chunks
-from conftest import class_profiles_oracle, random_connected_graph, random_signed_graph
+from mainswitch.graphs import _neighbor_masks
+from mainswitch.search import _class_main_counts, _head_sign_chunks, _sign_chunks, _twin_bound
+from conftest import (class_main_count_oracle, class_profiles_oracle, random_connected_graph,
+                      random_signed_graph)
 
 K4_MINUS_EDGE = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
 
@@ -225,13 +227,6 @@ def test_hankel_distinct_count_matches_char_poly(rng):
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
 
-def _multipartite(parts):
-    ends = list(itertools.accumulate(parts))
-    part = [i for i, end in enumerate(ends) for _ in range(parts[i])]
-    return Graph.from_edges(ends[-1], [(u + 1, v + 1) for v in range(ends[-1])
-                                       for u in range(v) if part[u] != part[v]])
-
-
 def _partitions(n, largest=None):
     if n == 0:
         yield ()
@@ -246,9 +241,9 @@ def _with_twins(g, rng):
     u, w = rng.sample(range(1, n + 1), 2)
     nbrs = {v: {a + b - v for a, b in g.edges if v in (a, b)} for v in (u, w)}
     edges = set(g.edges) | {(v, n + 1) for v in nbrs[u]}
-    edges |= {(v, n + 2) for v in nbrs[w] | {w} if v != n + 1}
-    if w in nbrs[u]:
-        edges.add((n + 1, n + 2))  # the closed twin of w is joined to u's twin
+    edges |= {(v, n + 2) for v in nbrs[w] | {w}}
+    if w in nbrs[u]:  # u's twin is a neighbour of w, so of w's twin too
+        edges.add((n + 1, n + 2))
     return Graph.from_edges(n + 2, edges)
 
 
@@ -257,21 +252,15 @@ def _assert_twin_rule_sound(g):
     class the search leaves unranked when dc = U has an oracle main count
     below dc, and the search's certificate matches the oracle.  Returns
     (dc == U, classes skipped)."""
-    from conftest import class_main_count_oracle
-    from mainswitch.graphs import _neighbor_masks
-    from mainswitch.search import _class_main_counts, _twin_bound
-
-    rows = _neighbor_masks(g)
-    bound, pairs = _twin_bound(rows)
+    bound, pairs = _twin_bound(_neighbor_masks(g))
     dc, _ = class_profiles_oracle(g, stop_at_all_main=True)
     assert dc <= bound <= g.n
     skipped = []
     if dc == bound:
-        powers = _stack(adjacency_matrix(g))
-        ranked = {tuple(s) for s, _ in _class_main_counts(powers, dc, pairs)}
+        a = adjacency_matrix(g)
+        ranked = {tuple(s) for s, _ in _class_main_counts(_stack(a), dc, pairs)}
         skipped = [x for x in enumerate_switchings(g.n)
                    if tuple(-1 if v in x else 1 for v in range(1, g.n + 1)) not in ranked]
-        a = adjacency_matrix(g)
         assert all(class_main_count_oracle(a, x) < dc for x in skipped), emit_graph6(g)
     _assert_matches_class_oracle(g, all_counts=False)
     return dc == bound, len(skipped)
@@ -286,10 +275,11 @@ def test_twin_rule_on_catalog_matches_class_oracle():
 
 def test_twin_rule_on_twin_rich_graphs_matches_class_oracle(rng):
     graphs = [make_snr(SnrParams(n, r)) for n in range(2, 10) for r in range(n)]
-    graphs += [_multipartite(p) for n in range(2, 10) for p in _partitions(n) if len(p) > 1]
+    # Complete multipartite graphs: a partition's runs of equal parts are its blocks.
+    graphs += [make_multipartite(MultipartiteParams.of((len(list(run)), t)
+                                                       for t, run in itertools.groupby(p)))
+               for n in range(2, 10) for p in _partitions(n) if len(p) > 1]
     twinned = [_with_twins(random_connected_graph(rng, 8), rng) for _ in range(12)]
-    from mainswitch.graphs import _neighbor_masks
-    from mainswitch.search import _twin_bound
     assert all(len(_twin_bound(_neighbor_masks(g))[1]) == 2 for g in twinned)
     graphs += twinned
     tight, skipped = zip(*map(_assert_twin_rule_sound, graphs))
