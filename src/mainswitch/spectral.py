@@ -1,9 +1,10 @@
 """Floating-point spectral engine.
 
-A cyclic Jacobi eigensolver (rotations until every off-diagonal entry is
-below 1e-12 * ||A||_F) provides orthonormal bases per eigenspace, which the
-main-eigenvalue classifier needs: an eigenvalue group is main when the
-projection of the all-ones vector onto its eigenspace has norm above a
+A round-robin Jacobi eigensolver (Brent & Luk's parallel ordering: each
+round rotates n/2 disjoint index pairs at once, until every off-diagonal
+entry is below 1e-12 * ||A||_F) provides orthonormal bases per eigenspace,
+which the main-eigenvalue classifier needs: an eigenvalue group is main when
+the projection of the all-ones vector onto its eigenspace has norm above a
 threshold.  The classifier is advisory; for integer inputs the exact module
 is authoritative.
 
@@ -17,6 +18,7 @@ that stay between its two poles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,12 +51,28 @@ class EigenSystem:
     residual_bound: float
 
 
-def eigen_sym(a) -> EigenSystem:
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi sweeps.
+@functools.lru_cache(maxsize=64)
+def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The rounds of one Jacobi sweep of order n, each as arrays p < q of
+    disjoint pairs, by the circle method: with m = n rounded up to even,
+    index m - 1 stays put while the others turn round a ring of m - 1, so
+    the m - 1 rounds meet every pair once.  For odd n, m - 1 is a phantom."""
+    m = n + n % 2
+    rounds = []
+    for r in range(m - 1):
+        pairs = [(r, m - 1)] + [((r + k) % (m - 1), (r - k) % (m - 1)) for k in range(1, m // 2)]
+        pq = np.array([sorted(x) for x in pairs if max(x) < n], dtype=np.intp).reshape(-1, 2)
+        rounds.append((pq[:, 0], pq[:, 1]))
+    return tuple(rounds)
 
-    Rotations repeat, for at most 60 sweeps, until every off-diagonal
-    magnitude drops below 1e-12 * ||A||_F.  Raises on non-symmetric input
-    (asymmetry above 1e-12).
+
+def eigen_sym(a) -> EigenSystem:
+    """Eigendecomposition of a real symmetric matrix by round-robin Jacobi.
+
+    Each round of `_round_robin` applies its disjoint rotations at once as one
+    orthogonal R (A <- R^T A R, V <- V R); sweeps repeat, for at most 60, until
+    every off-diagonal magnitude drops below 1e-12 * ||A||_F.  Raises on a
+    non-finite entry and on non-symmetric input (asymmetry above 1e-12).
     """
     A = np.array(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -62,6 +80,8 @@ def eigen_sym(a) -> EigenSystem:
     n = A.shape[0]
     if n == 0:
         raise ValueError("matrix must be nonempty")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has a non-finite entry")
     if np.max(np.abs(A - A.T), initial=0.0) > 1e-12:
         raise ValueError("matrix is not symmetric")
     A0 = A.copy()
@@ -73,29 +93,19 @@ def eigen_sym(a) -> EigenSystem:
             off = np.max(np.abs(A - np.diag(np.diag(A))))
             if off < threshold:
                 break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = A[p, q]
-                    if abs(apq) < threshold / (2 * n):
-                        continue
-                    theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                    c = 1.0 / math.sqrt(t * t + 1.0)
-                    s = t * c
-                    col_p = A[:, p].copy()
-                    col_q = A[:, q].copy()
-                    A[:, p] = c * col_p - s * col_q
-                    A[:, q] = s * col_p + c * col_q
-                    row_p = A[p, :].copy()
-                    row_q = A[q, :].copy()
-                    A[p, :] = c * row_p - s * row_q
-                    A[q, :] = s * row_p + c * row_q
-                    A[p, q] = 0.0
-                    A[q, p] = 0.0
-                    col_p = V[:, p].copy()
-                    col_q = V[:, q].copy()
-                    V[:, p] = c * col_p - s * col_q
-                    V[:, q] = s * col_p + c * col_q
+            for p, q in _round_robin(n):
+                keep = np.abs(A[p, q]) >= threshold / (2 * n)
+                p, q = p[keep], q[keep]
+                theta = (A[q, q] - A[p, p]) / (2.0 * A[p, q])
+                t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                R = np.eye(n)
+                R[p, p] = R[q, q] = c
+                R[p, q], R[q, p] = s, -s
+                A = R.T @ A @ R
+                V = V @ R
+                A[p, q] = A[q, p] = 0.0
         else:
             raise RuntimeError("Jacobi iteration failed to converge")
     w = np.diag(A).copy()

@@ -1,6 +1,9 @@
-"""Jacobi eigensolver, main classification, and the family spectra."""
+"""Round-robin Jacobi eigensolver, main classification, and the family
+spectra."""
 
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from mainswitch import (
     snr_cubic_roots,
     snr_spectrum,
 )
+from mainswitch.spectral import _round_robin
 from conftest import bisect_root, random_signed_graph, secular_roots_oracle
 
 # Frozen by the plain-bisection oracle on x^3 - x^2 - 4x + 2 (n=5, r=2).
@@ -50,6 +54,64 @@ def test_eigen_sym_zero_matrix():
 def test_eigen_sym_rejects_asymmetric():
     with pytest.raises(ValueError):
         eigen_sym([[0.0, 1.0], [0.5, 0.0]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_eigen_sym_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        eigen_sym([[bad, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        eigen_sym([[0.0, bad], [bad, 0.0]])
+
+
+def test_eigen_sym_one_by_one():
+    es = eigen_sym([[3.0]])
+    assert es.eigenvalues.tolist() == [3.0]
+    assert es.vectors.tolist() == [[1.0]]
+    assert es.residual_bound == 0.0
+
+
+def test_round_robin_meets_every_pair_once_in_disjoint_rounds():
+    assert [(p.tolist(), q.tolist()) for p, q in _round_robin(1)] == [([], [])]
+    assert [(p.tolist(), q.tolist()) for p, q in _round_robin(2)] == [([0], [1])]
+    for n in range(1, 64):
+        rounds = _round_robin(n)
+        assert len(rounds) == (n - 1 if n % 2 == 0 else n)
+        seen = []
+        for p, q in rounds:
+            assert len(p) == len(q) == n // 2
+            assert all(0 <= x < y < n for x, y in zip(p.tolist(), q.tolist()))
+            assert len(set(p.tolist()) | set(q.tolist())) == 2 * len(p)
+            seen.extend(zip(p.tolist(), q.tolist()))
+        assert sorted(seen) == list(itertools.combinations(range(n), 2))
+
+
+def _cli_size_graphs(n: int):
+    """A random signed graph, K_n, S_{n, n//3} and a complete multipartite
+    graph with many twins (0 and -1 of high multiplicity) on n vertices."""
+    l = n // 10
+    return [
+        random_signed_graph(random.Random(n), n),
+        make_multipartite(MultipartiteParams(((n, 1),))),
+        make_snr(SnrParams(n, n // 3)),
+        make_multipartite(MultipartiteParams(((l, 4), (l, 2), (n - 6 * l, 1)))),
+    ]
+
+
+@pytest.mark.parametrize("n", [20, 21, 37, 60, 61, 62])
+def test_eigen_sym_at_cli_sizes_matches_numpy_and_exact(n):
+    for g in _cli_size_graphs(n):
+        a = adjacency_matrix(g)
+        af = np.array(a, float)
+        es = eigen_sym(af)
+        ref = np.linalg.eigvalsh(af)
+        assert np.max(np.abs(es.eigenvalues - ref)) <= 1e-9
+        assert np.max(np.abs(es.vectors.T @ es.vectors - np.eye(n))) <= 1e-10
+        assert es.residual_bound <= 1e-9 * max(1.0, np.abs(ref).max())
+        rep = classify_main(es)
+        exact = main_profile(a)
+        assert len(rep.groups) == exact.distinct_count
+        assert sum(1 for grp in rep.groups if grp.is_main) == exact.main_count
 
 
 def test_eigen_sym_matches_numpy(rng):
