@@ -10,8 +10,13 @@ and -t_i of the multipartite graph) comes from interchangeable twin blocks,
 and its witness is the projection of j onto its eigenspace, one closed form
 for all of them (``_twin_witness``).
 
-Candidate eigenvectors are scanned in a fixed order and the first success is
-kept, so results are deterministic and certificates reproducible.  Flip
+Both constructions scan candidate switchings the same way.  The eigenvectors
+of the unswitched graph for its simple eigenvalues are computed once; a
+switching with sign vector s (-1 on the switched vertices, 1 elsewhere)
+turns each eigenvector x into the eigenvector s * x of the switched graph,
+and a candidate is kept when every such s * x has a nonzero entry sum.
+Candidates are scanned in a fixed order and the first success is kept, so
+results are deterministic and certificates reproducible.  Flip
 selection obeys three rules: a vertex is never flipped twice within one
 candidate (base and extra flips stay disjoint); when a group has part size 3
 and at least two parts and three of its vertices must end up switched, the
@@ -21,10 +26,9 @@ smallest unused labels are taken.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -234,21 +238,22 @@ def _finish(graph: Graph, switched: frozenset[int],
     )
 
 
-def _sum_is_main(vec: np.ndarray, n: int) -> bool:
+def _sum_is_main(vec: np.ndarray) -> bool:
     norm = np.linalg.norm(vec)
-    return abs(float(vec.sum())) > SUM_TOL * math.sqrt(n) * norm
+    return abs(float(vec.sum())) > SUM_TOL * math.sqrt(len(vec)) * norm
 
 
-def _scan(n: int, roots: Sequence[float],
-          vector: Callable[[float, frozenset[int]], np.ndarray],
-          base: frozenset[int], extras_list: Sequence[tuple[int, ...]]) -> frozenset[int]:
-    """The first switching base | extras, over the candidates in order, whose
-    vector(lam, switching) has a nonzero entry sum for every root."""
+def _scan(vectors: Sequence[np.ndarray], base: frozenset[int],
+          extras_list: Sequence[tuple[int, ...]]) -> frozenset[int]:
+    """The first switching base | extras, over the candidates in order, under
+    which s * x has a nonzero entry sum for every unswitched eigenvector x in
+    vectors, s being the switching's sign vector."""
     for extras in extras_list:
         if set(extras) & base:
             raise ConstructionError("extra flips overlap the base switching")
         switched = base | frozenset(extras)
-        if all(_sum_is_main(vector(lam, switched), n) for lam in roots):
+        s = _signs(len(vectors[0]), switched)
+        if all(_sum_is_main(s * x) for x in vectors):
             return switched
     raise ConstructionError("no candidate vector is main for every root")
 
@@ -287,18 +292,15 @@ def snr_all_main_switching(n: int, r: int) -> ConstructionResult:
         raise ValueError(f"need r >= 1 and n >= r+3, got n={n} r={r}")
     graph = make_snr(SnrParams(n, r))
     roots = snr_cubic_roots(n, r)
-
-    def vector(lam: float, switched: frozenset[int]) -> np.ndarray:
-        return flip(snr_eigvec(n, r, lam), sorted(switched))
-
+    vectors = [snr_eigvec(n, r, lam) for lam in roots]
     # The flipped coordinates (a pendant, the attachment vertex, a clique
     # vertex) are generically distinct, which caps the non-main candidates at
     # one per root; the sum test carries the rare degenerate parameter pairs
     # where a cubic root equals 1.
     extras = [()] if r <= 2 or n == r + 3 else [(), (2,), (r + 1,), (n - 1,)]
-    switched = _scan(n, roots, vector, frozenset((1, n)), extras)
-    witnesses = [(lam, vector(lam, switched)) for lam in roots]
+    switched = _scan(vectors, frozenset((1, n)), extras)
     s = _signs(n, switched)
+    witnesses = [(lam, s * x) for lam, x in zip(roots, vectors)]
     vertex = np.arange(n)
     # The pendants v1..vr are twins for 0 and the clique rest v_{r+2}..vn
     # for -1; each class holds a switched vertex (v1, vn) and an unswitched
@@ -314,22 +316,10 @@ def snr_all_main_switching(n: int, r: int) -> ConstructionResult:
 # ---------------------------------------------------------------------------
 
 
-def _group_coords(p: MultipartiteParams, lam: float) -> list[float]:
-    return [1.0 / (lam + t) for t in p.sizes]
-
-
-def _secular_vector(p: MultipartiteParams, lam: float,
-                    switched: frozenset[int]) -> np.ndarray:
-    """Eigenvector of the switched graph for a secular root: the group-i
-    coordinate 1/(lam + t_i), negated on switched vertices."""
-    coords = _group_coords(p, lam)
-    v = np.empty(p.n)
-    for i in range(1, p.s + 1):
-        rng = p.group_range(i)
-        v[rng.start - 1:rng.stop - 1] = coords[i - 1]
-    for u in switched:
-        v[u - 1] = -v[u - 1]
-    return v
+def _secular_vector(p: MultipartiteParams, lam: float) -> np.ndarray:
+    """Eigenvector of the unswitched graph for a secular root: 1/(lam + t_i)
+    on the vertices of group i."""
+    return np.repeat(1.0 / (lam + np.array(p.sizes)), p.group_sizes)
 
 
 def _pick_extras(p: MultipartiteParams, group: int, count: int,
@@ -358,8 +348,8 @@ def _witnesses(p: MultipartiteParams, roots: Sequence[float],
     """One main eigenvector per distinct eigenvalue: the secular roots, 0 when
     some part has two or more vertices (the vertices of each part are twins),
     and -t_i for every group of two or more parts (its parts are twins)."""
-    out = [(lam, _secular_vector(p, lam, switched)) for lam in roots]
     s = _signs(p.n, switched)
+    out = [(lam, s * _secular_vector(p, lam)) for lam in roots]
     part = np.repeat(np.arange(sum(p.counts)), np.repeat(p.sizes, p.counts))
     group = np.repeat(np.arange(p.s), p.group_sizes)
     if p.sizes[0] >= 2:
@@ -449,7 +439,7 @@ def multipartite_all_main_switching(p: MultipartiteParams) -> ConstructionResult
     base, specs = rule
     roots = multipartite_secular_roots(p)
     extras = [()] + [_pick_extras(p, g, c, base) for g, c in specs]
-    switched = _scan(p.n, roots, functools.partial(_secular_vector, p), base, extras)
+    switched = _scan([_secular_vector(p, lam) for lam in roots], base, extras)
     return _finish(graph, switched, _witnesses(p, roots, switched), "constructive")
 
 

@@ -182,11 +182,11 @@ def is_connected(g: Graph | SignedGraph) -> bool:
 _G6_HEADER = ">>graph6<<"
 
 
-def _g6_pair_order(n: int) -> Iterator[Edge]:
-    # Upper triangle in column order: (1,2), (1,3), (2,3), (1,4), ...
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            yield (i, j)
+def _pairs(n: int) -> list[Edge]:
+    # 0-based upper-triangle pairs in column order: (0,1), (0,2), (1,2), ...;
+    # pairs inside the first k vertices form a prefix, which the catalog's
+    # vertex-by-vertex augmentation relies on.
+    return [(i, j) for j in range(1, n) for i in range(j)]
 
 
 def parse_graph6(text: str) -> Graph:
@@ -228,8 +228,7 @@ def parse_graph6(text: str) -> Graph:
         bits.extend((val >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
     if any(bits[npairs:]):
         raise GraphFormatError("nonzero padding bits", 1 + npairs // 6)
-    edges = [pair for pair, bit in zip(_g6_pair_order(n), bits) if bit]
-    return Graph(n, frozenset(edges))
+    return Graph(n, frozenset((i + 1, j + 1) for (i, j), bit in zip(_pairs(n), bits) if bit))
 
 
 def emit_graph6(g: Graph) -> str:
@@ -332,10 +331,6 @@ class SnrParams:
     def center(self) -> int:
         return self.r + 1
 
-    @property
-    def clique_rest(self) -> range:
-        return range(self.r + 2, self.n + 1)
-
 
 def make_snr(p: SnrParams) -> Graph:
     """Build the clique-with-pendants graph with the canonical labelling."""
@@ -389,12 +384,7 @@ class MultipartiteParams:
 
     @functools.cached_property
     def offsets(self) -> tuple[int, ...]:
-        offs = []
-        acc = 0
-        for m in self.group_sizes:
-            offs.append(acc)
-            acc += m
-        return tuple(offs)
+        return tuple(itertools.accumulate(self.group_sizes[:-1], initial=0))
 
     @functools.cached_property
     def n(self) -> int:

@@ -51,8 +51,8 @@ import numpy as np
 from ._version import __version__
 from .exact import (MainProfile, _distinct_count, _power_stack, _row_bound, main_profile,
                     rank_exact)
-from .graphs import (Graph, _neighbor_masks, _rows_connected, adjacency_matrix, apply_switching,
-                     emit_graph6, parse_graph6)
+from .graphs import (Graph, _neighbor_masks, _pairs, _rows_connected, adjacency_matrix,
+                     apply_switching, emit_graph6, parse_graph6)
 
 TOOL_VERSION = f"mainswitch {__version__}"
 
@@ -154,15 +154,12 @@ class Certificate:
 
 
 def make_certificate(graph: Graph, switching: Iterable[int], method: str,
-                     profile: MainProfile | None = None) -> Certificate:
-    """Certificate for switching graph about a vertex set; the exact profile
-    is computed unless given."""
-    xs = frozenset(switching)
-    if profile is None:
-        profile = main_profile(adjacency_matrix(apply_switching(graph, xs)))
+                     profile: MainProfile) -> Certificate:
+    """Certificate for switching graph about a vertex set, with the exact
+    profile of the switched graph."""
     return Certificate(
         graph6=emit_graph6(graph),
-        switching=tuple(sorted(xs)),
+        switching=tuple(sorted(frozenset(switching))),
         distinct_count=profile.distinct_count,
         main_count=profile.main_count,
         all_main=profile.all_main,
@@ -316,12 +313,6 @@ def switching_main_counts(g: Graph) -> list[int]:
 # ---------------------------------------------------------------------------
 # Canonical forms and the connected-graph catalog
 # ---------------------------------------------------------------------------
-
-
-def _pairs(n: int) -> list[tuple[int, int]]:
-    # 0-based upper-triangle pairs in column order; pairs inside the first k
-    # vertices form a prefix, which the augmentation step relies on.
-    return [(i, j) for j in range(1, n) for i in range(j)]
 
 
 def _value_rows(values, n: int) -> np.ndarray:
@@ -545,6 +536,15 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _verdict(g: Graph) -> Certificate | UnswitchableGraph:
+    """g's certificate, or the main count of every switching class as the
+    evidence that g has none."""
+    cert = find_all_main_switching(g)
+    if cert is not None:
+        return cert
+    return UnswitchableGraph(graph6=emit_graph6(g), main_counts=tuple(switching_main_counts(g)))
+
+
 def verify_conjecture(max_n: int, workers: int = 1,
                       graphs: Iterable[Graph] | None = None) -> VerificationReport:
     """Run the brute-force search over every connected catalog graph on
@@ -559,37 +559,26 @@ def verify_conjecture(max_n: int, workers: int = 1,
     if graphs is None:
         if not (2 <= max_n <= CATALOG_CAP):
             raise ValueError(f"need 2 <= max_n <= {CATALOG_CAP}")
-        todo: list[Graph] = []
-        for n in range(2, max_n + 1):
-            todo.extend(enumerate_connected_graphs(n))
+        graphs = [g for n in range(2, max_n + 1) for g in enumerate_connected_graphs(n)]
         n_range = (2, max_n)
     else:
-        todo = list(graphs)
-        if not todo:
+        graphs = list(graphs)
+        if not graphs:
             raise ValueError("no graphs to verify")
-        n_range = (min(g.n for g in todo), max(g.n for g in todo))
+        n_range = (min(g.n for g in graphs), max(g.n for g in graphs))
     if workers == 1:
-        results = [find_all_main_switching(g) for g in todo]
+        verdicts = list(map(_verdict, graphs))
     else:
         # Imported here: it loads multiprocessing, which CLI start-up need not pay for.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(find_all_main_switching, todo, chunksize=16))
-    certificates: list[Certificate] = []
-    exceptions: list[UnswitchableGraph] = []
-    for graph, cert in zip(todo, results):
-        if cert is None:
-            exceptions.append(UnswitchableGraph(
-                graph6=emit_graph6(graph),
-                main_counts=tuple(switching_main_counts(graph)),
-            ))
-        else:
-            certificates.append(cert)
+            verdicts = list(pool.map(_verdict, graphs, chunksize=16))
+    certificates = tuple(v for v in verdicts if isinstance(v, Certificate))
     return VerificationReport(
         n_range=n_range,
-        graphs_checked=len(todo),
+        graphs_checked=len(verdicts),
         successes=len(certificates),
-        exceptions=tuple(exceptions),
+        exceptions=tuple(v for v in verdicts if isinstance(v, UnswitchableGraph)),
         elapsed=time.perf_counter() - start,
-        certificates=tuple(certificates),
+        certificates=certificates,
     )

@@ -71,8 +71,11 @@ def eigen_sym(a) -> EigenSystem:
 
     Each round of `_round_robin` applies its disjoint rotations at once as one
     orthogonal R (A <- R^T A R, V <- V R); sweeps repeat, for at most 60, until
-    every off-diagonal magnitude drops below 1e-12 * ||A||_F.  Raises on a
-    non-finite entry and on non-symmetric input (asymmetry above 1e-12).
+    every off-diagonal magnitude drops below 1e-12 * ||A||_F.  A is divided
+    by its largest absolute entry first, so that entries far from 1 neither
+    overflow nor underflow the norm; the eigenvalues and ``residual_bound``
+    are scaled back.  Raises on a non-finite entry and on non-symmetric input
+    (asymmetry above 1e-12).
     """
     A = np.array(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -84,6 +87,8 @@ def eigen_sym(a) -> EigenSystem:
         raise ValueError("matrix has a non-finite entry")
     if np.max(np.abs(A - A.T), initial=0.0) > 1e-12:
         raise ValueError("matrix is not symmetric")
+    scale = float(np.max(np.abs(A))) or 1.0
+    A = A / scale
     A0 = A.copy()
     V = np.eye(n)
     fro = np.linalg.norm(A, "fro")
@@ -113,7 +118,7 @@ def eigen_sym(a) -> EigenSystem:
     w = w[order]
     V = V[:, order]
     residual = float(np.max(np.linalg.norm(A0 @ V - V * w, axis=0), initial=0.0))
-    return EigenSystem(eigenvalues=w, vectors=V, residual_bound=residual)
+    return EigenSystem(eigenvalues=w * scale, vectors=V, residual_bound=residual * scale)
 
 
 def eigenspace_slices(w: np.ndarray, group_eps: float | None = None) -> list[slice]:

@@ -490,9 +490,9 @@ def test_multipartite_candidate_lists(monkeypatch, blocks, base, extras):
     calls = []
     scan = construct._scan
 
-    def recording_scan(n, roots, vector, base_set, extras_list):
+    def recording_scan(vectors, base_set, extras_list):
         calls.append((sorted(base_set), list(extras_list)))
-        return scan(n, roots, vector, base_set, extras_list)
+        return scan(vectors, base_set, extras_list)
 
     monkeypatch.setattr(construct, "_scan", recording_scan)
     res = multipartite_all_main_switching(MultipartiteParams.of(blocks))

@@ -479,6 +479,22 @@ def test_verify_conjecture_supplied_graphs():
     assert [e.graph6 for e in report.exceptions] == ["A_"]
 
 
+def test_verify_conjecture_supplied_graphs_workers_agree():
+    # Both exceptions among successes, through the process pool: every
+    # verdict, certificate or class-count evidence, keeps its input order.
+    graphs = [make_snr(SnrParams(5, 2)), parse_graph6("A_"), parse_graph6("Bw"),
+              parse_graph6("C^"), make_multipartite(MultipartiteParams.of([(2, 2), (1, 1)])),
+              parse_graph6("C~")]
+    r1 = verify_conjecture(0, workers=1, graphs=graphs)
+    r2 = verify_conjecture(0, workers=2, graphs=graphs)
+    assert r1.to_json() == r2.to_json()
+    assert [c.to_json() for c in r1.certificates] == [c.to_json() for c in r2.certificates]
+    assert (r1.n_range, r1.graphs_checked, r1.successes) == ((2, 5), 6, 4)
+    assert [e.graph6 for e in r1.exceptions] == ["A_", "C^"]
+    assert [len(e.main_counts) for e in r1.exceptions] == [2, 8]
+    assert [parse_graph6(c.graph6) for c in r1.certificates] == [graphs[i] for i in (0, 2, 4, 5)]
+
+
 def test_constructive_and_brute_force_agree_small():
     # For every family graph small enough to search exhaustively, both routes
     # certify all-main.

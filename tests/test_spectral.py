@@ -4,6 +4,7 @@ spectra."""
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,21 @@ def test_eigen_sym_one_by_one():
     assert es.eigenvalues.tolist() == [3.0]
     assert es.vectors.tolist() == [[1.0]]
     assert es.residual_bound == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_eigen_sym_entries_far_from_one(scale):
+    # Squared entries of 1e+-200 overflow or underflow a double; the solver
+    # works on the matrix divided by its largest entry and scales back.
+    path = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+    cases = [([[0.0, 1.0], [1.0, 0.0]], [-1.0, 1.0]),
+             (path, [2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)])]
+    for a, expected in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            es = eigen_sym(scale * np.array(a))
+        np.testing.assert_allclose(es.eigenvalues, scale * np.array(expected), rtol=1e-12)
+        assert math.isfinite(es.residual_bound) and es.residual_bound <= 1e-10 * scale
 
 
 def test_round_robin_meets_every_pair_once_in_disjoint_rounds():
