@@ -26,6 +26,7 @@ smallest unused labels are taken.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,15 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact import MainProfile, main_profile
-from .graphs import (
-    Graph,
-    MultipartiteParams,
-    SnrParams,
-    adjacency_matrix,
-    apply_switching,
-    make_multipartite,
-    make_snr,
-)
+from .graphs import Graph, MultipartiteParams, SnrParams, make_multipartite, make_snr
 from .spectral import eigen_sym, eigenspace_slices, multipartite_secular_roots, snr_cubic_roots
 
 RESIDUAL_TOL = 1e-8
@@ -207,27 +200,55 @@ class ConstructionResult:
     profile: MainProfile
 
 
-def _validated_witness(a_sw: np.ndarray, lam: float, vec: np.ndarray) -> np.ndarray:
-    v = np.asarray(vec, dtype=float)
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ConstructionError("zero witness vector")
-    v = v / norm
-    residual = float(np.linalg.norm(a_sw @ v - lam * v))
-    if residual > RESIDUAL_TOL:
-        raise ConstructionError(
-            f"witness residual {residual:.3e} for eigenvalue {lam:.12g}")
-    if abs(float(v.sum())) <= SUM_TOL:
+def _switched_matrix(graph: Graph, switched: frozenset[int]) -> np.ndarray:
+    """The int64 adjacency matrix of graph switched about switched: s_u s_v
+    on every edge uv, s the sign vector."""
+    n = graph.n
+    s = _signs(n, switched).astype(np.int64)
+    ends = np.fromiter(itertools.chain.from_iterable(graph.edges), np.intp,
+                       2 * len(graph.edges)) - 1
+    u, v = ends[::2], ends[1::2]
+    a = np.zeros((n, n), dtype=np.int64)
+    a[u, v] = a[v, u] = s[u] * s[v]
+    return a
+
+
+def _validated_witnesses(a_sw: np.ndarray, raw_witnesses: list[tuple[float, np.ndarray]]
+                         ) -> tuple[tuple[float, np.ndarray], ...]:
+    """Each witness scaled to unit length, all checked with one product:
+    nonzero, an eigenvector of a_sw for its eigenvalue up to RESIDUAL_TOL,
+    and of entry sum above SUM_TOL.  The first failing witness raises."""
+    lams = np.array([lam for lam, _ in raw_witnesses], dtype=float)
+    vecs = np.array([v for _, v in raw_witnesses], dtype=float)
+    norms = np.linalg.norm(vecs, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero witnesses fail below
+        vecs /= norms[:, None]
+    residuals = np.linalg.norm(a_sw @ vecs.T - vecs.T * lams, axis=0)
+    sums = vecs.sum(axis=1)
+    bad = (norms == 0) | (residuals > RESIDUAL_TOL) | (np.abs(sums) <= SUM_TOL)
+    if bad.any():
+        i = int(bad.argmax())
+        lam = raw_witnesses[i][0]
+        if norms[i] == 0:
+            raise ConstructionError("zero witness vector")
+        if residuals[i] > RESIDUAL_TOL:
+            raise ConstructionError(
+                f"witness residual {residuals[i]:.3e} for eigenvalue {lam:.12g}")
         raise ConstructionError(f"witness for eigenvalue {lam:.12g} has zero entry sum")
-    return v
+    return tuple((lam, v) for (lam, _), v in zip(raw_witnesses, vecs))
 
 
 def _finish(graph: Graph, switched: frozenset[int],
-            raw_witnesses: list[tuple[float, np.ndarray]], method: str) -> ConstructionResult:
-    a = adjacency_matrix(apply_switching(graph, switched))
-    a_sw = np.array(a, dtype=float)
-    witnesses = tuple((lam, _validated_witness(a_sw, lam, v)) for lam, v in raw_witnesses)
-    profile = main_profile(a)
+            raw_witnesses: list[tuple[float, np.ndarray]], method: str,
+            a_sw: np.ndarray | None = None) -> ConstructionResult:
+    """The result for graph switched about switched.  The switched matrix is
+    built once, as an int64 array from the edges and the sign vector, unless
+    the caller passes it; every witness is checked against it in one
+    product, and main_profile decides it as it is."""
+    if a_sw is None:
+        a_sw = _switched_matrix(graph, switched)
+    witnesses = _validated_witnesses(a_sw, raw_witnesses)
+    profile = main_profile(a_sw)
     return ConstructionResult(
         graph=graph,
         switching=switched,
@@ -403,14 +424,14 @@ def _from_search(p: MultipartiteParams) -> ConstructionResult:
         raise NoAllMainSwitchingError(
             f"no all-main switching exists for blocks {p.blocks}")
     switched = frozenset(cert.switching)
-    sg = apply_switching(graph, switched)
-    es = eigen_sym(np.array(adjacency_matrix(sg), dtype=float))
+    a_sw = _switched_matrix(graph, switched)
+    es = eigen_sym(a_sw)
     j = np.ones(p.n)
     witnesses = []
     for sl in eigenspace_slices(es.eigenvalues):
         block = es.vectors[:, sl]
         witnesses.append((float(np.mean(es.eigenvalues[sl])), block @ (block.T @ j)))
-    return _finish(graph, switched, witnesses, "brute_force")
+    return _finish(graph, switched, witnesses, "brute_force", a_sw)
 
 
 def multipartite_all_main_switching(p: MultipartiteParams) -> ConstructionResult:

@@ -15,12 +15,14 @@ paths:
    The Krylov columns s, As, A^2 s, ... are eliminated modulo a prime until
    column d depends on the earlier ones; that dependency is a monic q of
    degree d, lifted by CRT, and one exact evaluation of q(A) checks it
-   (Wiedemann, IEEE Trans. Inf. Theory 1986).  A Krylov rank modulo a prime
-   is at most the rank over the rationals, which is at most the distinct
-   count, and q(A) = 0 bounds the distinct count by d from above.  From
-   s = j, d = n or q(A) = 0 proves the matrix all-main, and q(A) j = 0 alone
-   makes d the main count; the distinct count then comes the same way from
-   s = (1, 2, ..., n).
+   (Wiedemann, IEEE Trans. Inf. Theory 1986): directly in float64 when
+   2 sum |q_i| rho^i is below 2^53, so that every partial sum is an exact
+   integer, and modulo table primes whose product exceeds that bound above
+   it.  A Krylov rank modulo a prime is at most the rank over the
+   rationals, which is at most the distinct count, and q(A) = 0 bounds the
+   distinct count by d from above.  From s = j, d = n or q(A) = 0 proves
+   the matrix all-main, and q(A) j = 0 alone makes d the main count; the
+   distinct count then comes the same way from s = (1, 2, ..., n).
 2. The power stack A^0, ..., A^(n-1): the main count is the Bareiss rank of
    the walk columns A^k j, and, when that is short of n, the distinct count
    is the rank of the Hankel matrix of power traces tr(A^(i+j)), the Gram
@@ -79,10 +81,12 @@ def _check_square(a: IntMatrix) -> int:
 # main_profile decides only matrices whose n and largest absolute row sum rho
 # are below _LIMIT; no signed graph comes near it.  Every table prime p lies
 # in (_LIMIT, 2^31), so p^2 < 2^63 (int64 residue products).  _vanishes
-# reduces x to x - floor(x / p) p in float64, which lands in [-p, 2p) because
-# the computed quotient is off by at most one; adding a coefficient to the
-# diagonal gives entries in [-p, 3p), so a row . column product is below
-# 3 rho p < 2^53, exact in float64.
+# evaluates q(A) directly in float64 when its bound is below 2^53, and modulo
+# these primes above it: there it reduces x to x - floor(x / p) p in float64,
+# which lands in [-p, 2p) because the computed quotient is off by at most
+# one; adding a coefficient to the diagonal gives entries in [-p, 3p), so a
+# row . column product is below 3 rho p < 2^53, exact in float64, and so is
+# a row sum of residues in [0, p), below n p.
 _LIMIT = 2 ** 20
 
 # The 64 largest primes below 2^31, in descending order.
@@ -436,36 +440,49 @@ def _annihilator(arr: np.ndarray, rho: int, start: np.ndarray) -> tuple[int, Int
 
 
 def _vanishes(arr: np.ndarray, rho: int, q: IntPoly) -> tuple[bool, bool]:
-    """Whether q(A) = 0 and whether q(A) j = 0, exactly.
+    """Whether q(A) = 0 and whether q(A) j = 0, exactly, by one Horner
+    evaluation of q(A) in float64.
 
-    Every entry of q(A), and so every entry of q(A) j, is at most
-    sum |q_k| rho^k in absolute value, so q(A) is evaluated once by Horner's
-    rule modulo primes whose product exceeds twice that, all primes in one
-    float64 matrix product per step (exact by the ranges argued at _LIMIT).
-    q(A) j mod p is the row sums of the residues, each below n p < 2^53.
-    The bound comes from q's own coefficients: a candidate that agrees with
-    a true annihilator modulo the lift primes alone still fails.
+    With r = max(rho, 1), every Horner value sum_{k>=i} q_k A^(k-i), every
+    partial row . column sum on the way to it and every partial row sum of
+    q(A) j is an integer of absolute value at most sum |q_k| r^k, half the
+    bound below.  When the bound is below 2^53 all of them are exact in
+    whatever order the sums are taken, so q(A) is evaluated directly.  Above
+    it each step is reduced modulo primes whose product exceeds the bound,
+    all primes in one matrix product per step (exact by the ranges argued at
+    _LIMIT), and q(A) j mod p is the row sums of the residues.  The bound
+    comes from q's own coefficients: a candidate that agrees with a true
+    annihilator modulo the lift primes alone still fails.
     """
-    k = _prime_count(2 * sum(abs(c) * rho ** i for i, c in enumerate(q)))
+    bound = 2 * sum(abs(c) * max(rho, 1) ** i for i, c in enumerate(q))
+    reduce = bound >= 2 ** 53
+    k = _prime_count(bound) if reduce else 1
     if k is None:
         return False, False
     n = len(arr)
     pf = np.array(_PRIMES[:k], dtype=np.float64)[:, None]
-    residues = np.array([[c % p for p in _PRIMES[:k]] for c in q], dtype=np.float64)
+    coeffs = np.array([[c % p for p in _PRIMES[:k]] for c in q] if reduce else q,
+                      dtype=np.float64).reshape(len(q), k)
     af = arr.astype(np.float64)
     b = np.zeros((n, k, n))
     x = np.empty_like(b)
+    b_cols, x_cols = b.reshape(n, k * n), x.reshape(n, k * n)
     diagonals = np.einsum("iji->ij", b)  # where each step adds q_i I
-    diagonals += residues[-1]
-    for r in residues[-2::-1]:
-        np.matmul(af, b.reshape(n, k * n), out=x.reshape(n, k * n))
-        np.floor(np.divide(x, pf, out=b), out=b)
-        np.subtract(x, np.multiply(b, pf, out=b), out=b)
-        diagonals += r
-    np.remainder(b, pf, out=b)
+    diagonals += coeffs[-1]
+    for c in coeffs[-2::-1]:
+        np.matmul(af, b_cols, out=x_cols)
+        if reduce:
+            np.floor(np.divide(x, pf, out=b), out=b)
+            np.subtract(x, np.multiply(b, pf, out=b), out=b)
+        else:
+            b[...] = x
+        diagonals += c
+    if reduce:
+        np.remainder(b, pf, out=b)
     if not b.any():
         return True, True
-    return False, not np.remainder(b.sum(axis=2), pf.T).any()
+    rows = b.sum(axis=2)
+    return False, not (np.remainder(rows, pf.T) if reduce else rows).any()
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def eigen_sym(a) -> EigenSystem:
     by its largest absolute entry first, so that entries far from 1 neither
     overflow nor underflow the norm; the eigenvalues and ``residual_bound``
     are scaled back.  Raises on a non-finite entry and on non-symmetric input
-    (asymmetry above 1e-12).
+    (asymmetry above 1e-12 times the largest absolute entry).
     """
     A = np.array(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -85,10 +85,10 @@ def eigen_sym(a) -> EigenSystem:
         raise ValueError("matrix must be nonempty")
     if not np.isfinite(A).all():
         raise ValueError("matrix has a non-finite entry")
-    if np.max(np.abs(A - A.T), initial=0.0) > 1e-12:
-        raise ValueError("matrix is not symmetric")
     scale = float(np.max(np.abs(A))) or 1.0
     A = A / scale
+    if np.max(np.abs(A - A.T), initial=0.0) > 1e-12:
+        raise ValueError("matrix is not symmetric")
     A0 = A.copy()
     V = np.eye(n)
     fro = np.linalg.norm(A, "fro")

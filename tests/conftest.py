@@ -192,6 +192,12 @@ def poly_eval_matrix(p: list[int], a: list[list[int]]) -> np.ndarray:
     return acc
 
 
+def vanishes_oracle(p: list[int], a: list[list[int]]) -> tuple[bool, bool]:
+    """(p(A) = 0, p(A) j = 0) from p(A) in Python ints (poly_eval_matrix)."""
+    image = poly_eval_matrix(p, a)
+    return all(x == 0 for x in image.flat), all(x == 0 for x in image.sum(axis=1))
+
+
 def brute_canonical_form(g: Graph) -> Graph:
     """Relabelling of g with the smallest column-order upper-triangle bit
     string, by trying every one of the n! vertex orders."""

@@ -253,10 +253,10 @@ def test_duplicate_vectors_reject_non_duplicates():
     a = np.array(adjacency_matrix(apply_switching(g, {1})), float)
     v = construct._twin_witness(s, np.arange(3), np.array([0, 0, 1]))
     with pytest.raises(construct.ConstructionError, match="residual"):
-        construct._validated_witness(a, 0.0, v)
+        construct._validated_witnesses(a, [(0.0, v)])
     # and as closed twins for -1 the whole triangle passes
     v = construct._twin_witness(s, np.arange(3), np.zeros(3, int))
-    assert construct._validated_witness(a, -1.0, v).sum() > 0
+    assert construct._validated_witnesses(a, [(-1.0, v)])[0][1].sum() > 0
 
 
 def test_duplicate_vectors_reject_bad_t():
@@ -268,7 +268,41 @@ def test_duplicate_vectors_reject_bad_t():
         v = construct._twin_witness(_signs(5, switched), np.arange(5), _pendant_classes(5, 3))
         assert not v.any()
         with pytest.raises(construct.ConstructionError, match="zero witness"):
-            construct._validated_witness(a, 0.0, v)
+            construct._validated_witnesses(a, [(0.0, v)])
+
+
+def test_batched_witness_check_raises_for_the_first_bad_witness():
+    # Triangle switched about {1}: eigenvalue 2 with eigenvector (-1, 1, 1),
+    # and -1 twice.  The check scales each witness to unit length and raises
+    # for the first failing one in input order, with the message a check of
+    # that witness alone gives.
+    a = np.array(adjacency_matrix(apply_switching(parse_graph6("Bw"), {1})), float)
+    good = (2.0, np.array([-1.0, 1.0, 1.0]))
+    (lam, v), = construct._validated_witnesses(a, [good])
+    assert lam == 2.0 and np.allclose(v, good[1] / np.sqrt(3)) and v.sum() > 0
+    wrong = (2.0, np.array([1.0, 1.0, 1.0]))  # no eigenvector: residual sqrt(8)
+    zero = (-1.0, np.zeros(3))
+    main = (-1.0, np.array([-1.0, -1.0, 0.0]))  # eigenvector of entry sum -2
+    flat = (-1.0, np.array([0.0, 1.0, -1.0]))  # eigenvector of entry sum 0
+    with pytest.raises(construct.ConstructionError,
+                       match=r"^witness residual 2\.828e\+00 for eigenvalue 2$"):
+        construct._validated_witnesses(a, [good, main, wrong, zero])
+    with pytest.raises(construct.ConstructionError, match="^zero witness vector$"):
+        construct._validated_witnesses(a, [good, zero, wrong])
+    with pytest.raises(construct.ConstructionError,
+                       match="^witness for eigenvalue -1 has zero entry sum$"):
+        construct._validated_witnesses(a, [good, main, flat, wrong])
+    assert len(construct._validated_witnesses(a, [good, main])) == 2
+
+
+def test_switched_matrix_matches_the_list_adjacency(rng):
+    for n in (1, 2, 7, 20):
+        g = random_signed_graph(rng, n).graph
+        for _ in range(3):
+            switched = frozenset(v for v in range(1, n + 1) if rng.random() < 0.5)
+            arr = construct._switched_matrix(g, switched)
+            assert arr.dtype == np.int64
+            assert arr.tolist() == adjacency_matrix(apply_switching(g, switched))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +406,7 @@ def test_ti_eigvec_rejects_bad_args():
     a = np.array(adjacency_matrix(apply_switching(make_multipartite(p2), {1, 3})), float)
     v = construct._twin_witness(_signs(4, {1, 3}), *_part_group_labels(p2))
     with pytest.raises(construct.ConstructionError, match="zero witness"):
-        construct._validated_witness(a, -2.0, v)
+        construct._validated_witnesses(a, [(-2.0, v)])
 
 
 def test_ti_eigvec_is_eigenvector():

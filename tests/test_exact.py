@@ -40,6 +40,7 @@ from conftest import (
     poly_mul,
     random_connected_graph,
     random_signed_graph,
+    vanishes_oracle,
 )
 
 
@@ -517,6 +518,57 @@ def test_annihilator_check_prime_count_comes_from_the_candidate():
         shifted = [q[0] + m] + q[1:]
         assert exact._vanishes(arr, rho, q) == (main_profile(a).all_main, True)
         assert exact._vanishes(arr, rho, shifted) == (False, False)
+
+
+# Shapes of the switched multipartite constructions at n = 48, 36 and 60.
+# The annihilators of j of their matrices have bounds 2 sum |q_i| rho^i of
+# 47, 54 and 67 bits, so _vanishes takes both sides of 2^53.
+_VANISHES_SHAPES = {
+    47: [(2, 12), (1, 10), (1, 7), (1, 4), (3, 1)],
+    54: [(1, 9), (1, 6), (2, 5), (1, 4), (2, 2), (3, 1)],
+    67: [(1, 9), (1, 8), (1, 7), (2, 6), (3, 5), (1, 4), (1, 3), (1, 2)],
+}
+
+
+def _vanishes_bound(rho, q):
+    return 2 * sum(abs(c) * rho ** i for i, c in enumerate(q))
+
+
+@pytest.mark.parametrize("bits", sorted(_VANISHES_SHAPES))
+def test_vanishes_matches_python_int_oracle_on_both_sides_of_2_53(bits, monkeypatch):
+    # _vanishes evaluates q(A) directly in float64 below 2^53 and modulo
+    # primes above it; _prime_count runs only on the modular side.  Every
+    # verdict must equal the Python-int evaluation of q(A).
+    p = MultipartiteParams.of(_VANISHES_SHAPES[bits])
+    res = multipartite_all_main_switching(p)
+    a = adjacency_matrix(apply_switching(res.graph, res.switching))
+    arr, rho = exact._guarded_array(a)
+    d, q = exact._annihilator(arr, rho, np.ones(len(a), dtype=np.int64))
+    assert _vanishes_bound(rho, q).bit_length() == bits
+    lift = exact._PRIME_PRODUCTS[exact._prime_count(2 * (1 + rho) ** d) - 1]
+    # The unswitched graph: q of j annihilates j but not A (its twins'
+    # eigenvalues are not main); times x - 2^40 it needs the primes.
+    plain = adjacency_matrix(make_multipartite(p))
+    plain_arr, plain_rho = exact._guarded_array(plain)
+    _, q_j = exact._annihilator(plain_arr, plain_rho, np.ones(len(a), dtype=np.int64))
+    cases = [
+        (a, arr, rho, q, (True, True)),  # a true annihilator
+        (a, arr, rho, [q[0] + 1] + q[1:], (False, False)),
+        (a, arr, rho, [q[0] - 1] + q[1:], (False, False)),
+        (a, arr, rho, [q[0] + lift] + q[1:], (False, False)),  # agrees mod the lift primes
+        (plain, plain_arr, plain_rho, q_j, (False, True)),
+        (plain, plain_arr, plain_rho, poly_mul(q_j, [-2 ** 40, 1]), (False, True)),
+    ]
+    counted = []
+    prime_count = exact._prime_count
+    monkeypatch.setattr(exact, "_prime_count", lambda b: counted.append(b) or prime_count(b))
+    for m, m_arr, m_rho, poly, expected in cases:
+        counted.clear()
+        assert exact._vanishes(m_arr, m_rho, poly) == vanishes_oracle(poly, m) == expected
+        assert bool(counted) == (_vanishes_bound(m_rho, poly) >= 2 ** 53)
+    # Both branches are met: the shifted q always needs the primes.
+    assert _vanishes_bound(rho, [q[0] + lift] + q[1:]) >= 2 ** 53
+    assert _vanishes_bound(plain_rho, q_j) < 2 ** 53
 
 
 def test_wrong_lift_falls_back_to_power_stack(monkeypatch):

@@ -57,6 +57,16 @@ def test_eigen_sym_rejects_asymmetric():
         eigen_sym([[0.0, 1.0], [0.5, 0.0]])
 
 
+def test_eigen_sym_symmetry_tolerance_is_relative():
+    # The asymmetry is measured after dividing by the largest absolute
+    # entry: a 3x mismatch at 1e-200 is rejected, and a last-bits mismatch
+    # at 1e200 is accepted.
+    with pytest.raises(ValueError, match="not symmetric"):
+        eigen_sym([[0.0, 1e-200], [3e-200, 0.0]])
+    es = eigen_sym([[0.0, 1e200], [1e200 * (1 + 1e-15), 0.0]])
+    np.testing.assert_allclose(es.eigenvalues, [-1e200, 1e200], rtol=1e-12)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_eigen_sym_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="non-finite"):
