@@ -34,7 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from .exact import MainProfile, main_profile
-from .graphs import Graph, MultipartiteParams, SnrParams, make_multipartite, make_snr
+from .graphs import (Graph, MultipartiteParams, SnrParams, _switched_array, make_multipartite,
+                     make_snr)
 from .spectral import eigen_sym, eigenspace_slices, multipartite_secular_roots, snr_cubic_roots
 
 RESIDUAL_TOL = 1e-8
@@ -202,15 +203,14 @@ class ConstructionResult:
 
 def _switched_matrix(graph: Graph, switched: frozenset[int]) -> np.ndarray:
     """The int64 adjacency matrix of graph switched about switched: s_u s_v
-    on every edge uv, s the sign vector."""
+    on every edge uv, s the sign vector (graphs._switched_array)."""
     n = graph.n
-    s = _signs(n, switched).astype(np.int64)
     ends = np.fromiter(itertools.chain.from_iterable(graph.edges), np.intp,
                        2 * len(graph.edges)) - 1
     u, v = ends[::2], ends[1::2]
     a = np.zeros((n, n), dtype=np.int64)
-    a[u, v] = a[v, u] = s[u] * s[v]
-    return a
+    a[u, v] = a[v, u] = 1
+    return _switched_array(a, switched)
 
 
 def _validated_witnesses(a_sw: np.ndarray, raw_witnesses: list[tuple[float, np.ndarray]]
@@ -225,13 +225,14 @@ def _validated_witnesses(a_sw: np.ndarray, raw_witnesses: list[tuple[float, np.n
         vecs /= norms[:, None]
     residuals = np.linalg.norm(a_sw @ vecs.T - vecs.T * lams, axis=0)
     sums = vecs.sum(axis=1)
-    bad = (norms == 0) | (residuals > RESIDUAL_TOL) | (np.abs(sums) <= SUM_TOL)
+    # Written so that a NaN residual or sum fails too.
+    bad = (norms == 0) | ~(residuals <= RESIDUAL_TOL) | ~(np.abs(sums) > SUM_TOL)
     if bad.any():
         i = int(bad.argmax())
         lam = raw_witnesses[i][0]
         if norms[i] == 0:
             raise ConstructionError("zero witness vector")
-        if residuals[i] > RESIDUAL_TOL:
+        if not residuals[i] <= RESIDUAL_TOL:
             raise ConstructionError(
                 f"witness residual {residuals[i]:.3e} for eigenvalue {lam:.12g}")
         raise ConstructionError(f"witness for eigenvalue {lam:.12g} has zero entry sum")

@@ -6,10 +6,10 @@ main eigenvalues, and the degree of the minimal polynomial (squarefree, as
 A is symmetric) is the number of distinct eigenvalues.  Every answer is
 exact, so the accept/reject decision involves no tolerances.
 
-main_profile converts its input once, to an int64 array; it decides only
-matrices whose n and absolute row sums are below 2^20, far beyond any signed
-graph, and rejects every other input with a ValueError.  It takes one of two
-paths:
+main_profile converts its input at most once, to an int64 array (an int64
+array is taken as it is); it decides only matrices whose n and absolute row
+sums are below 2^20, far beyond any signed graph, and rejects every other
+input with a ValueError.  It takes one of two paths:
 
 1. Annihilating polynomials, for matrices past the power-stack kernel below.
    The Krylov columns s, As, A^2 s, ... are eliminated modulo a prime until
@@ -36,9 +36,10 @@ char_poly (the Faddeev-LeVerrier recurrence over Python ints),
 distinct_eigenvalue_count (deg p - deg gcd(p, p')) and walk_matrix stay as
 public helpers; the decision uses none of them.
 
-Matrices are plain lists of rows of Python ints (rank_exact also reads 2-D
-int64 arrays); polynomials are coefficient lists in ascending powers ([] is
-the zero polynomial).
+Matrices are plain lists of rows of Python ints, or 2-D int64 arrays:
+main_profile takes a square int64 array as it is, with no copy, and never
+writes to it, and rank_exact reads one with a single tolist().  Polynomials
+are coefficient lists in ascending powers ([] is the zero polynomial).
 """
 
 from __future__ import annotations
@@ -103,17 +104,23 @@ _PRIME_PRODUCTS = tuple(math.prod(_PRIMES[:k]) for k in range(1, len(_PRIMES) + 
 _RANK_PRIME = _PRIMES[0]
 
 
-def _guarded_array(a: IntMatrix) -> tuple[np.ndarray, int]:
+def _guarded_array(a: IntMatrix | np.ndarray) -> tuple[np.ndarray, int]:
     """a as an int64 array, with its largest absolute row sum (_row_bound).
 
-    Raises ValueError unless n and every absolute row sum are below _LIMIT,
-    the range in which the modular steps are exact.
+    A square, nonempty 2-D int64 array is taken as it is, without a copy;
+    lists and other arrays are converted.  Raises ValueError unless n and
+    every absolute row sum are below _LIMIT, the range in which the modular
+    steps are exact.
     """
-    n = _check_square(a)
-    try:
-        arr = np.array(a, dtype=np.int64)
-    except OverflowError:  # an entry past int64
-        arr = None
+    if (isinstance(a, np.ndarray) and a.dtype == np.int64 and a.ndim == 2
+            and a.shape[0] == a.shape[1] and a.size):
+        arr, n = a, len(a)
+    else:
+        n = _check_square(a)
+        try:
+            arr = np.array(a, dtype=np.int64)
+        except OverflowError:  # an entry past int64
+            arr = None
     inside = arr is not None and n < _LIMIT and -_LIMIT < arr.min() and arr.max() < _LIMIT
     rho = _row_bound(arr) if inside else _LIMIT
     if rho >= _LIMIT:
@@ -383,14 +390,15 @@ def _int64_stack(n: int, rho: int) -> bool:
 def _power_stack(arr: np.ndarray, rho: int) -> np.ndarray:
     """A^0, A^1, ..., A^(n-1) of the int64 matrix arr, whose largest
     absolute row sum is rho (_row_bound), as one (n, n, n) array: int64 when
-    _int64_stack allows, else Python ints."""
+    _int64_stack allows, else Python ints.  Each power is written in place."""
     n = len(arr)
     if not _int64_stack(n, rho):
         arr = arr.astype(object)
     powers = np.empty((n, n, n), dtype=arr.dtype)
-    powers[0] = np.eye(n, dtype=arr.dtype)
+    powers[0] = 0
+    powers[0].flat[::n + 1] = 1
     for k in range(1, n):
-        powers[k] = np.matmul(powers[k - 1], arr)
+        np.matmul(powers[k - 1], arr, out=powers[k])
     return powers
 
 
@@ -534,13 +542,14 @@ def _certified_profile(arr: np.ndarray, rho: int) -> MainProfile | None:
     return MainProfile(main_count=mc, distinct_count=dc, all_main=mc == dc)
 
 
-def main_profile(a: IntMatrix) -> MainProfile:
+def main_profile(a: IntMatrix | np.ndarray) -> MainProfile:
     """Exact decision: main_count = rank of the walk matrix, distinct_count
     = number of distinct eigenvalues.
 
     The input is converted once, to the guarded int64 array that serves the
-    symmetry check and every later step; a matrix with n or an absolute row
-    sum of 2^20 or more raises ValueError.  A matrix of at most 10 vertices
+    symmetry check and every later step (a square int64 array is used as it
+    is, and never written to); a matrix with n or an absolute row sum of 2^20
+    or more raises ValueError.  A matrix of at most 10 vertices
     whose power stack A^0, ..., A^(n-1) fits int64 is decided from that
     stack: the main count is the Bareiss rank of the walk columns A^k j, and
     when it is short of n the distinct count is the rank of the Hankel

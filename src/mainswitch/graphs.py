@@ -6,6 +6,11 @@ first in the clique-with-pendants family, and complete multipartite parts are
 laid out consecutively in declaration order.  File formats translate indices
 at the boundary only.
 
+graph6 records are decoded in one place, into an int64 adjacency array;
+parse_graph6 builds its Graph from that array, and certificate re-checks
+switch the array by the sign vector (_switched_array, the one switched-matrix
+rule, which the constructions use too) without building a Graph at all.
+
 All values here are immutable after construction and safe to share between
 concurrent workers.
 """
@@ -16,6 +21,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 Edge = tuple[int, int]
 
@@ -150,6 +157,22 @@ def adjacency_matrix(g: Graph | SignedGraph) -> list[list[int]]:
     return a
 
 
+def _switched_array(a: np.ndarray, x: Iterable[int]) -> np.ndarray:
+    """The int64 adjacency array a switched about the vertex set x: entry uv
+    times s_u s_v, with s_v = -1 on x and 1 elsewhere.  a is not modified.
+
+    Raises the ValueError of apply_switching for a vertex outside 1..n.
+    """
+    n = len(a)
+    idx = [v - 1 for v in x]
+    for v in idx:
+        if not (0 <= v < n):
+            raise ValueError(f"switched vertex {v + 1} out of range 1..{n}")
+    s = np.ones(n, dtype=np.int64)
+    s[idx] = -1
+    return a * s[:, None] * s
+
+
 def _neighbor_masks(g: Graph) -> list[int]:
     """Neighbourhood bitmask of every vertex: bit w-1 of entry v-1 is edge vw."""
     rows = [0] * g.n
@@ -189,11 +212,21 @@ def _pairs(n: int) -> list[Edge]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
-def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 record (standard 63-offset encoding, n <= 62).
+@functools.lru_cache(maxsize=None)
+def _pair_cells(n: int) -> np.ndarray:
+    # Flat indices of the _pairs cells in an n x n array, in graph6 bit order.
+    return np.array(_pairs(n), dtype=np.intp).reshape(-1, 2) @ np.array([n, 1])
+
+
+def _graph6_adjacency(text: str) -> np.ndarray:
+    """Decode one graph6 record (standard 63-offset encoding, n <= 62) into
+    its int64 adjacency array.
 
     The optional ``>>graph6<<`` prefix is accepted.  Errors report the byte
-    offset of the offending character within the record.
+    offset of the offending character within the record.  The bit field is
+    read as one integer, six bits a byte; its padding bits are checked with
+    one mask, and its pair bits land in the upper triangle through the
+    cached cell indices of n.
     """
     s = text.strip()
     if s.startswith(_G6_HEADER):
@@ -220,15 +253,34 @@ def parse_graph6(text: str) -> Graph:
             f"truncated bit field: need {nbytes} bytes, got {len(body)}", len(raw))
     if len(body) > nbytes:
         raise GraphFormatError("trailing data after bit field", 1 + nbytes)
-    bits: list[int] = []
+    field = 0
     for off, ch in enumerate(body, start=1):
         if not (63 <= ch <= 126):
             raise GraphFormatError(f"character {chr(ch)!r} outside graph6 range", off)
-        val = ch - 63
-        bits.extend((val >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
-    if any(bits[npairs:]):
+        field = field << 6 | (ch - 63)
+    pad = 6 * nbytes - npairs
+    if field & ((1 << pad) - 1):
         raise GraphFormatError("nonzero padding bits", 1 + npairs // 6)
-    return Graph(n, frozenset((i + 1, j + 1) for (i, j), bit in zip(_pairs(n), bits) if bit))
+    size = (npairs + 7) // 8
+    bits = np.unpackbits(np.frombuffer(
+        (field >> pad << (8 * size - npairs)).to_bytes(size, "big"), np.uint8), count=npairs)
+    a = np.zeros((n, n), dtype=np.int64)
+    a.reshape(-1)[_pair_cells(n)] = bits
+    return a + a.T
+
+
+def parse_graph6(text: str) -> Graph:
+    """Decode one graph6 record (standard 63-offset encoding, n <= 62).
+
+    The optional ``>>graph6<<`` prefix is accepted.  Errors report the byte
+    offset of the offending character within the record.  The record is
+    decoded by the same checks, into the same adjacency array, as
+    ``verify_certificate`` uses.
+    """
+    a = _graph6_adjacency(text)
+    u, v = np.nonzero(a)
+    upper = u < v
+    return Graph(len(a), frozenset(zip((u[upper] + 1).tolist(), (v[upper] + 1).tolist())))
 
 
 def emit_graph6(g: Graph) -> str:

@@ -51,8 +51,8 @@ import numpy as np
 from ._version import __version__
 from .exact import (MainProfile, _distinct_count, _power_stack, _row_bound, main_profile,
                     rank_exact)
-from .graphs import (Graph, _neighbor_masks, _pairs, _rows_connected, adjacency_matrix,
-                     apply_switching, emit_graph6, parse_graph6)
+from .graphs import (Graph, _graph6_adjacency, _neighbor_masks, _pairs, _rows_connected,
+                     _switched_array, emit_graph6)
 
 TOOL_VERSION = f"mainswitch {__version__}"
 
@@ -131,13 +131,17 @@ class Certificate:
 
     @classmethod
     def from_json_dict(cls, d: object) -> "Certificate":
-        """Parse a certificate record; every field must carry its exact JSON
-        type, so no coercion can turn a malformed record into a valid one."""
+        """Parse a certificate record; it must have exactly the seven fields,
+        each of its exact JSON type, so no coercion can turn a malformed
+        record into a valid one."""
         if not isinstance(d, dict):
             raise ValueError(f"certificate must be a JSON object, got {type(d).__name__}")
         missing = [k for k in _CERT_FIELDS if k not in d]
         if missing:
             raise ValueError(f"certificate missing fields: {missing}")
+        unknown = [k for k in d if k not in _CERT_FIELDS]
+        if unknown:
+            raise ValueError(f"certificate has unknown fields: {unknown}")
         for key, kind in _CERT_FIELDS.items():
             if type(d[key]) is not kind:
                 raise ValueError(f"certificate field {key!r} must be {kind.__name__}, "
@@ -172,15 +176,17 @@ def verify_certificate(cert: Certificate) -> bool:
     """Re-derive the exact profile from (graph, switching) and compare every
     recorded count; any single-field tamper fails.
 
-    An unparsable graph payload raises; a switching that does not fit the
-    graph merely fails verification.
+    The graph6 record is decoded once, to its int64 adjacency array, which
+    is switched by the sign vector and handed to main_profile as it is.  An
+    unparsable graph payload raises GraphFormatError; a switching that does
+    not fit the graph merely fails verification.
     """
-    graph = parse_graph6(cert.graph6)
+    a = _graph6_adjacency(cert.graph6)
     try:
-        sg = apply_switching(graph, cert.switching)
+        a = _switched_array(a, cert.switching)
     except ValueError:
         return False
-    profile = main_profile(adjacency_matrix(sg))
+    profile = main_profile(a)
     return (profile.distinct_count == cert.distinct_count
             and profile.main_count == cert.main_count
             and profile.all_main == cert.all_main)

@@ -319,6 +319,7 @@ _BW_CERT = {"graph6": "Bw", "switching": [2], "distinct_count": 2, "main_count":
     (json.dumps(dict(_BW_CERT, all_main="false")), "all_main"),
     (json.dumps(dict(_BW_CERT, switching=[2, 2.7])), "switching"),
     (json.dumps(dict(_BW_CERT, method="guess")), "method"),
+    (json.dumps(dict(_BW_CERT, negative=[[1, 2]])), "unknown fields: ['negative']"),
     ("3", "JSON object"),
 ])
 def test_check_cert_rejects_malformed_line(tmp_path, capsys, bad_line, reason):

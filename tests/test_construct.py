@@ -295,6 +295,16 @@ def test_batched_witness_check_raises_for_the_first_bad_witness():
     assert len(construct._validated_witnesses(a, [good, main])) == 2
 
 
+def test_batched_witness_check_rejects_nan():
+    # A NaN entry or eigenvalue makes the residual NaN, which must fail the
+    # check rather than slip past both comparisons.
+    a = np.array(adjacency_matrix(parse_graph6("A_")))
+    for witness in ((1.0, np.array([np.nan, 1.0])), (np.nan, np.array([1.0, 1.0]))):
+        with pytest.raises(construct.ConstructionError, match="^witness residual nan"):
+            construct._validated_witnesses(a, [witness])
+    assert len(construct._validated_witnesses(a, [(1.0, np.array([1.0, 1.0]))])) == 1
+
+
 def test_switched_matrix_matches_the_list_adjacency(rng):
     for n in (1, 2, 7, 20):
         g = random_signed_graph(rng, n).graph

@@ -650,6 +650,27 @@ def test_start_vector_j_cannot_certify_the_distinct_count(monkeypatch):
     assert wholes == [False, False] and fallbacks == [1]
 
 
+def test_main_profile_takes_int64_arrays_as_they_are(monkeypatch):
+    # A square int64 array is used without a copy, and never written: each
+    # case is read-only.  The second pass forces the power-stack fallback,
+    # in Python ints where the stack does not fit int64.
+    cases = _profile_cases()
+    expected = [main_profile(a) for a in cases]
+    arrays = [np.array(a, dtype=np.int64) for a in cases]
+    for arr in arrays:
+        arr.flags.writeable = False
+        assert exact._guarded_array(arr)[0] is arr
+    assert [main_profile(arr) for arr in arrays] == expected
+    monkeypatch.setattr(exact, "_vanishes", lambda *args: (False, False))
+    assert [main_profile(arr) for arr in arrays] == expected
+    assert all(arr.tolist() == a for arr, a in zip(arrays, cases))
+    # The guard and the symmetry check still apply to int64 arrays.
+    with pytest.raises(ValueError, match=r"below 2\^20"):
+        main_profile(np.array(_CHARPOLY_CASES["entries-2^22"], dtype=np.int64))
+    with pytest.raises(ValueError, match="symmetric"):
+        main_profile(np.array([[0, 1], [0, 0]], dtype=np.int64))
+
+
 def test_main_profile_outside_modular_range():
     # Outside the int64 guard main_profile decides nothing: entries past
     # int64, entries of 2^22, and a row sum of exactly 2^20.

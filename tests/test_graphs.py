@@ -22,6 +22,7 @@ from mainswitch import (
     parse_graph6,
     parse_signed_edge_list,
 )
+from mainswitch.graphs import _graph6_adjacency
 from conftest import emit_graph6_loop, graph6_like, random_connected_graph, random_signed_graph, sel_like
 
 
@@ -50,17 +51,23 @@ def test_parse_graph6_optional_header_prefix():
     assert parse_graph6("Bw\n") == parse_graph6("Bw")
 
 
-@pytest.mark.parametrize("bad, what", [
-    ("", "empty"),
-    ("~??", "multi-byte"),
-    ("B", "truncated"),
-    ("Bww", "trailing"),
-    ("A\x1f", "range"),
-    ("?", "at least one vertex"),
+@pytest.mark.parametrize("bad, message, offset", [
+    pytest.param("", "empty graph6 record", 0, id="-empty"),
+    pytest.param("~??", "multi-byte vertex count (n > 62) not supported", 0, id="~??-multi-byte"),
+    pytest.param("B", "truncated bit field: need 1 bytes, got 0", 1, id="B-truncated"),
+    pytest.param("Bww", "trailing data after bit field", 2, id="Bww-trailing"),
+    # \x1f is whitespace to str.strip, so this is "A" with its bit field cut off
+    pytest.param("A\x1f", "truncated bit field: need 1 bytes, got 0", 1, id="A\x1f-truncated"),
+    pytest.param("?", "graph must have at least one vertex", 0, id="?-at least one vertex"),
+    pytest.param("B@", "nonzero padding bits", 1, id="B@-padding"),
+    pytest.param("B\u00e9", "non-ASCII character in graph6 record", 1, id="B\xe9-non-ASCII"),
+    pytest.param("B\x7f", "character '\\x7f' outside graph6 range", 1, id="B\x7f-range"),
 ])
-def test_parse_graph6_errors(bad, what):
-    with pytest.raises(GraphFormatError):
+def test_parse_graph6_errors(bad, message, offset):
+    with pytest.raises(GraphFormatError) as exc:
         parse_graph6(bad)
+    assert str(exc.value) == f"{message} (byte {offset})"
+    assert exc.value.offset == offset
 
 
 def test_graph6_offset_reported():
@@ -77,6 +84,10 @@ def test_graph6_round_trip_random(rng):
         n = rng.randrange(1, 13)
         g = random_connected_graph(rng, n)
         assert parse_graph6(emit_graph6(g)) == g
+    for n in [1, 2, 61, 62] + [rng.randrange(1, 63) for _ in range(30)]:
+        g = random_connected_graph(rng, n)
+        a = _graph6_adjacency(emit_graph6(g))
+        assert a.dtype == np.int64 and a.tolist() == adjacency_matrix(g)
 
 
 def test_graph6_round_trip_catalog():

@@ -565,6 +565,12 @@ def test_certificate_tamper_detection():
         assert not verify_certificate(bad)
 
 
+def test_certificate_switching_outside_the_graph_fails():
+    cert = find_all_main_switching(parse_graph6("Bw"))
+    for switching in ((0,), (-1,), (4,), (2, 4)):
+        assert not verify_certificate(dataclasses.replace(cert, switching=switching))
+
+
 def test_certificate_from_construction():
     from mainswitch import snr_all_main_switching
 
