@@ -15,8 +15,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .construct import (
     NoAllMainSwitchingError,
     multipartite_all_main_switching,
@@ -29,7 +27,7 @@ from .graphs import (
     GraphFormatError,
     MultipartiteParams,
     SignedGraph,
-    adjacency_matrix,
+    _adjacency_array,
     is_connected,
     parse_graph6,
     parse_signed_edge_list,
@@ -116,7 +114,7 @@ def _parse_blocks(spec: str) -> MultipartiteParams:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     for g in _load_inputs(args.input):
-        es = eigen_sym(np.array(adjacency_matrix(g), dtype=float))
+        es = eigen_sym(_adjacency_array(g))
         report = classify_main(es, group_eps=args.group_eps, main_eps=args.main_eps)
         if args.json:
             print(json.dumps({
@@ -139,7 +137,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_main_profile(args: argparse.Namespace) -> int:
     for g in _load_inputs(args.input):
-        profile = main_profile(adjacency_matrix(g))
+        profile = main_profile(_adjacency_array(g))
         if args.json:
             print(json.dumps({
                 "main_count": profile.main_count,

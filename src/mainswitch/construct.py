@@ -26,7 +26,6 @@ smallest unused labels are taken.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,8 +33,8 @@ from typing import Sequence
 import numpy as np
 
 from .exact import MainProfile, main_profile
-from .graphs import (Graph, MultipartiteParams, SnrParams, _switched_array, make_multipartite,
-                     make_snr)
+from .graphs import (Graph, MultipartiteParams, SnrParams, _adjacency_array, _switched_array,
+                     make_multipartite, make_snr)
 from .spectral import eigen_sym, eigenspace_slices, multipartite_secular_roots, snr_cubic_roots
 
 RESIDUAL_TOL = 1e-8
@@ -201,18 +200,6 @@ class ConstructionResult:
     profile: MainProfile
 
 
-def _switched_matrix(graph: Graph, switched: frozenset[int]) -> np.ndarray:
-    """The int64 adjacency matrix of graph switched about switched: s_u s_v
-    on every edge uv, s the sign vector (graphs._switched_array)."""
-    n = graph.n
-    ends = np.fromiter(itertools.chain.from_iterable(graph.edges), np.intp,
-                       2 * len(graph.edges)) - 1
-    u, v = ends[::2], ends[1::2]
-    a = np.zeros((n, n), dtype=np.int64)
-    a[u, v] = a[v, u] = 1
-    return _switched_array(a, switched)
-
-
 def _validated_witnesses(a_sw: np.ndarray, raw_witnesses: list[tuple[float, np.ndarray]]
                          ) -> tuple[tuple[float, np.ndarray], ...]:
     """Each witness scaled to unit length, all checked with one product:
@@ -243,11 +230,11 @@ def _finish(graph: Graph, switched: frozenset[int],
             raw_witnesses: list[tuple[float, np.ndarray]], method: str,
             a_sw: np.ndarray | None = None) -> ConstructionResult:
     """The result for graph switched about switched.  The switched matrix is
-    built once, as an int64 array from the edges and the sign vector, unless
+    built once, as an int64 array from the rows and the sign vector, unless
     the caller passes it; every witness is checked against it in one
     product, and main_profile decides it as it is."""
     if a_sw is None:
-        a_sw = _switched_matrix(graph, switched)
+        a_sw = _switched_array(_adjacency_array(graph), switched)
     witnesses = _validated_witnesses(a_sw, raw_witnesses)
     profile = main_profile(a_sw)
     return ConstructionResult(
@@ -425,7 +412,7 @@ def _from_search(p: MultipartiteParams) -> ConstructionResult:
         raise NoAllMainSwitchingError(
             f"no all-main switching exists for blocks {p.blocks}")
     switched = frozenset(cert.switching)
-    a_sw = _switched_matrix(graph, switched)
+    a_sw = _switched_array(_adjacency_array(graph), switched)
     es = eigen_sym(a_sw)
     j = np.ones(p.n)
     witnesses = []

@@ -38,8 +38,10 @@ public helpers; the decision uses none of them.
 
 Matrices are plain lists of rows of Python ints, or 2-D int64 arrays:
 main_profile takes a square int64 array as it is, with no copy, and never
-writes to it, and rank_exact reads one with a single tolist().  Polynomials
-are coefficient lists in ascending powers ([] is the zero polynomial).
+writes to it, and rank_exact reads one with a single tolist() and eliminates
+on that list, touching only the entries right of each pivot column.
+Polynomials are coefficient lists in ascending powers ([] is the zero
+polynomial).
 """
 
 from __future__ import annotations
@@ -327,8 +329,10 @@ def rank_exact(m: IntMatrix | np.ndarray) -> int:
     """Rank over the rationals by fraction-free (Bareiss) elimination.
 
     A 2-D int64 array is read with one tolist(); lists and other arrays are
-    copied entry by entry and checked for ragged rows.  The input is never
-    modified.
+    copied entry by entry and checked for ragged rows; the elimination works
+    in place on that copy, never on the input.  Rows below a pivot change
+    right of its column only, and a row with 0 under it is just rescaled by
+    piv / prev (exactly), or left as it is when piv == prev.
     """
     if isinstance(m, np.ndarray) and (m.ndim != 2 or not m.size):
         raise ValueError("matrix must be 2-D and nonempty")
@@ -344,19 +348,24 @@ def rank_exact(m: IntMatrix | np.ndarray) -> int:
     prev = 1
     pr = 0
     for pc in range(n_cols):
-        piv_row = next((i for i in range(pr, n_rows) if a[i][pc] != 0), None)
-        if piv_row is None:
+        for i in range(pr, n_rows):
+            if a[i][pc]:
+                break
+        else:
             continue
-        if piv_row != pr:
-            a[pr], a[piv_row] = a[piv_row], a[pr]
-        piv = a[pr][pc]
-        row_p = a[pr]
+        row_p = a[i]
+        a[i], a[pr] = a[pr], row_p
+        piv = row_p[pc]
+        cols = range(pc + 1, n_cols)
         for i in range(pr + 1, n_rows):
             row_i = a[i]
             f = row_i[pc]
-            for j in range(pc + 1, n_cols):
-                row_i[j] = (piv * row_i[j] - f * row_p[j]) // prev
-            row_i[pc] = 0
+            if f:
+                for j in cols:
+                    row_i[j] = (piv * row_i[j] - f * row_p[j]) // prev
+            elif piv != prev:
+                for j in cols:
+                    row_i[j] = piv * row_i[j] // prev
         prev = piv
         pr += 1
         if pr == n_rows:

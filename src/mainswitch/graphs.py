@@ -6,9 +6,11 @@ first in the clique-with-pendants family, and complete multipartite parts are
 laid out consecutively in declaration order.  File formats translate indices
 at the boundary only.
 
-graph6 records are decoded in one place, into an int64 adjacency array;
-parse_graph6 builds its Graph from that array, and certificate re-checks
-switch the array by the sign vector (_switched_array, the one switched-matrix
+A Graph stores n and its neighbourhood rows, one bitmask per vertex: its
+graph6 record, connectivity and int64 adjacency array (_adjacency_array) come
+from them, and its edge set is derived when first read.  graph6 records are
+decoded in one place, into an int64 adjacency array, which certificate
+re-checks switch by the sign vector (_switched_array, the one switched-matrix
 rule, which the constructions use too) without building a Graph at all.
 
 All values here are immutable after construction and safe to share between
@@ -17,6 +19,7 @@ concurrent workers.
 
 from __future__ import annotations
 
+import binascii
 import functools
 import itertools
 from dataclasses import dataclass
@@ -60,19 +63,60 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=None)
+def _transpose_masks(n: int) -> tuple[int, int]:
+    # sum of 2^(n k) and of 2^((n + 1) k) over k < n; see Graph._from_rows.
+    return sum(1 << n * k for k in range(n)), sum(1 << (n + 1) * k for k in range(n))
+
+
+@dataclass(frozen=True, init=False)
 class Graph:
-    """Simple undirected graph on vertices 1..n."""
+    """Simple undirected graph on vertices 1..n, stored as its neighbourhood
+    rows: bit w-1 of rows[v-1] is edge vw.  Graph(n, edges) takes pairs
+    (u, v), u < v; edges, their frozenset, is derived from the rows when
+    first read.  Equality and hash come from (n, rows)."""
 
     n: int
-    edges: frozenset[Edge]
+    rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, edges: Iterable[Edge]) -> None:
+        if n < 1:
             raise ValueError("vertex count must be positive")
-        for u, v in self.edges:
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"edge ({u},{v}) out of range 1..{self.n} or not ordered")
+        rows = [0] * n
+        for u, v in edges:
+            if not (1 <= u < v <= n):
+                raise ValueError(f"edge ({u},{v}) out of range 1..{n} or not ordered")
+            rows[u - 1] |= 1 << (v - 1)
+            rows[v - 1] |= 1 << (u - 1)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", tuple(rows))
+
+    @classmethod
+    def _from_rows(cls, rows: list[int]) -> "Graph":
+        """The graph with these neighbourhood rows (Python ints), checked with
+        bit operations on whole rows.  Symmetry compares rows and columns laid
+        out at stride n+1: bit w of row r times sum 2^(n k) lands on a
+        multiple of n+1 only in copy k = w, and no product bits overlap."""
+        n = len(rows)
+        g = cls(n, ())
+        spread, diagonal = _transpose_masks(n)
+        by_rows = by_cols = 0
+        for v, row in enumerate(rows):
+            if row >> n:  # also a negative row
+                w = n + (row >> n).bit_length()
+                raise ValueError(f"edge ({v + 1},{w}) out of range 1..{n} or not ordered")
+            if row >> v & 1:
+                raise ValueError(f"self-loop at vertex {v + 1}")
+            by_rows |= row << (n + 1) * v
+            by_cols |= (row * spread & diagonal) << v
+        if by_rows != by_cols:
+            raise ValueError("neighbourhood rows not symmetric")
+        object.__setattr__(g, "rows", tuple(rows))
+        return g
+
+    @functools.cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset((v + 1, w + 1) for v, w in _pairs(self.n) if self.rows[v] >> w & 1)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -85,7 +129,9 @@ class Graph:
         return cls(n, frozenset(seen))
 
     def degree(self, u: int) -> int:
-        return sum(1 for e in self.edges if u in e)
+        if not 1 <= u <= self.n:
+            raise ValueError(f"vertex {u} out of range 1..{self.n}")
+        return self.rows[u - 1].bit_count()
 
 
 @dataclass(frozen=True)
@@ -157,6 +203,20 @@ def adjacency_matrix(g: Graph | SignedGraph) -> list[list[int]]:
     return a
 
 
+def _adjacency_array(g: Graph | SignedGraph) -> np.ndarray:
+    """The int64 adjacency array of g, unpacked from its neighbourhood rows;
+    a signed graph's negative edges are -1."""
+    graph, negative = (g.graph, g.negative) if isinstance(g, SignedGraph) else (g, ())
+    n = graph.n
+    width = (n + 7) // 8
+    rows = np.frombuffer(b"".join([r.to_bytes(width, "little") for r in graph.rows]),
+                         np.uint8).reshape(n, width)
+    a = np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(np.int64)
+    for u, v in negative:
+        a[u - 1, v - 1] = a[v - 1, u - 1] = -1
+    return a
+
+
 def _switched_array(a: np.ndarray, x: Iterable[int]) -> np.ndarray:
     """The int64 adjacency array a switched about the vertex set x: entry uv
     times s_u s_v, with s_v = -1 on x and 1 elsewhere.  a is not modified.
@@ -173,17 +233,8 @@ def _switched_array(a: np.ndarray, x: Iterable[int]) -> np.ndarray:
     return a * s[:, None] * s
 
 
-def _neighbor_masks(g: Graph) -> list[int]:
-    """Neighbourhood bitmask of every vertex: bit w-1 of entry v-1 is edge vw."""
-    rows = [0] * g.n
-    for u, v in g.edges:
-        rows[u - 1] |= 1 << (v - 1)
-        rows[v - 1] |= 1 << (u - 1)
-    return rows
-
-
-def _rows_connected(rows: list[int]) -> bool:
-    """Whether the graph with these neighbourhood bitmasks is connected."""
+def is_connected(g: Graph | SignedGraph) -> bool:
+    rows = (g.graph if isinstance(g, SignedGraph) else g).rows
     seen = todo = 1
     while todo:
         v = todo.bit_length() - 1
@@ -192,10 +243,6 @@ def _rows_connected(rows: list[int]) -> bool:
         seen |= new
         todo |= new
     return seen == (1 << len(rows)) - 1
-
-
-def is_connected(g: Graph | SignedGraph) -> bool:
-    return _rows_connected(_neighbor_masks(g.graph if isinstance(g, SignedGraph) else g))
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +267,10 @@ def _pair_cells(n: int) -> np.ndarray:
 
 def _graph6_adjacency(text: str) -> np.ndarray:
     """Decode one graph6 record (standard 63-offset encoding, n <= 62) into
-    its int64 adjacency array.
-
-    The optional ``>>graph6<<`` prefix is accepted.  Errors report the byte
-    offset of the offending character within the record.  The bit field is
-    read as one integer, six bits a byte; its padding bits are checked with
-    one mask, and its pair bits land in the upper triangle through the
-    cached cell indices of n.
-    """
+    its int64 adjacency array; see parse_graph6.  The bit field is read as
+    one integer, six bits a byte; its padding bits are checked with one
+    mask, and its pair bits land in the upper triangle through the cached
+    cell indices of n."""
     s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
@@ -270,28 +313,35 @@ def _graph6_adjacency(text: str) -> np.ndarray:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 record (standard 63-offset encoding, n <= 62).
-
-    The optional ``>>graph6<<`` prefix is accepted.  Errors report the byte
-    offset of the offending character within the record.  The record is
-    decoded by the same checks, into the same adjacency array, as
-    ``verify_certificate`` uses.
-    """
+    """Decode one graph6 record (standard 63-offset encoding, n <= 62) by
+    the checks, and into the adjacency array, that ``verify_certificate``
+    uses; the optional ``>>graph6<<`` prefix is accepted, and errors report
+    the byte offset of the offending character within the record."""
     a = _graph6_adjacency(text)
-    u, v = np.nonzero(a)
-    upper = u < v
-    return Graph(len(a), frozenset(zip((u[upper] + 1).tolist(), (v[upper] + 1).tolist())))
+    return Graph._from_rows((a @ (1 << np.arange(len(a), dtype=np.int64))).tolist())
+
+
+# graph6 writes six bits a character, as base64 does: base64's alphabet, in
+# order, becomes the characters 63..126.
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127)))
 
 
 def emit_graph6(g: Graph) -> str:
-    """Encode a graph as one graph6 record (n <= 62)."""
-    if g.n > 62:
+    """Encode a graph as one graph6 record (n <= 62).  Column j of the bit
+    field is the low j bits of row j (0-based); the field is read first pair
+    first, padded to whole three-byte groups and written six bits a char."""
+    n = g.n
+    if n > 62:
         raise ValueError("graph6 emission supports n <= 62 only")
-    vals = bytearray((g.n * (g.n - 1) // 2 + 5) // 6)
-    for i, j in g.edges:
-        k = (j - 1) * (j - 2) // 2 + i - 1  # position of (i, j) in column order
-        vals[k // 6] |= 32 >> (k % 6)
-    return chr(g.n + 63) + bytes(v + 63 for v in vals).decode("ascii")
+    field = 0  # the first pair least significant
+    for j in range(n - 1, 0, -1):
+        field = field << j | g.rows[j] & ((1 << j) - 1)
+    npairs = n * (n - 1) // 2
+    size = (npairs + 23) // 24 * 3
+    first_pair_first = int(format(field, f"0{npairs}b")[::-1], 2) << (8 * size - npairs)
+    chars = binascii.b2a_base64(first_pair_first.to_bytes(size, "big"), newline=False)
+    return chr(n + 63) + chars.translate(_BASE64_TO_GRAPH6)[:(npairs + 5) // 6].decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +436,11 @@ class SnrParams:
 
 def make_snr(p: SnrParams) -> Graph:
     """Build the clique-with-pendants graph with the canonical labelling."""
-    edges: list[Edge] = [(i, p.center) for i in p.pendants]
-    edges.extend(itertools.combinations(range(p.center, p.n + 1), 2))
-    return Graph(p.n, frozenset(edges))
+    pendants = (1 << p.r) - 1
+    clique = (1 << p.n) - 1 ^ pendants
+    rows = [1 << p.r] * p.r + [clique ^ 1 << v for v in range(p.r, p.n)]
+    rows[p.r] |= pendants
+    return Graph._from_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -461,15 +513,8 @@ class MultipartiteParams:
 
 def make_multipartite(p: MultipartiteParams) -> Graph:
     """Complete multipartite graph: u ~ v iff they lie in different parts."""
-    n = p.n
-    part_of = [0] * (n + 1)
-    for pid, rng in enumerate(p.parts()):
-        for v in rng:
-            part_of[v] = pid
-    edges = [
-        (u, v)
-        for u in range(1, n + 1)
-        for v in range(u + 1, n + 1)
-        if part_of[u] != part_of[v]
-    ]
-    return Graph(n, frozenset(edges))
+    everyone = (1 << p.n) - 1
+    rows: list[int] = []
+    for part in p.parts():
+        rows += [everyone ^ (1 << part.stop - 1) - (1 << part.start - 1)] * len(part)
+    return Graph._from_rows(rows)

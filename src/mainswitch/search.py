@@ -7,10 +7,10 @@ size order and keeps the first all-main one, so certificates prefer small
 switchings.  No switched matrix is built: a class with sign vector s (-1 on
 the switched vertices) has the walk matrix diag(s) walk_matrix(A, s), so its
 main count is the Bareiss rank of the walk columns s, As, A^2 s, ...  The
-graph's neighbourhood bitmasks are read once and give the connectivity
-check, the adjacency array and the twin classes.  The powers A^0 .. A^(n-1)
-are computed once per graph, as one stack, by the same exact kernel that
-decides main_profile on small matrices (in exact).  Open twins (equal
+graph's neighbourhood rows give the connectivity check, the adjacency array
+and the twin classes.  The powers A^0 .. A^(n-1) are computed once per
+graph, as one stack, by the same exact kernel that decides main_profile on
+small matrices (in exact).  Open twins (equal
 neighbourhoods) and closed twins (equal closed neighbourhoods) are
 eigenvectors e_u - e_w for 0 and -1, so they bound the distinct count by
 some U <= n, and the distinct count is the rank of the leading U x U block
@@ -51,8 +51,8 @@ import numpy as np
 from ._version import __version__
 from .exact import (MainProfile, _distinct_count, _power_stack, _row_bound, main_profile,
                     rank_exact)
-from .graphs import (Graph, _graph6_adjacency, _neighbor_masks, _pairs, _rows_connected,
-                     _switched_array, emit_graph6)
+from .graphs import (Graph, _adjacency_array, _graph6_adjacency, _pairs, _switched_array,
+                     emit_graph6, is_connected)
 
 TOOL_VERSION = f"mainswitch {__version__}"
 
@@ -197,21 +197,16 @@ def verify_certificate(cert: Certificate) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _connected_rows(g: Graph) -> list[int]:
-    # g's neighbourhood bitmasks, once connectivity is checked on them.
-    rows = _neighbor_masks(g)
-    if not _rows_connected(rows):
+def _connected_powers(g: Graph) -> np.ndarray:
+    # The power stack of g's adjacency matrix, once connectivity is checked
+    # on its rows.
+    if not is_connected(g):
         raise DisconnectedGraphError("the switching search requires a connected graph")
-    return rows
-
-
-def _rows_powers(rows: list[int]) -> np.ndarray:
-    # The power stack of the adjacency matrix with these neighbourhood rows.
-    arr = (np.array(rows, dtype=np.int64)[:, None] >> np.arange(len(rows))) & 1
+    arr = _adjacency_array(g)
     return _power_stack(arr, _row_bound(arr))
 
 
-def _twin_bound(rows: list[int]) -> tuple[int, list[tuple[list[int], list[int]]]]:
+def _twin_bound(rows: tuple[int, ...]) -> tuple[int, list[tuple[list[int], list[int]]]]:
     """An upper bound U on the distinct count, and the twin pairs behind it.
 
     Open twins u, w (equal neighbourhoods) make e_u - e_w an eigenvector for
@@ -298,9 +293,8 @@ def find_all_main_switching(g: Graph) -> Certificate | None:
     eigenspace.  A class whose s is equal on every twin pair of one kind
     therefore cannot be all-main, and is skipped without a rank.
     """
-    rows = _connected_rows(g)
-    powers = _rows_powers(rows)
-    bound, pairs = _twin_bound(rows)
+    powers = _connected_powers(g)
+    bound, pairs = _twin_bound(g.rows)
     dc = _distinct_count(powers[:bound])
     for s, mc in _class_main_counts(powers, dc, pairs if dc == bound else ()):
         if mc == dc:
@@ -312,7 +306,7 @@ def find_all_main_switching(g: Graph) -> Certificate | None:
 
 def switching_main_counts(g: Graph) -> list[int]:
     """Exact main count of every switching class, in enumeration order."""
-    powers = _rows_powers(_connected_rows(g))
+    powers = _connected_powers(g)
     return [mc for _, mc in _class_main_counts(powers, len(powers))]
 
 
@@ -333,11 +327,6 @@ def _value_rows(values, n: int) -> np.ndarray:
         rows[..., i] |= bit << j
         rows[..., j] |= bit << i
     return rows
-
-
-def _rows_graph(rows: list[int]) -> Graph:
-    n = len(rows)
-    return Graph(n, frozenset((i + 1, j + 1) for i, j in _pairs(n) if (rows[i] >> j) & 1))
 
 
 def _lower_twins(rows: np.ndarray) -> np.ndarray:
@@ -412,8 +401,8 @@ def canonical_form(g: Graph) -> Graph:
     relabelling."""
     if g.n > CANONICAL_CAP:
         raise ValueError(f"canonical form capped at n={CANONICAL_CAP}")
-    value = _canonical_values(np.array([_neighbor_masks(g)], dtype=np.int64))
-    return _rows_graph(_value_rows(value[0], g.n).tolist())
+    value = _canonical_values(np.array([g.rows], dtype=np.int64))
+    return Graph._from_rows(_value_rows(value[0], g.n).tolist())
 
 
 def canonical_graph6(g: Graph) -> str:
@@ -484,7 +473,7 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
     if not (1 <= n <= CATALOG_CAP):
         raise ValueError(f"catalog enumeration supports 1 <= n <= {CATALOG_CAP}")
     rows = _value_rows(_catalog_values(n), n).tolist()
-    return [_rows_graph(r) for r in rows if _rows_connected(r)]
+    return [g for g in map(Graph._from_rows, rows) if is_connected(g)]
 
 
 # ---------------------------------------------------------------------------

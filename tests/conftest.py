@@ -28,9 +28,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from mainswitch import (Graph, SignedGraph, adjacency_matrix, apply_switching, char_poly,
-                        distinct_eigenvalue_count, enumerate_switchings, is_connected,
-                        rank_exact, walk_matrix)
+from mainswitch import (Graph, MultipartiteParams, SignedGraph, SnrParams, adjacency_matrix,
+                        apply_switching, char_poly, distinct_eigenvalue_count,
+                        enumerate_switchings, is_connected, rank_exact, walk_matrix)
 
 
 def fraction_rank(m) -> int:
@@ -196,6 +196,45 @@ def vanishes_oracle(p: list[int], a: list[list[int]]) -> tuple[bool, bool]:
     """(p(A) = 0, p(A) j = 0) from p(A) in Python ints (poly_eval_matrix)."""
     image = poly_eval_matrix(p, a)
     return all(x == 0 for x in image.flat), all(x == 0 for x in image.sum(axis=1))
+
+
+# The fixed family items: the clique-with-pendants grid of acceptance
+# criteria C2/C3, and every complete multipartite shape with n <= 20 (C5).
+SNR_GRID = [(n, r) for r in range(1, 11) for n in range(r + 3, r + 13)]
+
+
+def partitions(n, maxp=None):
+    if maxp is None:
+        maxp = n
+    if n == 0:
+        yield []
+        return
+    for p in range(min(n, maxp), 0, -1):
+        for rest in partitions(n - p, p):
+            yield [p] + rest
+
+
+def blocks_of(partition):
+    return [(partition.count(size), size)
+            for size in sorted(set(partition), reverse=True)]
+
+
+def fixed_family_params() -> list[SnrParams | MultipartiteParams]:
+    return ([SnrParams(n, r) for n, r in SNR_GRID]
+            + [MultipartiteParams.of(blocks_of(part))
+               for n in range(2, 21) for part in partitions(n)])
+
+
+def family_edges_oracle(p: SnrParams | MultipartiteParams) -> frozenset[tuple[int, int]]:
+    """The family graph's edges by its definition, pair by pair: pendants
+    1..r at vertex r+1 and a clique on r+1..n, or u ~ v iff u and v lie in
+    different parts."""
+    if isinstance(p, SnrParams):
+        return frozenset([(i, p.r + 1) for i in range(1, p.r + 1)]
+                         + list(itertools.combinations(range(p.r + 1, p.n + 1), 2)))
+    part_of = {v: k for k, part in enumerate(p.parts()) for v in part}
+    return frozenset((u, v) for u, v in itertools.combinations(range(1, p.n + 1), 2)
+                     if part_of[u] != part_of[v])
 
 
 def brute_canonical_form(g: Graph) -> Graph:

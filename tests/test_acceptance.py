@@ -40,25 +40,7 @@ from mainswitch import (
     verify_conjecture,
 )
 from mainswitch.graphs import Graph
-from conftest import random_signed_graph
-
-SNR_GRID = [(n, r) for r in range(1, 11) for n in range(r + 3, r + 13)]
-
-
-def _partitions(n, maxp=None):
-    if maxp is None:
-        maxp = n
-    if n == 0:
-        yield []
-        return
-    for p in range(min(n, maxp), 0, -1):
-        for rest in _partitions(n - p, p):
-            yield [p] + rest
-
-
-def _blocks_of(partition):
-    return [(partition.count(size), size)
-            for size in sorted(set(partition), reverse=True)]
+from conftest import SNR_GRID, blocks_of, partitions, random_signed_graph
 
 
 def _random_blocks(rng, n_lo, n_hi, max_s=5):
@@ -151,8 +133,8 @@ def test_criterion_05_multipartite_constructive_all_shapes():
     rejected = []
     certs = []
     for n in range(2, 21):
-        for part in _partitions(n):
-            p = MultipartiteParams.of(_blocks_of(part))
+        for part in partitions(n):
+            p = MultipartiteParams.of(blocks_of(part))
             try:
                 res = multipartite_all_main_switching(p)
             except NoAllMainSwitchingError:

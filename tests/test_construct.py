@@ -30,6 +30,7 @@ from mainswitch import (
     snr_cubic_roots,
     snr_eigvec,
 )
+from mainswitch.graphs import _adjacency_array, _switched_array
 from conftest import random_signed_graph
 
 RESIDUAL_TOL = 1e-8
@@ -310,7 +311,7 @@ def test_switched_matrix_matches_the_list_adjacency(rng):
         g = random_signed_graph(rng, n).graph
         for _ in range(3):
             switched = frozenset(v for v in range(1, n + 1) if rng.random() < 0.5)
-            arr = construct._switched_matrix(g, switched)
+            arr = _switched_array(_adjacency_array(g), switched)
             assert arr.dtype == np.int64
             assert arr.tolist() == adjacency_matrix(apply_switching(g, switched))
 

@@ -29,7 +29,7 @@ from mainswitch import (
     snr_all_main_switching,
     walk_matrix,
 )
-from mainswitch import exact
+from mainswitch import exact, search
 from mainswitch.graphs import Graph, apply_switching
 from conftest import (
     det_mod,
@@ -257,11 +257,47 @@ def test_rank_exact_examples():
 
 
 def test_rank_exact_against_fraction_oracle(rng):
-    for _ in range(100):
-        rows = rng.randrange(1, 9)
-        cols = rng.randrange(1, 9)
-        m = [[rng.randrange(-5, 6) for _ in range(cols)] for _ in range(rows)]
-        assert rank_exact(m) == fraction_rank(m)
+    # Random shapes, rows and columns (1 x k, k x 1), wide and tall shapes;
+    # for each, small entries, zero, and a product of low rank k whose
+    # entries pass 2^63 in a list.
+    shapes = [(rng.randrange(1, 10), rng.randrange(1, 10)) for _ in range(100)]
+    shapes += [(1, k) for k in range(1, 10)] + [(k, 1) for k in range(1, 10)]
+    shapes += [(2, 9), (3, 8), (9, 2), (8, 3)]
+    for rows, cols in shapes:
+        small = [[rng.randrange(-5, 6) for _ in range(cols)] for _ in range(rows)]
+        k = rng.randrange(1, max(2, min(rows, cols)))
+        u = [[rng.randrange(-3, 4) * 2 ** 62 + rng.randrange(-9, 10) for _ in range(k)]
+             for _ in range(rows)]
+        v = [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(k)]
+        big = [[sum(a * b for a, b in zip(row, col)) for col in zip(*v)] for row in u]
+        for m in (small, [[0] * cols for _ in range(rows)], big):
+            copy = [list(row) for row in m]
+            assert rank_exact(m) == fraction_rank(m)
+            assert m == copy  # the list is copied, not eliminated in place
+        assert fraction_rank(big) <= k
+
+
+def test_rank_exact_on_search_matrices_matches_fraction_oracle(rng, monkeypatch):
+    # A seeded sample of the walk and Hankel matrices the switching search
+    # ranks on the n <= 7 catalog.
+    seen = []
+
+    def spy(m):
+        before = m.copy()
+        rank = rank_exact(m)
+        assert np.array_equal(m, before)
+        seen.append((m.tolist(), rank))
+        return rank
+
+    monkeypatch.setattr(exact, "rank_exact", spy)
+    monkeypatch.setattr(search, "rank_exact", spy)
+    catalog = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
+    for g in rng.sample(catalog, 80):
+        search.find_all_main_switching(g)
+    hankel = sum(1 for m, _ in seen if len(m) == len(m[0]) and np.array_equal(m, np.transpose(m)))
+    assert hankel >= 80 and len(seen) > hankel
+    for m, rank in seen:
+        assert rank == fraction_rank(m)
 
 
 def test_rank_exact_rank_deficient_structured(rng):

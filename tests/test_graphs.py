@@ -1,5 +1,9 @@
 """Graph types, file formats, family constructors, switching."""
 
+import itertools
+import pickle
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,7 @@ from mainswitch import (
     as_signed,
     eigen_sym,
     emit_graph6,
+    enumerate_connected_graphs,
     format_signed_edge_list,
     is_connected,
     make_multipartite,
@@ -23,7 +28,89 @@ from mainswitch import (
     parse_signed_edge_list,
 )
 from mainswitch.graphs import _graph6_adjacency
-from conftest import emit_graph6_loop, graph6_like, random_connected_graph, random_signed_graph, sel_like
+from conftest import (emit_graph6_loop, family_edges_oracle, fixed_family_params, graph6_like,
+                      random_connected_graph, random_signed_graph, sel_like)
+
+
+# ---------------------------------------------------------------------------
+# Graph: neighbourhood rows
+# ---------------------------------------------------------------------------
+
+
+def test_rows_built_graphs_match_the_edge_form():
+    # Every catalog graph with n <= 7 and every fixed family graph is built
+    # from rows; the family edges are checked against their definition.
+    catalog = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+    family = [(make_snr(p) if isinstance(p, SnrParams) else make_multipartite(p), p)
+              for p in fixed_family_params()]
+    assert (len(catalog), len(family)) == (996, 2812)
+    for g in catalog + [g for g, _ in family]:
+        assert pickle.loads(pickle.dumps(g)) == g  # workers receive pickled graphs
+        h = Graph(g.n, g.edges)
+        assert h == g and hash(h) == hash(g) and h.rows == g.rows
+        ends = Counter(itertools.chain.from_iterable(g.edges))
+        assert [g.degree(v) for v in range(1, g.n + 1)] == [ends[v] for v in range(1, g.n + 1)]
+        assert emit_graph6(g) == emit_graph6_loop(g)
+    for g, p in family:
+        assert g.edges == family_edges_oracle(p)
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (0, [], "vertex count must be positive"),
+    (3, [(1, 4)], r"edge \(1,4\) out of range 1..3 or not ordered"),
+    (3, [(2, 1)], r"edge \(2,1\) out of range 1..3 or not ordered"),
+    (3, [(0, 2)], r"edge \(0,2\) out of range 1..3 or not ordered"),
+    (3, [(2, 2)], r"edge \(2,2\) out of range 1..3 or not ordered"),
+])
+def test_graph_rejects_invalid_edges(n, edges, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(n, frozenset(edges))
+
+
+def test_from_edges_rejects_loops_and_duplicates():
+    with pytest.raises(ValueError, match="self-loop at vertex 2"):
+        Graph.from_edges(3, [(1, 2), (2, 2)])
+    with pytest.raises(ValueError, match=r"duplicate edge \(1, 2\)"):
+        Graph.from_edges(3, [(1, 2), (2, 1)])
+    with pytest.raises(ValueError, match=r"vertex 4 out of range 1..3"):
+        Graph.from_edges(3, [(1, 2)]).degree(4)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([], "vertex count must be positive"),
+    ([0b1000, 0, 0], r"edge \(1,4\) out of range 1..3 or not ordered"),
+    ([0b10, 0b101001, 0], r"edge \(2,6\) out of range 1..3 or not ordered"),
+    ([-2, 0], r"edge \(1,3\) out of range 1..2 or not ordered"),
+    ([0b10, 0b11], "self-loop at vertex 2"),
+    ([0b10, 0], "neighbourhood rows not symmetric"),
+    ([0b110, 0b001, 0b010], "neighbourhood rows not symmetric"),
+])
+def test_rows_constructor_rejects_invalid_rows(rows, message):
+    with pytest.raises(ValueError, match=message):
+        Graph._from_rows(rows)
+
+
+def test_rows_constructor_accepts_exactly_the_valid_rows(rng):
+    for _ in range(400):
+        n = rng.choice([1, 2, 3, 4, 7, 8, 20, 62, 63, 64, 70])
+        rows = [0] * n
+        for v, w in itertools.combinations(range(n), 2):
+            if rng.random() < 0.3:
+                rows[v] |= 1 << w
+                rows[w] |= 1 << v
+        for _ in range(rng.choice([0, 0, 1, 2])):  # flip bits of one row only
+            rows[rng.randrange(n)] ^= 1 << rng.randrange(n + 2)
+        valid = all(0 <= row < 1 << n and not row >> v & 1 for v, row in enumerate(rows)) and all(
+            (rows[v] >> w & 1) == (rows[w] >> v & 1) for v, w in itertools.combinations(range(n), 2))
+        try:
+            g = Graph._from_rows(rows)
+        except ValueError:
+            assert not valid, rows
+            continue
+        assert valid, rows
+        assert g.rows == tuple(rows) and g == Graph(n, g.edges)
+        assert g.edges == {(v + 1, w + 1) for v, w in itertools.combinations(range(n), 2)
+                           if rows[v] >> w & 1}
 
 
 # ---------------------------------------------------------------------------

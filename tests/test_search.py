@@ -33,7 +33,6 @@ from mainswitch import (
 )
 from mainswitch import MultipartiteParams, SnrParams
 from mainswitch.exact import _distinct_count, _power_stack, _row_bound
-from mainswitch.graphs import _neighbor_masks
 from mainswitch.search import _class_main_counts, _head_sign_chunks, _sign_chunks, _twin_bound
 from conftest import (class_main_count_oracle, class_profiles_oracle, random_connected_graph,
                       random_signed_graph)
@@ -252,7 +251,7 @@ def _assert_twin_rule_sound(g):
     class the search leaves unranked when dc = U has an oracle main count
     below dc, and the search's certificate matches the oracle.  Returns
     (dc == U, classes skipped)."""
-    bound, pairs = _twin_bound(_neighbor_masks(g))
+    bound, pairs = _twin_bound(g.rows)
     dc, _ = class_profiles_oracle(g, stop_at_all_main=True)
     assert dc <= bound <= g.n
     skipped = []
@@ -280,7 +279,7 @@ def test_twin_rule_on_twin_rich_graphs_matches_class_oracle(rng):
                                                        for t, run in itertools.groupby(p)))
                for n in range(2, 10) for p in _partitions(n) if len(p) > 1]
     twinned = [_with_twins(random_connected_graph(rng, 8), rng) for _ in range(12)]
-    assert all(len(_twin_bound(_neighbor_masks(g))[1]) == 2 for g in twinned)
+    assert all(len(_twin_bound(g.rows)[1]) == 2 for g in twinned)
     graphs += twinned
     tight, skipped = zip(*map(_assert_twin_rule_sound, graphs))
     assert sum(tight) > len(graphs) // 2 and sum(skipped) > 0
