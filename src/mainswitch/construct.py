@@ -8,11 +8,13 @@ verification verdict from the integer decision procedure.  Every repeated
 eigenvalue of both families (0 and -1 of the clique-with-pendants graph, 0
 and -t_i of the multipartite graph) comes from interchangeable twin blocks,
 and its witness is the projection of j onto its eigenspace, one closed form
-for all of them (``_twin_witness``).
+for all of them (``_twin_witness``).  The brute-force fallback for a few small
+shapes takes the same closed forms for the switching its search picks, so
+no construction calls the float eigensolver.
 
 Both constructions scan candidate switchings the same way.  The eigenvectors
 of the unswitched graph for its simple eigenvalues are computed once; a
-switching with sign vector s (-1 on the switched vertices, 1 elsewhere)
+switching with sign vector s (``graphs._signs``: -1 on the switched vertices)
 turns each eigenvector x into the eigenvector s * x of the switched graph,
 and a candidate is kept when every such s * x has a nonzero entry sum.
 Candidates are scanned in a fixed order and the first success is kept, so
@@ -33,9 +35,9 @@ from typing import Sequence
 import numpy as np
 
 from .exact import MainProfile, main_profile
-from .graphs import (Graph, MultipartiteParams, SnrParams, _adjacency_array, _switched_array,
-                     make_multipartite, make_snr)
-from .spectral import eigen_sym, eigenspace_slices, multipartite_secular_roots, snr_cubic_roots
+from .graphs import (Graph, MultipartiteParams, SnrParams, _adjacency_array, _signs,
+                     _switched_array, make_multipartite, make_snr)
+from .spectral import multipartite_secular_roots, snr_cubic_roots
 
 RESIDUAL_TOL = 1e-8
 SUM_TOL = 1e-8
@@ -154,13 +156,6 @@ def candidate_family_equal(beta: Sequence, indices: Sequence[int]) -> CandidateF
 # ---------------------------------------------------------------------------
 
 
-def _signs(n: int, switched: frozenset[int]) -> np.ndarray:
-    """The switching's sign vector s: -1 on switched vertices, 1 elsewhere."""
-    s = np.ones(n)
-    s[[v - 1 for v in switched]] = -1.0
-    return s
-
-
 def _twin_witness(s: np.ndarray, fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
     """s times (mean of s over v's fine block - mean of s over v's coarse
     class), for dense 0-based labels with blocks of one size in each class.
@@ -187,8 +182,8 @@ class ConstructionResult:
     """A switching plus witness eigenvectors and the exact verification.
 
     ``witnesses`` pairs each distinct eigenvalue with a unit eigenvector of
-    the switched graph of nonzero entry sum; for a repeated eigenvalue of a
-    constructive result it is the normalised projection of j onto the
+    the switched graph of nonzero entry sum, from a closed form; for a
+    repeated eigenvalue it is the normalised projection of j onto the
     eigenspace.
     """
 
@@ -227,14 +222,12 @@ def _validated_witnesses(a_sw: np.ndarray, raw_witnesses: list[tuple[float, np.n
 
 
 def _finish(graph: Graph, switched: frozenset[int],
-            raw_witnesses: list[tuple[float, np.ndarray]], method: str,
-            a_sw: np.ndarray | None = None) -> ConstructionResult:
+            raw_witnesses: list[tuple[float, np.ndarray]], method: str) -> ConstructionResult:
     """The result for graph switched about switched.  The switched matrix is
-    built once, as an int64 array from the rows and the sign vector, unless
-    the caller passes it; every witness is checked against it in one
-    product, and main_profile decides it as it is."""
-    if a_sw is None:
-        a_sw = _switched_array(_adjacency_array(graph), switched)
+    built once, as an int64 array from the rows and the sign vector; every
+    closed-form witness is checked against it in one product, and
+    main_profile decides it as it is."""
+    a_sw = _switched_array(_adjacency_array(graph), switched)
     witnesses = _validated_witnesses(a_sw, raw_witnesses)
     profile = main_profile(a_sw)
     return ConstructionResult(
@@ -401,25 +394,20 @@ def _shape_rule(p: MultipartiteParams) -> tuple[frozenset[int], list[tuple[int, 
     return head, eta
 
 
-def _from_search(p: MultipartiteParams) -> ConstructionResult:
+def _from_search(p: MultipartiteParams, graph: Graph) -> ConstructionResult:
     """Brute-force fallback for the handful of small shapes (n <= 7) whose
-    constructive case analysis bottoms out in a finite check."""
+    constructive case analysis bottoms out in a finite check: the search
+    picks the switching, and its witnesses are the closed forms of
+    ``_witnesses``, as on the constructive path."""
     from .search import find_all_main_switching
 
-    graph = make_multipartite(p)
     cert = find_all_main_switching(graph)
     if cert is None:
         raise NoAllMainSwitchingError(
             f"no all-main switching exists for blocks {p.blocks}")
     switched = frozenset(cert.switching)
-    a_sw = _switched_array(_adjacency_array(graph), switched)
-    es = eigen_sym(a_sw)
-    j = np.ones(p.n)
-    witnesses = []
-    for sl in eigenspace_slices(es.eigenvalues):
-        block = es.vectors[:, sl]
-        witnesses.append((float(np.mean(es.eigenvalues[sl])), block @ (block.T @ j)))
-    return _finish(graph, switched, witnesses, "brute_force", a_sw)
+    witnesses = _witnesses(p, multipartite_secular_roots(p), switched)
+    return _finish(graph, switched, witnesses, "brute_force")
 
 
 def multipartite_all_main_switching(p: MultipartiteParams) -> ConstructionResult:
@@ -444,7 +432,7 @@ def multipartite_all_main_switching(p: MultipartiteParams) -> ConstructionResult
             "the single-edge graph admits no all-main switching")
     rule = _shape_rule(p)
     if rule is None:
-        return _from_search(p)  # includes the rejected 4-clique minus an edge
+        return _from_search(p, graph)  # includes the rejected 4-clique minus an edge
     base, specs = rule
     roots = multipartite_secular_roots(p)
     extras = [()] + [_pick_extras(p, g, c, base) for g, c in specs]

@@ -11,7 +11,8 @@ graph6 record, connectivity and int64 adjacency array (_adjacency_array) come
 from them, and its edge set is derived when first read.  graph6 records are
 decoded in one place, into an int64 adjacency array, which certificate
 re-checks switch by the sign vector (_switched_array, the one switched-matrix
-rule, which the constructions use too) without building a Graph at all.
+rule, which the constructions use too) without building a Graph at all.  The
+sign vector itself has one rule too (_signs), shared with the search.
 
 All values here are immutable after construction and safe to share between
 concurrent workers.
@@ -217,19 +218,25 @@ def _adjacency_array(g: Graph | SignedGraph) -> np.ndarray:
     return a
 
 
-def _switched_array(a: np.ndarray, x: Iterable[int]) -> np.ndarray:
-    """The int64 adjacency array a switched about the vertex set x: entry uv
-    times s_u s_v, with s_v = -1 on x and 1 elsewhere.  a is not modified.
+def _signs(n: int, x: Iterable[int]) -> np.ndarray:
+    """The sign vector of the switching about the vertex set x, as int64:
+    -1 on x and 1 elsewhere.
 
     Raises the ValueError of apply_switching for a vertex outside 1..n.
     """
-    n = len(a)
     idx = [v - 1 for v in x]
     for v in idx:
         if not (0 <= v < n):
             raise ValueError(f"switched vertex {v + 1} out of range 1..{n}")
     s = np.ones(n, dtype=np.int64)
     s[idx] = -1
+    return s
+
+
+def _switched_array(a: np.ndarray, x: Iterable[int]) -> np.ndarray:
+    """The int64 adjacency array a switched about the vertex set x: entry uv
+    times s_u s_v, s = _signs(n, x).  a is not modified."""
+    s = _signs(len(a), x)
     return a * s[:, None] * s
 
 
@@ -424,14 +431,6 @@ class SnrParams:
             raise ValueError("pendant count must be nonnegative")
         if self.n < self.r + 1:
             raise ValueError(f"need n >= r+1, got n={self.n} r={self.r}")
-
-    @property
-    def pendants(self) -> range:
-        return range(1, self.r + 1)
-
-    @property
-    def center(self) -> int:
-        return self.r + 1
 
 
 def make_snr(p: SnrParams) -> Graph:

@@ -51,8 +51,8 @@ import numpy as np
 from ._version import __version__
 from .exact import (MainProfile, _distinct_count, _power_stack, _row_bound, main_profile,
                     rank_exact)
-from .graphs import (Graph, _adjacency_array, _graph6_adjacency, _pairs, _switched_array,
-                     emit_graph6, is_connected)
+from .graphs import (Graph, _adjacency_array, _graph6_adjacency, _pairs, _signs,
+                     _switched_array, emit_graph6, is_connected)
 
 TOOL_VERSION = f"mainswitch {__version__}"
 
@@ -234,13 +234,12 @@ def _twin_bound(rows: tuple[int, ...]) -> tuple[int, list[tuple[list[int], list[
 
 def _new_sign_chunks(n: int) -> Iterator[np.ndarray]:
     """Sign vectors of all switching classes in enumeration order, 8 and then
-    64 per chunk (most graphs have an all-main class among their first few):
-    s is -1 exactly on the switched vertices."""
+    64 per chunk (most graphs have an all-main class among their first few),
+    each from graphs._signs and stored as int8."""
     switchings = enumerate_switchings(n)
     size = 8
     while chunk := list(itertools.islice(switchings, size)):
-        yield np.array([[-1 if v in x else 1 for v in range(1, n + 1)] for x in chunk],
-                       dtype=np.int8)
+        yield np.array([_signs(n, x) for x in chunk], dtype=np.int8)
         size = 64
 
 

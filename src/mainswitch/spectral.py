@@ -6,7 +6,8 @@ entry is below 1e-12 * ||A||_F) provides orthonormal bases per eigenspace,
 which the main-eigenvalue classifier needs: an eigenvalue group is main when
 the projection of the all-ones vector onto its eigenspace has norm above a
 threshold.  The classifier is advisory; for integer inputs the exact module
-is authoritative.
+is authoritative.  Both serve the ``spectrum`` command only: no construction
+calls the eigensolver, since every witness there has a closed form.
 
 Closed-form spectra for the two graph families live here as well: the cubic
 for the clique-with-pendants family and the secular equation
@@ -124,12 +125,12 @@ def eigen_sym(a) -> EigenSystem:
 def eigenspace_slices(w: np.ndarray, group_eps: float | None = None) -> list[slice]:
     """Split ascending eigenvalues into runs whose consecutive gaps are at
     most group_eps (default 1e-8 * max(1, spectral radius)), one per
-    eigenspace."""
+    eigenspace.  Raises unless group_eps is finite and positive."""
     n = len(w)
     if group_eps is None:
         group_eps = 1e-8 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
-    if group_eps <= 0:
-        raise ValueError("tolerances must be positive")
+    if not 0 < group_eps < math.inf:
+        raise ValueError("tolerances must be positive and finite")
     cuts = [0] + [i for i in range(1, n) if w[i] - w[i - 1] > group_eps] + [n]
     return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
@@ -162,8 +163,8 @@ def classify_main(es: EigenSystem, group_eps: float | None = None,
     n = len(w)
     if main_eps is None:
         main_eps = 1e-8 * math.sqrt(n)
-    if main_eps <= 0:
-        raise ValueError("tolerances must be positive")
+    if not 0 < main_eps < math.inf:
+        raise ValueError("tolerances must be positive and finite")
     j = np.ones(n)
     groups: list[SpectrumGroup] = []
     for sl in eigenspace_slices(w, group_eps):

@@ -307,6 +307,9 @@ def test_workers_env_not_an_int_warns(monkeypatch, capsys):
 def test_bad_tolerances_and_workers_are_usage_errors(capsys):
     assert run(["spectrum", "Bw", "--group-eps", "-1"]) == 2
     assert run(["spectrum", "Bw", "--main-eps", "0"]) == 2
+    for flag in ("--group-eps", "--main-eps"):
+        for bad in ("nan", "inf"):
+            assert run(["spectrum", "Bw", "--json", flag, bad]) == 2, (flag, bad)
     assert run(["verify-conjecture", "--max-n", "3", "--workers", "0"]) == 2
     assert "error:" in capsys.readouterr().err
 

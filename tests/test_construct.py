@@ -30,7 +30,7 @@ from mainswitch import (
     snr_cubic_roots,
     snr_eigvec,
 )
-from mainswitch.graphs import _adjacency_array, _switched_array
+from mainswitch.graphs import _adjacency_array, _signs, _switched_array
 from conftest import random_signed_graph
 
 RESIDUAL_TOL = 1e-8
@@ -195,10 +195,6 @@ def test_family_zero_count_exact_with_fractions(rng):
 # Twin-block witnesses: the projection of j onto a repeated eigenvalue's
 # eigenspace
 # ---------------------------------------------------------------------------
-
-
-def _signs(n, switched):
-    return construct._signs(n, frozenset(switched))
 
 
 def _pendant_classes(n, r):
@@ -497,6 +493,51 @@ def test_multipartite_small_cases_brute_forced(blocks):
     res = multipartite_all_main_switching(MultipartiteParams.of(blocks))
     assert res.method == "brute_force"
     _check_result(res)
+
+
+# The shapes with n <= 8 that the search settles, with the switching it picks.
+_BRUTE_FORCE_SWITCHINGS = {
+    ((1, 2), (1, 1)): [2],
+    ((1, 3), (1, 1)): [2],
+    ((1, 3), (2, 1)): [2, 4],
+    ((1, 2), (3, 1)): [2, 3],
+    ((2, 2), (1, 1)): [2],
+    ((1, 3), (1, 2), (1, 1)): [2],
+    ((2, 2), (2, 1)): [2, 5],
+    ((1, 3), (1, 2), (2, 1)): [2, 6],
+    ((2, 2), (3, 1)): [2, 5],
+}
+
+
+def test_multipartite_up_to_8_vertices_without_the_float_eigensolver(monkeypatch):
+    # Every witness has a closed form, the brute-force shapes' too: with the
+    # Jacobi eigensolver disabled, every shape with n <= 8 still constructs,
+    # and each fallback's witnesses are the distinct eigenvalues of its
+    # switched matrix.
+    def no_eigensolver(a):
+        raise AssertionError("a construction called the float eigensolver")
+
+    monkeypatch.setattr("mainswitch.spectral.eigen_sym", no_eigensolver)
+    monkeypatch.setattr(construct, "eigen_sym", no_eigensolver, raising=False)
+    brute = {}
+    for n in range(2, 9):
+        for blocks in _partition_blocks(n):
+            p = MultipartiteParams.of(blocks)
+            if blocks in ([(2, 1)], [(1, 2), (2, 1)]):  # K2 and K4 - e
+                with pytest.raises(NoAllMainSwitchingError):
+                    multipartite_all_main_switching(p)
+                continue
+            res = multipartite_all_main_switching(p)
+            _check_result(res)
+            if res.method != "brute_force":
+                continue
+            brute[tuple(blocks)] = sorted(res.switching)
+            vals = np.linalg.eigvalsh(_switched_array(_adjacency_array(res.graph), res.switching))
+            distinct = vals[np.append(True, np.diff(vals) > 1e-6)]
+            lams = np.sort([lam for lam, _ in res.witnesses])
+            assert len(lams) == len(distinct) == res.profile.distinct_count, blocks
+            assert np.allclose(lams, distinct, rtol=0, atol=1e-9), blocks
+    assert brute == _BRUTE_FORCE_SWITCHINGS
 
 
 def test_multipartite_star_needs_second_candidate():

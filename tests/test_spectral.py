@@ -182,6 +182,16 @@ def test_classify_s52_flags_match_exact():
     assert sum(1 for g in rep.groups if g.is_main) == exact.main_count
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("flag", ["group_eps", "main_eps"])
+def test_classify_rejects_tolerances_not_finite_and_positive(flag, bad):
+    # A NaN or infinite threshold would merge every eigenvalue into one group
+    # or mark every group non-main instead of failing.
+    es = eigen_sym(np.array(adjacency_matrix(parse_graph6("Bw")), float))
+    with pytest.raises(ValueError, match="tolerances must be positive"):
+        classify_main(es, **{flag: bad})
+
+
 def test_classify_multiplicities_sum(rng):
     for _ in range(20):
         sg = random_signed_graph(rng, rng.randrange(2, 11))
