@@ -4,26 +4,27 @@ Two families are covered: the clique-with-pendants graph (pendants first,
 attachment vertex in the middle, remaining clique vertices last) and the
 complete multipartite graph.  Each construction returns the switching, one
 main eigenvector per distinct eigenvalue as witness evidence, and an exact
-verification verdict from the integer decision procedure.  Every repeated
-eigenvalue of both families (0 and -1 of the clique-with-pendants graph, 0
-and -t_i of the multipartite graph) comes from interchangeable twin blocks,
-and its witness is the projection of j onto its eigenspace, one closed form
-for all of them (``_twin_witness``).  The brute-force fallback for a few small
-shapes takes the same closed forms for the switching its search picks, so
-no construction calls the float eigensolver.
+verification verdict from the integer decision procedure.
 
-Both constructions scan candidate switchings the same way.  The eigenvectors
-of the unswitched graph for its simple eigenvalues are computed once; a
-switching with sign vector s (``graphs._signs``: -1 on the switched vertices)
-turns each eigenvector x into the eigenvector s * x of the switched graph,
-and a candidate is kept when every such s * x has a nonzero entry sum.
+A shape's float evidence is whole arrays.  The secular matrix x holds one
+eigenvector of the unswitched graph per simple eigenvalue, one per row; a
+switching with sign vector s (``graphs._signs``: -1 on switched vertices)
+makes s * x, eigenvectors of the switched graph, and the scan keeps the first
+candidate switching under which every row of s * x has a nonzero entry sum.
+Each repeated eigenvalue (0 and -1 of the clique-with-pendants graph, 0 and
+-t_i of the multipartite graph) comes from interchangeable twin blocks; its
+witness is the projection of j onto its eigenspace (``_twin_witness``).  One
+witness matrix stacks s * x and the twin rows, and one product checks it
+against the switched matrix.  The search fallback for a few small shapes
+takes the same closed forms, so no construction calls the float eigensolver.
+
 Candidates are scanned in a fixed order and the first success is kept, so
-results are deterministic and certificates reproducible.  Flip
-selection obeys three rules: a vertex is never flipped twice within one
-candidate (base and extra flips stay disjoint); when a group has part size 3
-and at least two parts and three of its vertices must end up switched, the
-picks are the first, second and fourth vertex of the group; otherwise the
-smallest unused labels are taken.
+results are deterministic and certificates reproducible.  Flip selection
+obeys three rules: a vertex is never flipped twice within one candidate
+(base and extra flips stay disjoint); when a group has part size 3 and at
+least two parts and three of its vertices must end up switched, the picks
+are the first, second and fourth vertex of the group; otherwise the smallest
+unused labels are taken.
 """
 
 from __future__ import annotations
@@ -195,67 +196,54 @@ class ConstructionResult:
     profile: MainProfile
 
 
-def _validated_witnesses(a_sw: np.ndarray, raw_witnesses: list[tuple[float, np.ndarray]]
+def _validated_witnesses(a_sw: np.ndarray, lams: np.ndarray, vecs: np.ndarray
                          ) -> tuple[tuple[float, np.ndarray], ...]:
-    """Each witness scaled to unit length, all checked with one product:
-    nonzero, an eigenvector of a_sw for its eigenvalue up to RESIDUAL_TOL,
-    and of entry sum above SUM_TOL.  The first failing witness raises."""
-    lams = np.array([lam for lam, _ in raw_witnesses], dtype=float)
-    vecs = np.array([v for _, v in raw_witnesses], dtype=float)
+    """The pairs (lams[k], row k of vecs scaled to unit length), all checked
+    with one product: nonzero, an eigenvector of a_sw for its eigenvalue up
+    to RESIDUAL_TOL, and of entry sum above SUM_TOL.  The first failing row
+    raises."""
     norms = np.linalg.norm(vecs, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # zero witnesses fail below
-        vecs /= norms[:, None]
+    vecs = vecs / np.where(norms == 0, 1.0, norms)[:, None]  # zero rows fail below
     residuals = np.linalg.norm(a_sw @ vecs.T - vecs.T * lams, axis=0)
     sums = vecs.sum(axis=1)
     # Written so that a NaN residual or sum fails too.
     bad = (norms == 0) | ~(residuals <= RESIDUAL_TOL) | ~(np.abs(sums) > SUM_TOL)
     if bad.any():
         i = int(bad.argmax())
-        lam = raw_witnesses[i][0]
         if norms[i] == 0:
             raise ConstructionError("zero witness vector")
         if not residuals[i] <= RESIDUAL_TOL:
             raise ConstructionError(
-                f"witness residual {residuals[i]:.3e} for eigenvalue {lam:.12g}")
-        raise ConstructionError(f"witness for eigenvalue {lam:.12g} has zero entry sum")
-    return tuple((lam, v) for (lam, _), v in zip(raw_witnesses, vecs))
+                f"witness residual {residuals[i]:.3e} for eigenvalue {lams[i]:.12g}")
+        raise ConstructionError(f"witness for eigenvalue {lams[i]:.12g} has zero entry sum")
+    return tuple(zip(lams.tolist(), vecs))
 
 
-def _finish(graph: Graph, switched: frozenset[int],
-            raw_witnesses: list[tuple[float, np.ndarray]], method: str) -> ConstructionResult:
-    """The result for graph switched about switched.  The switched matrix is
-    built once, as an int64 array from the rows and the sign vector; every
-    closed-form witness is checked against it in one product, and
-    main_profile decides it as it is."""
+def _finish(graph: Graph, switched: frozenset[int], lams: np.ndarray, vecs: np.ndarray,
+            method: str) -> ConstructionResult:
+    """The result for graph switched about switched, with the witness rows
+    vecs for the eigenvalues lams.  The switched matrix is built once, as an
+    int64 array from the rows and the sign vector; every witness is checked
+    against it in one product, and main_profile decides it as it is."""
     a_sw = _switched_array(_adjacency_array(graph), switched)
-    witnesses = _validated_witnesses(a_sw, raw_witnesses)
+    witnesses = _validated_witnesses(a_sw, lams, vecs)
     profile = main_profile(a_sw)
-    return ConstructionResult(
-        graph=graph,
-        switching=switched,
-        witnesses=witnesses,
-        verified=profile.all_main,
-        method=method,
-        profile=profile,
-    )
+    return ConstructionResult(graph=graph, switching=switched, witnesses=witnesses,
+                              verified=profile.all_main, method=method, profile=profile)
 
 
-def _sum_is_main(vec: np.ndarray) -> bool:
-    norm = np.linalg.norm(vec)
-    return abs(float(vec.sum())) > SUM_TOL * math.sqrt(len(vec)) * norm
-
-
-def _scan(vectors: Sequence[np.ndarray], base: frozenset[int],
+def _scan(x: np.ndarray, base: frozenset[int],
           extras_list: Sequence[tuple[int, ...]]) -> frozenset[int]:
     """The first switching base | extras, over the candidates in order, under
-    which s * x has a nonzero entry sum for every unswitched eigenvector x in
-    vectors, s being the switching's sign vector."""
+    which every row of s * x has a nonzero entry sum, x holding one
+    unswitched eigenvector per row and s being the switching's sign vector."""
+    n = x.shape[1]
     for extras in extras_list:
         if set(extras) & base:
             raise ConstructionError("extra flips overlap the base switching")
         switched = base | frozenset(extras)
-        s = _signs(len(vectors[0]), switched)
-        if all(_sum_is_main(s * x) for x in vectors):
+        y = x * _signs(n, switched)
+        if (np.abs(y.sum(axis=1)) > SUM_TOL * math.sqrt(n) * np.linalg.norm(y, axis=1)).all():
             return switched
     raise ConstructionError("no candidate vector is main for every root")
 
@@ -294,23 +282,22 @@ def snr_all_main_switching(n: int, r: int) -> ConstructionResult:
         raise ValueError(f"need r >= 1 and n >= r+3, got n={n} r={r}")
     graph = make_snr(SnrParams(n, r))
     roots = snr_cubic_roots(n, r)
-    vectors = [snr_eigvec(n, r, lam) for lam in roots]
+    x = np.array([snr_eigvec(n, r, lam) for lam in roots])
     # The flipped coordinates (a pendant, the attachment vertex, a clique
     # vertex) are generically distinct, which caps the non-main candidates at
     # one per root; the sum test carries the rare degenerate parameter pairs
     # where a cubic root equals 1.
     extras = [()] if r <= 2 or n == r + 3 else [(), (2,), (r + 1,), (n - 1,)]
-    switched = _scan(vectors, frozenset((1, n)), extras)
+    switched = _scan(x, frozenset((1, n)), extras)
     s = _signs(n, switched)
-    witnesses = [(lam, s * x) for lam, x in zip(roots, vectors)]
     vertex = np.arange(n)
     # The pendants v1..vr are twins for 0 and the clique rest v_{r+2}..vn
     # for -1; each class holds a switched vertex (v1, vn) and an unswitched
     # one, so both witnesses are main.
-    if r >= 2:
-        witnesses.append((0.0, _twin_witness(s, vertex, np.maximum(vertex - r + 1, 0))))
-    witnesses.append((-1.0, _twin_witness(s, vertex, np.minimum(vertex, r + 1))))
-    return _finish(graph, switched, witnesses, "constructive")
+    zero = [_twin_witness(s, vertex, np.maximum(vertex - r + 1, 0))] if r >= 2 else []
+    vecs = np.vstack([s * x, *zero, _twin_witness(s, vertex, np.minimum(vertex, r + 1))])
+    lams = np.array([*roots] + [0.0] * len(zero) + [-1.0])
+    return _finish(graph, switched, lams, vecs, "constructive")
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +305,14 @@ def snr_all_main_switching(n: int, r: int) -> ConstructionResult:
 # ---------------------------------------------------------------------------
 
 
-def _secular_vector(p: MultipartiteParams, lam: float) -> np.ndarray:
-    """Eigenvector of the unswitched graph for a secular root: 1/(lam + t_i)
-    on the vertices of group i."""
-    return np.repeat(1.0 / (lam + np.array(p.sizes)), p.group_sizes)
+def _secular_matrix(p: MultipartiteParams) -> tuple:
+    """The secular roots; the matrix x whose row k is the eigenvector of the
+    unswitched graph for root k, 1/(root + t_i) on the vertices of group i;
+    and each vertex's part and group, 0-based."""
+    roots = multipartite_secular_roots(p)
+    part = np.repeat(np.arange(sum(p.counts)), np.repeat(p.sizes, p.counts))
+    group = np.repeat(np.arange(p.s), p.group_sizes)
+    return roots, 1.0 / (np.array(roots)[:, None] + np.array(p.sizes)[group]), part, group
 
 
 def _pick_extras(p: MultipartiteParams, group: int, count: int,
@@ -345,21 +336,21 @@ def _pick_extras(p: MultipartiteParams, group: int, count: int,
     return tuple(avail[:count])
 
 
-def _witnesses(p: MultipartiteParams, roots: Sequence[float],
-               switched: frozenset[int]) -> list[tuple[float, np.ndarray]]:
-    """One main eigenvector per distinct eigenvalue: the secular roots, 0 when
-    some part has two or more vertices (the vertices of each part are twins),
-    and -t_i for every group of two or more parts (its parts are twins)."""
+def _witnesses(p: MultipartiteParams, switched: frozenset[int], roots: list[float],
+               x: np.ndarray, part: np.ndarray, group: np.ndarray) -> tuple:
+    """The eigenvalues and a matrix of one main eigenvector per row, one per
+    distinct eigenvalue: s * x for the secular roots, 0 when some part has two
+    or more vertices (its vertices are twins), and -t_i for every group of two
+    or more parts (its parts are twins), from the part and group means of s."""
     s = _signs(p.n, switched)
-    out = [(lam, s * _secular_vector(p, lam)) for lam in roots]
-    part = np.repeat(np.arange(sum(p.counts)), np.repeat(p.sizes, p.counts))
-    group = np.repeat(np.arange(p.s), p.group_sizes)
-    if p.sizes[0] >= 2:
-        out.append((0.0, _twin_witness(s, np.arange(p.n), part)))
-    ti = _twin_witness(s, part, group)
-    out.extend((-float(t), np.where(group == i, ti, 0.0))
-               for i, (l, t) in enumerate(p.blocks) if l >= 2)
-    return out
+    part_mean = (np.bincount(part, s) / np.repeat(p.sizes, p.counts))[part]
+    group_mean = (np.bincount(group, s) / p.group_sizes)[group]
+    zero = [s * (s - part_mean)] if p.sizes[0] >= 2 else []
+    twins = [i for i, (l, _) in enumerate(p.blocks) if l >= 2]
+    ti = np.where(group == np.array(twins, dtype=int)[:, None],
+                  s * (part_mean - group_mean), 0.0)
+    lams = roots + [0.0] * len(zero) + [-float(p.sizes[i]) for i in twins]
+    return np.array(lams), np.vstack([s * x, *zero, ti])
 
 
 def _shape_rule(p: MultipartiteParams) -> tuple[frozenset[int], list[tuple[int, int]]] | None:
@@ -406,8 +397,7 @@ def _from_search(p: MultipartiteParams, graph: Graph) -> ConstructionResult:
         raise NoAllMainSwitchingError(
             f"no all-main switching exists for blocks {p.blocks}")
     switched = frozenset(cert.switching)
-    witnesses = _witnesses(p, multipartite_secular_roots(p), switched)
-    return _finish(graph, switched, witnesses, "brute_force")
+    return _finish(graph, switched, *_witnesses(p, switched, *_secular_matrix(p)), "brute_force")
 
 
 def multipartite_all_main_switching(p: MultipartiteParams) -> ConstructionResult:
@@ -426,7 +416,7 @@ def multipartite_all_main_switching(p: MultipartiteParams) -> ConstructionResult
     graph = make_multipartite(p)
     if p.s == 1 and p.counts[0] == 1:
         # A single part: the empty graph, already all-main with no switching.
-        return _finish(graph, frozenset(), [(0.0, np.ones(p.n))], "constructive")
+        return _finish(graph, frozenset(), np.zeros(1), np.ones((1, p.n)), "constructive")
     if p.n == 2:
         raise NoAllMainSwitchingError(
             "the single-edge graph admits no all-main switching")
@@ -434,10 +424,9 @@ def multipartite_all_main_switching(p: MultipartiteParams) -> ConstructionResult
     if rule is None:
         return _from_search(p, graph)  # includes the rejected 4-clique minus an edge
     base, specs = rule
-    roots = multipartite_secular_roots(p)
-    extras = [()] + [_pick_extras(p, g, c, base) for g, c in specs]
-    switched = _scan([_secular_vector(p, lam) for lam in roots], base, extras)
-    return _finish(graph, switched, _witnesses(p, roots, switched), "constructive")
+    secular = _secular_matrix(p)
+    switched = _scan(secular[1], base, [()] + [_pick_extras(p, g, c, base) for g, c in specs])
+    return _finish(graph, switched, *_witnesses(p, switched, *secular), "constructive")
 
 
 def one_per_part_switching(p: MultipartiteParams) -> ConstructionResult:
@@ -452,8 +441,8 @@ def one_per_part_switching(p: MultipartiteParams) -> ConstructionResult:
         raise ValueError("every part must have at least two vertices")
     graph = make_multipartite(p)
     switched = frozenset(off + 1 for off in p.offsets)
-    roots = multipartite_secular_roots(p)
-    result = _finish(graph, switched, _witnesses(p, roots, switched), "constructive")
+    result = _finish(graph, switched, *_witnesses(p, switched, *_secular_matrix(p)),
+                     "constructive")
     if not result.verified:
         raise ConstructionError(
             "one-per-part switching failed the exact all-main check")

@@ -262,28 +262,35 @@ def multipartite_secular_roots(p: MultipartiteParams) -> list[float]:
 
     They are the eigenvalues of the symmetrised quotient matrix
     z z^T - diag(t), z_i = sqrt(m_i) (Golub 1973), each polished by two
-    Newton steps kept strictly inside its bracket between poles.
+    Newton steps kept strictly inside its bracket between poles.  The polish
+    and its two checks run on Python floats, summing over the groups in order.
     """
     if p.s == 1:
         # m1/(x + t1) = 1 solves exactly to (l1 - 1) t1.
         return [float(p.group_sizes[0] - p.sizes[0])]
-    t = np.array(p.sizes, dtype=float)
-    m = np.array(p.group_sizes, dtype=float)
-    z = np.sqrt(m)
-    x = np.linalg.eigvalsh(np.outer(z, z) - np.diag(t))
+    t, m = [float(v) for v in p.sizes], [float(v) for v in p.group_sizes]
+    x = np.linalg.eigvalsh(np.outer(np.sqrt(m), np.sqrt(m)) - np.diag(t)).tolist()
     # Ascending root k lies in (-t_k, -t_{k+1}); the largest in (-t_s, n).
-    lo, hi = -t, np.append(-t[1:], float(p.n))
-    for _ in range(2):
-        u = m / (x[:, None] + t)
-        # h(x) = sum(u) - 1 and h'(x) = -sum(u^2 / m).
-        step = x + (u.sum(axis=1) - 1.0) / (u * u / m).sum(axis=1)
-        x = np.where(step <= lo, (x + lo) / 2, np.where(step >= hi, (x + hi) / 2, step))
-    if not np.all((lo < x) & (x < hi)):
+    lo, hi = [-v for v in t], [-v for v in t[1:]] + [float(p.n)]
+
+    def sums(v: float) -> tuple[float, float, float]:
+        # sum(u) = h(v) + 1, sum(u^2 / m) = -h'(v) and sum(|u|), u_i = m_i/(v + t_i).
+        total = slope = mass = 0.0
+        for mi, ti in zip(m, t):
+            u = mi / (v + ti)
+            total, slope, mass = total + u, slope + u * u / mi, mass + abs(u)
+        return total, slope, mass
+
+    for k, (a, b) in enumerate(zip(lo, hi)):
+        for _ in range(2):
+            total, slope, _ = sums(x[k])
+            step = x[k] + (total - 1.0) / slope
+            x[k] = (x[k] + a) / 2 if step <= a else (x[k] + b) / 2 if step >= b else step
+    if not all(a < v < b for a, v, b in zip(lo, x, hi)):
         raise RuntimeError("secular roots do not interlace the poles")
-    u = m / (x[:, None] + t)
-    if not np.all(np.abs(u.sum(axis=1) - 1.0) < 1e-10 * (1.0 + np.abs(u).sum(axis=1))):
-        raise RuntimeError(f"secular residual too large at one of {x}")
-    return [float(v) for v in x[::-1]]
+    if not all(abs(total - 1.0) < 1e-10 * (1.0 + mass) for total, _, mass in map(sums, x)):
+        raise RuntimeError(f"secular residual too large at one of {np.array(x)}")
+    return x[::-1]
 
 
 def multipartite_spectrum(p: MultipartiteParams) -> MultipartiteSpectrum:

@@ -13,16 +13,23 @@ search.  One exception shares library code on purpose.
 class_profiles_oracle ranks one switching class at a time
 (class_main_count_oracle) with char_poly and walk_matrix, which the exact
 tests check against the oracles above; it shares nothing with the search's
-power stack.  The hypothesis strategies at
+power stack.  The construction oracles keep the one-vector-at-a-time forms
+that the whole-array code replaced, for bitwise comparison:
+secular_roots_newton_oracle (eigvalsh, then the Newton polish on numpy
+rows), secular_vector_oracle, and the witness lists of
+multipartite_witnesses_oracle and snr_witnesses_oracle, which take the
+cubic roots and snr_eigvec from the library.  The hypothesis strategies at
 the end make near-valid graph inputs for the parser and CLI fuzz tests.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +37,8 @@ from hypothesis import strategies as st
 
 from mainswitch import (Graph, MultipartiteParams, SignedGraph, SnrParams, adjacency_matrix,
                         apply_switching, char_poly, distinct_eigenvalue_count,
-                        enumerate_switchings, is_connected, rank_exact, walk_matrix)
+                        enumerate_switchings, is_connected, rank_exact, snr_cubic_roots,
+                        snr_eigvec, walk_matrix)
 
 
 def fraction_rank(m) -> int:
@@ -156,6 +164,87 @@ def secular_roots_oracle(blocks) -> list[float]:
             mid = 0.5 * (a + b)
         roots.append(mid)
     return roots[::-1]
+
+
+def secular_roots_newton_oracle(p: MultipartiteParams) -> list[float]:
+    """The secular roots as eigvalsh of z z^T - diag(t) gives them, each
+    polished by two Newton steps kept inside its bracket, all roots at once
+    on numpy rows."""
+    if p.s == 1:
+        return [float(p.group_sizes[0] - p.sizes[0])]
+    t = np.array(p.sizes, dtype=float)
+    m = np.array(p.group_sizes, dtype=float)
+    z = np.sqrt(m)
+    x = np.linalg.eigvalsh(np.outer(z, z) - np.diag(t))
+    lo, hi = -t, np.append(-t[1:], float(p.n))
+    for _ in range(2):
+        u = m / (x[:, None] + t)
+        step = x + (u.sum(axis=1) - 1.0) / (u * u / m).sum(axis=1)
+        x = np.where(step <= lo, (x + lo) / 2, np.where(step >= hi, (x + hi) / 2, step))
+    assert np.all((lo < x) & (x < hi))
+    u = m / (x[:, None] + t)
+    assert np.all(np.abs(u.sum(axis=1) - 1.0) < 1e-10 * (1.0 + np.abs(u).sum(axis=1)))
+    return [float(v) for v in x[::-1]]
+
+
+def secular_vector_oracle(p: MultipartiteParams, lam: float) -> np.ndarray:
+    """The unswitched eigenvector for a secular root: 1/(lam + t_i) on the
+    vertices of group i."""
+    return np.repeat(1.0 / (lam + np.array(p.sizes)), p.group_sizes)
+
+
+def _signs_oracle(n: int, switched) -> np.ndarray:
+    s = np.ones(n, dtype=np.int64)
+    s[[v - 1 for v in switched]] = -1
+    return s
+
+
+def _twin_witness_oracle(s, fine, coarse) -> np.ndarray:
+    block = np.bincount(fine, s) / np.bincount(fine)
+    cls = np.bincount(coarse, s) / np.bincount(coarse)
+    return s * (block[fine] - cls[coarse])
+
+
+def multipartite_witnesses_oracle(p: MultipartiteParams,
+                                  switched) -> list[tuple[float, np.ndarray]]:
+    """(eigenvalue, witness) pairs for the multipartite graph switched about
+    switched, one vector at a time: s times the secular vector for each root
+    (descending), then the twin projection of j for 0 when some part has two
+    or more vertices, then for -t_i for each group of two or more parts."""
+    s = _signs_oracle(p.n, switched)
+    out = [(lam, s * secular_vector_oracle(p, lam)) for lam in secular_roots_newton_oracle(p)]
+    part = np.repeat(np.arange(sum(p.counts)), np.repeat(p.sizes, p.counts))
+    group = np.repeat(np.arange(p.s), p.group_sizes)
+    if p.sizes[0] >= 2:
+        out.append((0.0, _twin_witness_oracle(s, np.arange(p.n), part)))
+    ti = _twin_witness_oracle(s, part, group)
+    out.extend((-float(t), np.where(group == i, ti, 0.0))
+               for i, (l, t) in enumerate(p.blocks) if l >= 2)
+    return out
+
+
+def snr_witnesses_oracle(n: int, r: int, switched) -> list[tuple[float, np.ndarray]]:
+    """(eigenvalue, witness) pairs for the clique-with-pendants graph switched
+    about switched: s times snr_eigvec for each cubic root, then the twin
+    projections of j for 0 (the pendants, when r >= 2) and -1 (the clique
+    rest)."""
+    s = _signs_oracle(n, switched)
+    out = [(lam, s * snr_eigvec(n, r, lam)) for lam in snr_cubic_roots(n, r)]
+    vertex = np.arange(n)
+    if r >= 2:
+        out.append((0.0, _twin_witness_oracle(s, vertex, np.maximum(vertex - r + 1, 0))))
+    out.append((-1.0, _twin_witness_oracle(s, vertex, np.minimum(vertex, r + 1))))
+    return out
+
+
+def random_shape_pool() -> list[list[tuple[int, int]]]:
+    """The benchmark's fixed pool of random multipartite shapes, from
+    bench/inputs.py, which imports nothing from the package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.random_shape_pool()
 
 
 def emit_graph6_loop(g: Graph) -> str:

@@ -28,10 +28,10 @@ from conftest import graph6_like, sel_like
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _python(code: str, cwd: Path) -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter that imports mainswitch from SRC."""
+def _python(cwd: Path, *args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with args that imports mainswitch from SRC."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True,
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True,
                           text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
 
 
@@ -417,9 +417,10 @@ def test_graph_subcommands_never_raise(tmp_path, capsys, cmd, source, as_json, g
 
 def test_cli_import_leaves_out_scipy_and_multiprocessing(tmp_path):
     proc = _python(
+        tmp_path, "-c",
         "import sys, mainswitch.cli\n"
         "print([m for m in ('scipy', 'multiprocessing', 'concurrent.futures.process')"
-        " if m in sys.modules])", tmp_path)
+        " if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -447,9 +448,17 @@ print(codes)
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    proc = _python(_WITHOUT_SCIPY, tmp_path)
+    proc = _python(tmp_path, "-c", _WITHOUT_SCIPY)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[-1] == "[0, 0, 0, 0]"
     assert "2/2 certificates verified" in lines
     assert json.loads(lines[-2])["n"] == 3
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # No console script needed: the package runs as a module.
+    proc = _python(tmp_path, "-m", "mainswitch", "construct", "multipartite",
+                   "--blocks", "1x3,2x1")
+    assert proc.returncode == 0, proc.stderr
+    assert '"switching": [2, 4]' in proc.stdout

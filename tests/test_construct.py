@@ -31,7 +31,8 @@ from mainswitch import (
     snr_eigvec,
 )
 from mainswitch.graphs import _adjacency_array, _signs, _switched_array
-from conftest import random_signed_graph
+from conftest import (multipartite_witnesses_oracle, random_signed_graph,
+                      snr_witnesses_oracle)
 
 RESIDUAL_TOL = 1e-8
 
@@ -197,6 +198,12 @@ def test_family_zero_count_exact_with_fractions(rng):
 # ---------------------------------------------------------------------------
 
 
+def _validated(a, witnesses):
+    """construct._validated_witnesses on a list of (eigenvalue, vector) pairs."""
+    return construct._validated_witnesses(a, np.array([lam for lam, _ in witnesses], float),
+                                          np.array([v for _, v in witnesses], float))
+
+
 def _pendant_classes(n, r):
     # Pendants v1..vr form one class, every other vertex its own.
     return np.array([0] * r + list(range(1, n - r + 1)))
@@ -250,10 +257,10 @@ def test_duplicate_vectors_reject_non_duplicates():
     a = np.array(adjacency_matrix(apply_switching(g, {1})), float)
     v = construct._twin_witness(s, np.arange(3), np.array([0, 0, 1]))
     with pytest.raises(construct.ConstructionError, match="residual"):
-        construct._validated_witnesses(a, [(0.0, v)])
+        _validated(a, [(0.0, v)])
     # and as closed twins for -1 the whole triangle passes
     v = construct._twin_witness(s, np.arange(3), np.zeros(3, int))
-    assert construct._validated_witnesses(a, [(-1.0, v)])[0][1].sum() > 0
+    assert _validated(a, [(-1.0, v)])[0][1].sum() > 0
 
 
 def test_duplicate_vectors_reject_bad_t():
@@ -265,7 +272,7 @@ def test_duplicate_vectors_reject_bad_t():
         v = construct._twin_witness(_signs(5, switched), np.arange(5), _pendant_classes(5, 3))
         assert not v.any()
         with pytest.raises(construct.ConstructionError, match="zero witness"):
-            construct._validated_witnesses(a, [(0.0, v)])
+            _validated(a, [(0.0, v)])
 
 
 def test_batched_witness_check_raises_for_the_first_bad_witness():
@@ -275,7 +282,7 @@ def test_batched_witness_check_raises_for_the_first_bad_witness():
     # that witness alone gives.
     a = np.array(adjacency_matrix(apply_switching(parse_graph6("Bw"), {1})), float)
     good = (2.0, np.array([-1.0, 1.0, 1.0]))
-    (lam, v), = construct._validated_witnesses(a, [good])
+    (lam, v), = _validated(a, [good])
     assert lam == 2.0 and np.allclose(v, good[1] / np.sqrt(3)) and v.sum() > 0
     wrong = (2.0, np.array([1.0, 1.0, 1.0]))  # no eigenvector: residual sqrt(8)
     zero = (-1.0, np.zeros(3))
@@ -283,13 +290,13 @@ def test_batched_witness_check_raises_for_the_first_bad_witness():
     flat = (-1.0, np.array([0.0, 1.0, -1.0]))  # eigenvector of entry sum 0
     with pytest.raises(construct.ConstructionError,
                        match=r"^witness residual 2\.828e\+00 for eigenvalue 2$"):
-        construct._validated_witnesses(a, [good, main, wrong, zero])
+        _validated(a, [good, main, wrong, zero])
     with pytest.raises(construct.ConstructionError, match="^zero witness vector$"):
-        construct._validated_witnesses(a, [good, zero, wrong])
+        _validated(a, [good, zero, wrong])
     with pytest.raises(construct.ConstructionError,
                        match="^witness for eigenvalue -1 has zero entry sum$"):
-        construct._validated_witnesses(a, [good, main, flat, wrong])
-    assert len(construct._validated_witnesses(a, [good, main])) == 2
+        _validated(a, [good, main, flat, wrong])
+    assert len(_validated(a, [good, main])) == 2
 
 
 def test_batched_witness_check_rejects_nan():
@@ -298,8 +305,8 @@ def test_batched_witness_check_rejects_nan():
     a = np.array(adjacency_matrix(parse_graph6("A_")))
     for witness in ((1.0, np.array([np.nan, 1.0])), (np.nan, np.array([1.0, 1.0]))):
         with pytest.raises(construct.ConstructionError, match="^witness residual nan"):
-            construct._validated_witnesses(a, [witness])
-    assert len(construct._validated_witnesses(a, [(1.0, np.array([1.0, 1.0]))])) == 1
+            _validated(a, [witness])
+    assert len(_validated(a, [(1.0, np.array([1.0, 1.0]))])) == 1
 
 
 def test_switched_matrix_matches_the_list_adjacency(rng):
@@ -413,7 +420,7 @@ def test_ti_eigvec_rejects_bad_args():
     a = np.array(adjacency_matrix(apply_switching(make_multipartite(p2), {1, 3})), float)
     v = construct._twin_witness(_signs(4, {1, 3}), *_part_group_labels(p2))
     with pytest.raises(construct.ConstructionError, match="zero witness"):
-        construct._validated_witnesses(a, [(-2.0, v)])
+        _validated(a, [(-2.0, v)])
 
 
 def test_ti_eigvec_is_eigenvector():
@@ -576,9 +583,9 @@ def test_multipartite_candidate_lists(monkeypatch, blocks, base, extras):
     calls = []
     scan = construct._scan
 
-    def recording_scan(vectors, base_set, extras_list):
+    def recording_scan(x, base_set, extras_list):
         calls.append((sorted(base_set), list(extras_list)))
-        return scan(vectors, base_set, extras_list)
+        return scan(x, base_set, extras_list)
 
     monkeypatch.setattr(construct, "_scan", recording_scan)
     res = multipartite_all_main_switching(MultipartiteParams.of(blocks))
@@ -728,3 +735,57 @@ def test_one_per_part_sum_margin():
         if any(abs(lam - x) < 1e-9 for x in roots):
             assert abs(vec.sum()) > 1e-9
     _check_result(res)
+
+
+@pytest.fixture
+def recorded_witnesses(monkeypatch):
+    """The (eigenvalues, witness matrix) pairs each construction hands to the
+    witness check, in call order."""
+    calls = []
+    check = construct._validated_witnesses
+
+    def recording(a_sw, lams, vecs):
+        calls.append((lams, vecs))
+        return check(a_sw, lams, vecs)
+
+    monkeypatch.setattr(construct, "_validated_witnesses", recording)
+    return calls
+
+
+def _assert_same_witness_rows(recorded, expected, key):
+    """Bitwise: the same eigenvalues and rows, in the same order."""
+    lams, vecs = recorded
+    assert lams.tobytes() == np.array([lam for lam, _ in expected], float).tobytes(), key
+    assert vecs.shape == (len(expected), len(expected[0][1])), key
+    for row, (_, v) in zip(vecs, expected):
+        assert row.tobytes() == np.asarray(v, float).tobytes(), key
+
+
+def test_witness_matrix_matches_the_per_vector_oracle_bitwise(recorded_witnesses):
+    # Every shape with n <= 12, constructive and brute-force alike, the
+    # one-per-part switching where it applies, and the snr grid with r <= 5.
+    checked = 0
+    for n in range(2, 13):
+        for blocks in _partition_blocks(n):
+            p = MultipartiteParams.of(blocks)
+            try:
+                res = multipartite_all_main_switching(p)
+            except NoAllMainSwitchingError:
+                continue
+            expected = ([(0.0, np.ones(n))] if blocks == [(1, n)]
+                        else multipartite_witnesses_oracle(p, res.switching))
+            _assert_same_witness_rows(recorded_witnesses[-1], expected, blocks)
+            checked += 1
+            if p.s >= 2 and set(p.counts) == {1} and p.sizes[-1] >= 2:
+                res = one_per_part_switching(p)
+                _assert_same_witness_rows(
+                    recorded_witnesses[-1], multipartite_witnesses_oracle(p, res.switching),
+                    blocks)
+                checked += 1
+    for r in range(1, 6):
+        for n in range(r + 3, r + 13):
+            res = snr_all_main_switching(n, r)
+            _assert_same_witness_rows(recorded_witnesses[-1],
+                                      snr_witnesses_oracle(n, r, res.switching), (n, r))
+            checked += 1
+    assert len(recorded_witnesses) == checked > 300

@@ -25,7 +25,8 @@ from mainswitch import (
     snr_spectrum,
 )
 from mainswitch.spectral import _round_robin
-from conftest import bisect_root, random_signed_graph, secular_roots_oracle
+from conftest import (bisect_root, random_shape_pool, random_signed_graph,
+                      secular_roots_newton_oracle, secular_roots_oracle)
 
 # Frozen by the plain-bisection oracle on x^3 - x^2 - 4x + 2 (n=5, r=2).
 CUBIC_5_2 = (-1.8136065026483306, 0.47068341987116064, 2.34292308277717)
@@ -317,6 +318,19 @@ def test_secular_roots_match_bisection_oracle():
         expected = secular_roots_oracle(blocks)
         assert len(roots) == len(expected)
         assert np.allclose(roots, expected, rtol=1e-12, atol=1e-12), blocks
+
+
+def test_secular_roots_bitwise_match_the_vectorised_newton_oracle():
+    # The polish on Python floats sums over the groups in the order numpy's
+    # row sums do, so the roots come out bit for bit the same.
+    shapes = list(_partition_shapes(20)) + random_shape_pool()
+    assert len(shapes) == 2713 + 400
+    for blocks in shapes:
+        p = MultipartiteParams.of(blocks)
+        roots = multipartite_secular_roots(p)
+        assert all(type(x) is float for x in roots), blocks
+        expected = secular_roots_newton_oracle(p)
+        assert np.array(roots).tobytes() == np.array(expected).tobytes(), blocks
 
 
 def test_secular_residual_small(rng):
