@@ -228,8 +228,14 @@ def _finish(graph: Graph, switched: frozenset[int], lams: np.ndarray, vecs: np.n
     a_sw = _switched_array(_adjacency_array(graph), switched)
     witnesses = _validated_witnesses(a_sw, lams, vecs)
     profile = main_profile(a_sw)
-    return ConstructionResult(graph=graph, switching=switched, witnesses=witnesses,
-                              verified=profile.all_main, method=method, profile=profile)
+    return ConstructionResult(
+        graph=graph,
+        switching=switched,
+        witnesses=witnesses,
+        verified=profile.all_main,
+        method=method,
+        profile=profile,
+    )
 
 
 def _scan(x: np.ndarray, base: frozenset[int],
@@ -278,10 +284,8 @@ def snr_all_main_switching(n: int, r: int) -> ConstructionResult:
     v_{n-1}} may follow.  The scan keeps the first candidate whose entry sum
     is nonzero for all three cubic roots.
     """
-    if r < 1 or n < r + 3:
-        raise ValueError(f"need r >= 1 and n >= r+3, got n={n} r={r}")
+    roots = snr_cubic_roots(n, r)  # rejects r < 1 and n < r + 3
     graph = make_snr(SnrParams(n, r))
-    roots = snr_cubic_roots(n, r)
     x = np.array([snr_eigvec(n, r, lam) for lam in roots])
     # The flipped coordinates (a pendant, the attachment vertex, a clique
     # vertex) are generically distinct, which caps the non-main candidates at
@@ -305,14 +309,11 @@ def snr_all_main_switching(n: int, r: int) -> ConstructionResult:
 # ---------------------------------------------------------------------------
 
 
-def _secular_matrix(p: MultipartiteParams) -> tuple:
-    """The secular roots; the matrix x whose row k is the eigenvector of the
-    unswitched graph for root k, 1/(root + t_i) on the vertices of group i;
-    and each vertex's part and group, 0-based."""
+def _secular_matrix(p: MultipartiteParams) -> tuple[list[float], np.ndarray]:
+    """The secular roots and the matrix x whose row k is the eigenvector of
+    the unswitched graph for root k: 1/(root + t_i) on the vertices of group i."""
     roots = multipartite_secular_roots(p)
-    part = np.repeat(np.arange(sum(p.counts)), np.repeat(p.sizes, p.counts))
-    group = np.repeat(np.arange(p.s), p.group_sizes)
-    return roots, 1.0 / (np.array(roots)[:, None] + np.array(p.sizes)[group]), part, group
+    return roots, 1.0 / (np.array(roots)[:, None] + np.repeat(p.sizes, p.group_sizes))
 
 
 def _pick_extras(p: MultipartiteParams, group: int, count: int,
@@ -337,18 +338,17 @@ def _pick_extras(p: MultipartiteParams, group: int, count: int,
 
 
 def _witnesses(p: MultipartiteParams, switched: frozenset[int], roots: list[float],
-               x: np.ndarray, part: np.ndarray, group: np.ndarray) -> tuple:
+               x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvalues and a matrix of one main eigenvector per row, one per
     distinct eigenvalue: s * x for the secular roots, 0 when some part has two
     or more vertices (its vertices are twins), and -t_i for every group of two
-    or more parts (its parts are twins), from the part and group means of s."""
+    or more parts (its parts are twins)."""
     s = _signs(p.n, switched)
-    part_mean = (np.bincount(part, s) / np.repeat(p.sizes, p.counts))[part]
-    group_mean = (np.bincount(group, s) / p.group_sizes)[group]
-    zero = [s * (s - part_mean)] if p.sizes[0] >= 2 else []
+    part = np.repeat(np.arange(sum(p.counts)), np.repeat(p.sizes, p.counts))
+    group = np.repeat(np.arange(p.s), p.group_sizes)
+    zero = [_twin_witness(s, np.arange(p.n), part)] if p.sizes[0] >= 2 else []
     twins = [i for i, (l, _) in enumerate(p.blocks) if l >= 2]
-    ti = np.where(group == np.array(twins, dtype=int)[:, None],
-                  s * (part_mean - group_mean), 0.0)
+    ti = np.where(group == np.array(twins, dtype=int)[:, None], _twin_witness(s, part, group), 0.0)
     lams = roots + [0.0] * len(zero) + [-float(p.sizes[i]) for i in twins]
     return np.array(lams), np.vstack([s * x, *zero, ti])
 
@@ -397,7 +397,8 @@ def _from_search(p: MultipartiteParams, graph: Graph) -> ConstructionResult:
         raise NoAllMainSwitchingError(
             f"no all-main switching exists for blocks {p.blocks}")
     switched = frozenset(cert.switching)
-    return _finish(graph, switched, *_witnesses(p, switched, *_secular_matrix(p)), "brute_force")
+    roots, x = _secular_matrix(p)
+    return _finish(graph, switched, *_witnesses(p, switched, roots, x), "brute_force")
 
 
 def multipartite_all_main_switching(p: MultipartiteParams) -> ConstructionResult:
@@ -424,9 +425,9 @@ def multipartite_all_main_switching(p: MultipartiteParams) -> ConstructionResult
     if rule is None:
         return _from_search(p, graph)  # includes the rejected 4-clique minus an edge
     base, specs = rule
-    secular = _secular_matrix(p)
-    switched = _scan(secular[1], base, [()] + [_pick_extras(p, g, c, base) for g, c in specs])
-    return _finish(graph, switched, *_witnesses(p, switched, *secular), "constructive")
+    roots, x = _secular_matrix(p)
+    switched = _scan(x, base, [()] + [_pick_extras(p, g, c, base) for g, c in specs])
+    return _finish(graph, switched, *_witnesses(p, switched, roots, x), "constructive")
 
 
 def one_per_part_switching(p: MultipartiteParams) -> ConstructionResult:
@@ -441,8 +442,8 @@ def one_per_part_switching(p: MultipartiteParams) -> ConstructionResult:
         raise ValueError("every part must have at least two vertices")
     graph = make_multipartite(p)
     switched = frozenset(off + 1 for off in p.offsets)
-    result = _finish(graph, switched, *_witnesses(p, switched, *_secular_matrix(p)),
-                     "constructive")
+    roots, x = _secular_matrix(p)
+    result = _finish(graph, switched, *_witnesses(p, switched, roots, x), "constructive")
     if not result.verified:
         raise ConstructionError(
             "one-per-part switching failed the exact all-main check")

@@ -263,7 +263,9 @@ def multipartite_secular_roots(p: MultipartiteParams) -> list[float]:
     They are the eigenvalues of the symmetrised quotient matrix
     z z^T - diag(t), z_i = sqrt(m_i) (Golub 1973), each polished by two
     Newton steps kept strictly inside its bracket between poles.  The polish
-    and its two checks run on Python floats, summing over the groups in order.
+    and its two checks run on Python floats, summing over the groups in order
+    as numpy does for a row of at most 7 entries; from 8 groups on, where
+    numpy sums in blocks, the roots can differ from numpy's in the last bits.
     """
     if p.s == 1:
         # m1/(x + t1) = 1 solves exactly to (l1 - 1) t1.
@@ -278,7 +280,9 @@ def multipartite_secular_roots(p: MultipartiteParams) -> list[float]:
         total = slope = mass = 0.0
         for mi, ti in zip(m, t):
             u = mi / (v + ti)
-            total, slope, mass = total + u, slope + u * u / mi, mass + abs(u)
+            total += u
+            slope += u * u / mi
+            mass += abs(u)
         return total, slope, mass
 
     for k, (a, b) in enumerate(zip(lo, hi)):

@@ -237,6 +237,19 @@ def snr_witnesses_oracle(n: int, r: int, switched) -> list[tuple[float, np.ndarr
     return out
 
 
+def many_group_shapes() -> list[list[tuple[int, int]]]:
+    """The 65 multipartite shapes with 8 to 10 groups of sizes at most 10, one
+    part each, plus those with 8 groups of sizes at most 9 and two parts in
+    the first group (n <= 55).  numpy sums a row of 8 or more entries in
+    blocks, so here secular_roots_newton_oracle need not match the library's
+    roots bit for bit."""
+    shapes = []
+    for k, top, first in ((8, 10, 1), (9, 10, 1), (10, 10, 1), (8, 9, 2)):
+        for sizes in itertools.combinations(range(top, 0, -1), k):
+            shapes.append([(first, sizes[0])] + [(1, t) for t in sizes[1:]])
+    return shapes
+
+
 def random_shape_pool() -> list[list[tuple[int, int]]]:
     """The benchmark's fixed pool of random multipartite shapes, from
     bench/inputs.py, which imports nothing from the package."""

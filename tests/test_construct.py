@@ -25,14 +25,15 @@ from mainswitch import (
     multipartite_all_main_switching,
     multipartite_secular_roots,
     one_per_part_switching,
+    make_certificate,
     parse_graph6,
     snr_all_main_switching,
     snr_cubic_roots,
     snr_eigvec,
 )
 from mainswitch.graphs import _adjacency_array, _signs, _switched_array
-from conftest import (multipartite_witnesses_oracle, random_signed_graph,
-                      snr_witnesses_oracle)
+from conftest import (many_group_shapes, multipartite_witnesses_oracle, random_signed_graph,
+                      secular_roots_newton_oracle, snr_witnesses_oracle)
 
 RESIDUAL_TOL = 1e-8
 
@@ -789,3 +790,20 @@ def test_witness_matrix_matches_the_per_vector_oracle_bitwise(recorded_witnesses
                                       snr_witnesses_oracle(n, r, res.switching), (n, r))
             checked += 1
     assert len(recorded_witnesses) == checked > 300
+
+
+def test_construction_from_eight_groups_does_not_depend_on_the_root_bits(monkeypatch):
+    # From 8 groups on the roots may differ from the vectorised Newton polish
+    # in the last bits; the certificate may not, and the witnesses only as
+    # much as the roots do.
+    shapes = many_group_shapes()
+    results = [multipartite_all_main_switching(MultipartiteParams.of(b)) for b in shapes]
+    monkeypatch.setattr(construct, "multipartite_secular_roots", secular_roots_newton_oracle)
+    for blocks, res in zip(shapes, results):
+        old = multipartite_all_main_switching(MultipartiteParams.of(blocks))
+        assert (make_certificate(res.graph, res.switching, res.method, res.profile).to_json()
+                == make_certificate(old.graph, old.switching, old.method, old.profile).to_json())
+        assert len(res.witnesses) == len(old.witnesses), blocks
+        for (lam, v), (old_lam, old_v) in zip(res.witnesses, old.witnesses):
+            assert lam == pytest.approx(old_lam, rel=1e-14, abs=1e-14), blocks
+            assert np.allclose(v, old_v, rtol=1e-12, atol=1e-14), blocks

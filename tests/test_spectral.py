@@ -25,7 +25,7 @@ from mainswitch import (
     snr_spectrum,
 )
 from mainswitch.spectral import _round_robin
-from conftest import (bisect_root, random_shape_pool, random_signed_graph,
+from conftest import (bisect_root, many_group_shapes, random_shape_pool, random_signed_graph,
                       secular_roots_newton_oracle, secular_roots_oracle)
 
 # Frozen by the plain-bisection oracle on x^3 - x^2 - 4x + 2 (n=5, r=2).
@@ -331,6 +331,17 @@ def test_secular_roots_bitwise_match_the_vectorised_newton_oracle():
         assert all(type(x) is float for x in roots), blocks
         expected = secular_roots_newton_oracle(p)
         assert np.array(roots).tobytes() == np.array(expected).tobytes(), blocks
+
+
+def test_secular_roots_from_eight_groups_stay_within_ulps_of_the_oracle():
+    # From 8 groups on numpy sums each row in blocks while the polish adds
+    # the groups in order: the roots may differ in the last bits, no more.
+    shapes = many_group_shapes()
+    assert len(shapes) == 65 and min(len(b) for b in shapes) == 8
+    for blocks in shapes:
+        p = MultipartiteParams.of(blocks)
+        np.testing.assert_array_max_ulp(np.array(multipartite_secular_roots(p)),
+                                        np.array(secular_roots_newton_oracle(p)), maxulp=4)
 
 
 def test_secular_residual_small(rng):
