@@ -321,8 +321,10 @@ def test_secular_roots_match_bisection_oracle():
 
 
 def test_secular_roots_bitwise_match_the_vectorised_newton_oracle():
-    # The polish on Python floats sums over the groups in the order numpy's
-    # row sums do, so the roots come out bit for bit the same.
+    # The polish on Python floats sums over the groups in order, as numpy's
+    # row sums do below 8 entries, so up to 7 groups the roots come out bit
+    # for bit the same.  From 8 groups on numpy sums in blocks, and only the
+    # last bits may differ.
     shapes = list(_partition_shapes(20)) + random_shape_pool()
     assert len(shapes) == 2713 + 400
     for blocks in shapes:
@@ -331,14 +333,9 @@ def test_secular_roots_bitwise_match_the_vectorised_newton_oracle():
         assert all(type(x) is float for x in roots), blocks
         expected = secular_roots_newton_oracle(p)
         assert np.array(roots).tobytes() == np.array(expected).tobytes(), blocks
-
-
-def test_secular_roots_from_eight_groups_stay_within_ulps_of_the_oracle():
-    # From 8 groups on numpy sums each row in blocks while the polish adds
-    # the groups in order: the roots may differ in the last bits, no more.
-    shapes = many_group_shapes()
-    assert len(shapes) == 65 and min(len(b) for b in shapes) == 8
-    for blocks in shapes:
+    many = many_group_shapes()
+    assert len(many) == 65 and min(len(b) for b in many) == 8
+    for blocks in many:
         p = MultipartiteParams.of(blocks)
         np.testing.assert_array_max_ulp(np.array(multipartite_secular_roots(p)),
                                         np.array(secular_roots_newton_oracle(p)), maxulp=4)
