@@ -21,7 +21,6 @@ from .construct import (
     multipartite_all_main_switching,
     one_per_part_switching,
     snr_all_main_switching,
-    snr_eigvec,
 )
 from .exact import (
     MainProfile,

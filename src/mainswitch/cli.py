@@ -304,7 +304,3 @@ def run(argv: list[str] | None = None) -> int:
 
 def main(argv: list[str] | None = None) -> None:
     sys.exit(run(argv))
-
-
-if __name__ == "__main__":
-    main()

@@ -6,8 +6,8 @@ entry is below 1e-12 * ||A||_F) provides orthonormal bases per eigenspace,
 which the main-eigenvalue classifier needs: an eigenvalue group is main when
 the projection of the all-ones vector onto its eigenspace has norm above a
 threshold.  The classifier is advisory; for integer inputs the exact module
-is authoritative.  Both serve the ``spectrum`` command only: no construction
-calls the eigensolver, since every witness there has a closed form.
+is authoritative.  Both serve the ``spectrum`` command only: the
+constructions decide with the exact module alone.
 
 Closed-form spectra for the two graph families live here as well: the cubic
 for the clique-with-pendants family and the secular equation

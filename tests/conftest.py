@@ -13,13 +13,15 @@ search.  One exception shares library code on purpose.
 class_profiles_oracle ranks one switching class at a time
 (class_main_count_oracle) with char_poly and walk_matrix, which the exact
 tests check against the oracles above; it shares nothing with the search's
-power stack.  The construction oracles keep the one-vector-at-a-time forms
-that the whole-array code replaced, for bitwise comparison:
-secular_roots_newton_oracle (eigvalsh, then the Newton polish on numpy
-rows), secular_vector_oracle, and the witness lists of
-multipartite_witnesses_oracle and snr_witnesses_oracle, which take the
-cubic roots and snr_eigvec from the library.  The hypothesis strategies at
-the end make near-valid graph inputs for the parser and CLI fuzz tests.
+power stack.  The construction oracles hold what the library no longer
+computes, the paper's closed-form witnesses and the float candidate scan
+that the exact scan replaced: secular_roots_newton_oracle (eigvalsh, then
+the Newton polish on numpy rows), secular_vector_oracle, snr_eigvec_oracle,
+twin_witness_oracle, the witness lists of multipartite_witnesses_oracle and
+snr_witnesses_oracle (the latter takes the cubic roots from the library's
+spectral module), check_witnesses_oracle, and float_scan_oracle.  The
+hypothesis strategies at the end make near-valid graph inputs for the
+parser and CLI fuzz tests.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from hypothesis import strategies as st
 from mainswitch import (Graph, MultipartiteParams, SignedGraph, SnrParams, adjacency_matrix,
                         apply_switching, char_poly, distinct_eigenvalue_count,
                         enumerate_switchings, is_connected, rank_exact, snr_cubic_roots,
-                        snr_eigvec, walk_matrix)
+                        walk_matrix)
 
 
 def fraction_rank(m) -> int:
@@ -199,7 +201,34 @@ def _signs_oracle(n: int, switched) -> np.ndarray:
     return s
 
 
-def _twin_witness_oracle(s, fine, coarse) -> np.ndarray:
+def snr_eigvec_oracle(n: int, r: int, lam: float) -> np.ndarray:
+    """Eigenvector of the clique-with-pendants graph for a cubic root:
+    1 on pendants, lam on the attachment vertex, lam - r/(lam+1) on the rest."""
+    if r < 1 or n < r + 3:
+        raise ValueError(f"need r >= 1 and n >= r+3, got n={n} r={r}")
+    if abs(lam) < 1e-9 or abs(lam + 1.0) < 1e-9:
+        raise ValueError("eigenvalues 0 and -1 have no vector of this shape")
+    resid = lam ** 3 - (n - r - 2) * lam ** 2 - (n - 1) * lam + r * (n - r - 2)
+    if abs(resid) >= 1e-10 * (1.0 + abs(lam) ** 3):
+        raise ValueError(f"{lam} is not a simple eigenvalue of this graph")
+    x = np.empty(n)
+    x[:r] = 1.0
+    x[r] = lam
+    x[r + 1:] = lam - r / (lam + 1.0)
+    return x
+
+
+def twin_witness_oracle(s, fine, coarse) -> np.ndarray:
+    """s times (mean of s over v's fine block - mean of s over v's coarse
+    class), for dense 0-based labels with blocks of one size in each class.
+
+    This is the projection of j onto D {sum_b c_b 1_b : the c_b of each class
+    sum to zero}, D = diag(s).  When a class's blocks are interchangeable
+    twins for an eigenvalue whose whole eigenspace that set spans, it is the
+    main part of j there (Rowlinson, AADM 2007); its entry sum,
+    sum_b |b| (mean_b - mean_class)^2, is zero only when every class has
+    its blocks switched alike.
+    """
     block = np.bincount(fine, s) / np.bincount(fine)
     cls = np.bincount(coarse, s) / np.bincount(coarse)
     return s * (block[fine] - cls[coarse])
@@ -208,16 +237,20 @@ def _twin_witness_oracle(s, fine, coarse) -> np.ndarray:
 def multipartite_witnesses_oracle(p: MultipartiteParams,
                                   switched) -> list[tuple[float, np.ndarray]]:
     """(eigenvalue, witness) pairs for the multipartite graph switched about
-    switched, one vector at a time: s times the secular vector for each root
-    (descending), then the twin projection of j for 0 when some part has two
-    or more vertices, then for -t_i for each group of two or more parts."""
+    switched, one per distinct eigenvalue: s times the secular vector for
+    each root (descending), then the twin projection of j for 0 when some
+    part has two or more vertices, then for -t_i for each group of two or
+    more parts.  A single part is the empty graph, whose one eigenvalue 0
+    has j itself."""
     s = _signs_oracle(p.n, switched)
+    if sum(p.counts) == 1:
+        return [(0.0, s * np.ones(p.n))]
     out = [(lam, s * secular_vector_oracle(p, lam)) for lam in secular_roots_newton_oracle(p)]
     part = np.repeat(np.arange(sum(p.counts)), np.repeat(p.sizes, p.counts))
     group = np.repeat(np.arange(p.s), p.group_sizes)
     if p.sizes[0] >= 2:
-        out.append((0.0, _twin_witness_oracle(s, np.arange(p.n), part)))
-    ti = _twin_witness_oracle(s, part, group)
+        out.append((0.0, twin_witness_oracle(s, np.arange(p.n), part)))
+    ti = twin_witness_oracle(s, part, group)
     out.extend((-float(t), np.where(group == i, ti, 0.0))
                for i, (l, t) in enumerate(p.blocks) if l >= 2)
     return out
@@ -225,16 +258,63 @@ def multipartite_witnesses_oracle(p: MultipartiteParams,
 
 def snr_witnesses_oracle(n: int, r: int, switched) -> list[tuple[float, np.ndarray]]:
     """(eigenvalue, witness) pairs for the clique-with-pendants graph switched
-    about switched: s times snr_eigvec for each cubic root, then the twin
-    projections of j for 0 (the pendants, when r >= 2) and -1 (the clique
-    rest)."""
+    about switched, one per distinct eigenvalue: s times snr_eigvec_oracle
+    for each cubic root, then the twin projections of j for 0 (the pendants,
+    when r >= 2) and -1 (the clique rest)."""
     s = _signs_oracle(n, switched)
-    out = [(lam, s * snr_eigvec(n, r, lam)) for lam in snr_cubic_roots(n, r)]
+    out = [(lam, s * snr_eigvec_oracle(n, r, lam)) for lam in snr_cubic_roots(n, r)]
     vertex = np.arange(n)
     if r >= 2:
-        out.append((0.0, _twin_witness_oracle(s, vertex, np.maximum(vertex - r + 1, 0))))
-    out.append((-1.0, _twin_witness_oracle(s, vertex, np.minimum(vertex, r + 1))))
+        out.append((0.0, twin_witness_oracle(s, vertex, np.maximum(vertex - r + 1, 0))))
+    out.append((-1.0, twin_witness_oracle(s, vertex, np.minimum(vertex, r + 1))))
     return out
+
+
+WITNESS_RESIDUAL_TOL = 1e-8
+WITNESS_SUM_TOL = 1e-8
+
+
+class WitnessError(AssertionError):
+    """A witness that is no main eigenvector of the matrix it was checked
+    against."""
+
+
+def check_witnesses_oracle(a, witnesses) -> list[tuple[float, np.ndarray]]:
+    """The (eigenvalue, witness) pairs with each witness scaled to unit
+    length, after checking them one at a time: nonzero, an eigenvector of a
+    for its eigenvalue up to WITNESS_RESIDUAL_TOL, and of entry sum above
+    WITNESS_SUM_TOL.  The first failing pair raises WitnessError; a NaN
+    residual or sum fails too."""
+    a = np.asarray(a, dtype=float)
+    out = []
+    for lam, v in witnesses:
+        v = np.asarray(v, dtype=float)
+        norm = np.linalg.norm(v)
+        if norm == 0:
+            raise WitnessError("zero witness vector")
+        v = v / norm
+        residual = np.linalg.norm(a @ v - lam * v)
+        if not residual <= WITNESS_RESIDUAL_TOL:
+            raise WitnessError(f"witness residual {residual:.3e} for eigenvalue {lam:.12g}")
+        if not abs(v.sum()) > WITNESS_SUM_TOL:
+            raise WitnessError(f"witness for eigenvalue {lam:.12g} has zero entry sum")
+        out.append((lam, v))
+    return out
+
+
+def float_scan_oracle(x, candidates):
+    """The float candidate scan: the first switching, over the candidates in
+    order, under which every row of s * x has an entry sum above
+    WITNESS_SUM_TOL sqrt(n) times the row's norm, x holding one unswitched
+    eigenvector per simple eigenvalue and s being the switching's sign
+    vector; None when no candidate passes."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[1]
+    for switched in candidates:
+        y = x * _signs_oracle(n, switched)
+        if (np.abs(y.sum(axis=1)) > WITNESS_SUM_TOL * np.sqrt(n) * np.linalg.norm(y, axis=1)).all():
+            return switched
+    return None
 
 
 def many_group_shapes() -> list[list[tuple[int, int]]]:

@@ -1,5 +1,6 @@
-"""Flip vectors, candidate families, twin-block witnesses, and the all-main
-switching constructions for both graph families."""
+"""Flip vectors, candidate families, the paper's closed-form witnesses, and
+the all-main switching constructions for both graph families, cross-checked
+against the float candidate scan they replaced."""
 
 import itertools
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from mainswitch import construct
 from mainswitch import (
+    ConstructionError,
     MultipartiteParams,
     NoAllMainSwitchingError,
     SnrParams,
@@ -21,33 +23,44 @@ from mainswitch import (
     eigen_sym,
     flip,
     make_multipartite,
+    main_profile,
     make_snr,
     multipartite_all_main_switching,
     multipartite_secular_roots,
     one_per_part_switching,
-    make_certificate,
     parse_graph6,
     snr_all_main_switching,
     snr_cubic_roots,
-    snr_eigvec,
 )
 from mainswitch.graphs import _adjacency_array, _signs, _switched_array
-from conftest import (many_group_shapes, multipartite_witnesses_oracle, random_signed_graph,
-                      secular_roots_newton_oracle, snr_witnesses_oracle)
+from conftest import (WitnessError, check_witnesses_oracle, float_scan_oracle, many_group_shapes,
+                      multipartite_witnesses_oracle, random_signed_graph,
+                      secular_roots_newton_oracle, secular_vector_oracle, snr_eigvec_oracle,
+                      snr_witnesses_oracle, twin_witness_oracle)
 
-RESIDUAL_TOL = 1e-8
+
+def _switched(res):
+    return _switched_array(_adjacency_array(res.graph), res.switching)
 
 
-def _check_result(res):
-    """Every witness must be an eigenvector of the switched graph with
-    nonzero entry sum, and the exact decision must agree."""
-    a = np.array(adjacency_matrix(apply_switching(res.graph, res.switching)), float)
-    for lam, vec in res.witnesses:
-        assert np.linalg.norm(a @ vec - lam * vec) <= RESIDUAL_TOL
-        assert abs(vec.sum()) > 1e-8
+def _check_result(res, witnesses):
+    """The closed-form witnesses are main eigenvectors of the switched graph,
+    one per distinct eigenvalue, and the exact decision says all-main."""
+    checked = check_witnesses_oracle(_switched(res), witnesses)
+    lams = np.sort([lam for lam, _ in checked])
+    assert len(lams) == res.profile.distinct_count
+    assert np.all(np.diff(lams) > 1e-6)
     assert res.verified
     assert res.profile.all_main
     assert res.profile.main_count == res.profile.distinct_count
+
+
+def _check_multipartite(res, p):
+    _check_result(res, multipartite_witnesses_oracle(p, res.switching))
+
+
+def _check_snr(res, n, r):
+    _check_result(res, snr_witnesses_oracle(n, r, res.switching))
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +212,6 @@ def test_family_zero_count_exact_with_fractions(rng):
 # ---------------------------------------------------------------------------
 
 
-def _validated(a, witnesses):
-    """construct._validated_witnesses on a list of (eigenvalue, vector) pairs."""
-    return construct._validated_witnesses(a, np.array([lam for lam, _ in witnesses], float),
-                                          np.array([v for _, v in witnesses], float))
-
-
 def _pendant_classes(n, r):
     # Pendants v1..vr form one class, every other vertex its own.
     return np.array([0] * r + list(range(1, n - r + 1)))
@@ -217,17 +224,17 @@ def _rest_classes(n, r):
 
 def test_duplicate_vectors_shape_r3_t1():
     # One of three pendants switched: s (s - 1/3) on the class, 0 elsewhere.
-    w = construct._twin_witness(_signs(5, {1}), np.arange(5), _pendant_classes(5, 3))
+    w = twin_witness_oracle(_signs(5, {1}), np.arange(5), _pendant_classes(5, 3))
     assert np.allclose(w, [4 / 3, 2 / 3, 2 / 3, 0, 0])
 
 
 def test_duplicate_vectors_shape_r4_t2():
-    w = construct._twin_witness(_signs(6, {1, 2}), np.arange(6), _pendant_classes(6, 4))
+    w = twin_witness_oracle(_signs(6, {1, 2}), np.arange(6), _pendant_classes(6, 4))
     assert np.allclose(w, [1, 1, 1, 1, 0, 0])
 
 
 def test_duplicate_vectors_smallest_case():
-    w = construct._twin_witness(_signs(4, {1}), np.arange(4), _pendant_classes(4, 2))
+    w = twin_witness_oracle(_signs(4, {1}), np.arange(4), _pendant_classes(4, 2))
     assert np.allclose(w, [1, 1, 0, 0])
 
 
@@ -239,13 +246,13 @@ def test_duplicate_vectors_are_eigenvectors_after_switching():
     for switched in ({1}, {1, 2}, {2}, {1, 3}):
         s = _signs(n, switched)
         a = np.array(adjacency_matrix(apply_switching(g, switched)), float)
-        v = construct._twin_witness(s, np.arange(n), _pendant_classes(n, r))
+        v = twin_witness_oracle(s, np.arange(n), _pendant_classes(n, r))
         assert np.linalg.norm(a @ v) < 1e-12
         assert v.sum() > 0
     for switched in ({5}, {5, 6}, {7}, {5, 7}):
         s = _signs(n, switched)
         a = np.array(adjacency_matrix(apply_switching(g, switched)), float)
-        v = construct._twin_witness(s, np.arange(n), _rest_classes(n, r))
+        v = twin_witness_oracle(s, np.arange(n), _rest_classes(n, r))
         assert np.linalg.norm(a @ v + v) < 1e-12
         assert v.sum() > 0
 
@@ -256,12 +263,12 @@ def test_duplicate_vectors_reject_non_duplicates():
     g = parse_graph6("Bw")
     s = _signs(3, {1})
     a = np.array(adjacency_matrix(apply_switching(g, {1})), float)
-    v = construct._twin_witness(s, np.arange(3), np.array([0, 0, 1]))
-    with pytest.raises(construct.ConstructionError, match="residual"):
-        _validated(a, [(0.0, v)])
+    v = twin_witness_oracle(s, np.arange(3), np.array([0, 0, 1]))
+    with pytest.raises(WitnessError, match="residual"):
+        check_witnesses_oracle(a, [(0.0, v)])
     # and as closed twins for -1 the whole triangle passes
-    v = construct._twin_witness(s, np.arange(3), np.zeros(3, int))
-    assert _validated(a, [(-1.0, v)])[0][1].sum() > 0
+    v = twin_witness_oracle(s, np.arange(3), np.zeros(3, int))
+    assert check_witnesses_oracle(a, [(-1.0, v)])[0][1].sum() > 0
 
 
 def test_duplicate_vectors_reject_bad_t():
@@ -270,34 +277,32 @@ def test_duplicate_vectors_reject_bad_t():
     g = make_snr(SnrParams(5, 3))
     for switched in (set(), {1, 2, 3}, {4}):
         a = np.array(adjacency_matrix(apply_switching(g, switched)), float)
-        v = construct._twin_witness(_signs(5, switched), np.arange(5), _pendant_classes(5, 3))
+        v = twin_witness_oracle(_signs(5, switched), np.arange(5), _pendant_classes(5, 3))
         assert not v.any()
-        with pytest.raises(construct.ConstructionError, match="zero witness"):
-            _validated(a, [(0.0, v)])
+        with pytest.raises(WitnessError, match="zero witness"):
+            check_witnesses_oracle(a, [(0.0, v)])
 
 
 def test_batched_witness_check_raises_for_the_first_bad_witness():
     # Triangle switched about {1}: eigenvalue 2 with eigenvector (-1, 1, 1),
-    # and -1 twice.  The check scales each witness to unit length and raises
-    # for the first failing one in input order, with the message a check of
-    # that witness alone gives.
+    # and -1 twice.  The witness check scales each witness to unit length
+    # and raises for the first failing one in input order, with the message
+    # a check of that witness alone gives.
     a = np.array(adjacency_matrix(apply_switching(parse_graph6("Bw"), {1})), float)
     good = (2.0, np.array([-1.0, 1.0, 1.0]))
-    (lam, v), = _validated(a, [good])
+    (lam, v), = check_witnesses_oracle(a, [good])
     assert lam == 2.0 and np.allclose(v, good[1] / np.sqrt(3)) and v.sum() > 0
     wrong = (2.0, np.array([1.0, 1.0, 1.0]))  # no eigenvector: residual sqrt(8)
     zero = (-1.0, np.zeros(3))
     main = (-1.0, np.array([-1.0, -1.0, 0.0]))  # eigenvector of entry sum -2
     flat = (-1.0, np.array([0.0, 1.0, -1.0]))  # eigenvector of entry sum 0
-    with pytest.raises(construct.ConstructionError,
-                       match=r"^witness residual 2\.828e\+00 for eigenvalue 2$"):
-        _validated(a, [good, main, wrong, zero])
-    with pytest.raises(construct.ConstructionError, match="^zero witness vector$"):
-        _validated(a, [good, zero, wrong])
-    with pytest.raises(construct.ConstructionError,
-                       match="^witness for eigenvalue -1 has zero entry sum$"):
-        _validated(a, [good, main, flat, wrong])
-    assert len(_validated(a, [good, main])) == 2
+    with pytest.raises(WitnessError, match=r"^witness residual 2\.828e\+00 for eigenvalue 2$"):
+        check_witnesses_oracle(a, [good, main, wrong, zero])
+    with pytest.raises(WitnessError, match="^zero witness vector$"):
+        check_witnesses_oracle(a, [good, zero, wrong])
+    with pytest.raises(WitnessError, match="^witness for eigenvalue -1 has zero entry sum$"):
+        check_witnesses_oracle(a, [good, main, flat, wrong])
+    assert len(check_witnesses_oracle(a, [good, main])) == 2
 
 
 def test_batched_witness_check_rejects_nan():
@@ -305,9 +310,9 @@ def test_batched_witness_check_rejects_nan():
     # check rather than slip past both comparisons.
     a = np.array(adjacency_matrix(parse_graph6("A_")))
     for witness in ((1.0, np.array([np.nan, 1.0])), (np.nan, np.array([1.0, 1.0]))):
-        with pytest.raises(construct.ConstructionError, match="^witness residual nan"):
-            _validated(a, [witness])
-    assert len(_validated(a, [(1.0, np.array([1.0, 1.0]))])) == 1
+        with pytest.raises(WitnessError, match="^witness residual nan"):
+            check_witnesses_oracle(a, [witness])
+    assert len(check_witnesses_oracle(a, [(1.0, np.array([1.0, 1.0]))])) == 1
 
 
 def test_switched_matrix_matches_the_list_adjacency(rng):
@@ -325,10 +330,23 @@ def test_switched_matrix_matches_the_list_adjacency(rng):
 # ---------------------------------------------------------------------------
 
 
+def _snr_candidates(n, r):
+    """The snr candidate switchings in scan order: {v1, vn}, then, unless
+    r <= 2 or n = r+3, one more flip at v2, v_{r+1} or v_{n-1}."""
+    base = frozenset((1, n))
+    extras = [] if r <= 2 or n == r + 3 else [2, r + 1, n - 1]
+    return [base] + [base | {v} for v in extras]
+
+
+def _snr_matrix(n, r):
+    """One unswitched eigenvector per cubic root, one per row."""
+    return np.array([snr_eigvec_oracle(n, r, lam) for lam in snr_cubic_roots(n, r)])
+
+
 def test_snr_eigvec_structure():
     n, r = 9, 3
     for lam in snr_cubic_roots(n, r):
-        x = snr_eigvec(n, r, lam)
+        x = snr_eigvec_oracle(n, r, lam)
         a = np.array(adjacency_matrix(make_snr(SnrParams(n, r))), float)
         assert np.linalg.norm(a @ x - lam * x) < 1e-8
         assert np.allclose(x[:r], 1.0)
@@ -338,46 +356,48 @@ def test_snr_eigvec_structure():
 
 def test_snr_eigvec_rejects_zero_and_minus_one():
     with pytest.raises(ValueError):
-        snr_eigvec(6, 2, 0.0)
+        snr_eigvec_oracle(6, 2, 0.0)
     with pytest.raises(ValueError):
-        snr_eigvec(6, 2, -1.0)
+        snr_eigvec_oracle(6, 2, -1.0)
     with pytest.raises(ValueError):
-        snr_eigvec(6, 2, 1.2345)  # not a root
+        snr_eigvec_oracle(6, 2, 1.2345)  # not a root
 
 
 def test_snr_construction_5_1():
     res = snr_all_main_switching(5, 1)
     assert sorted(res.switching) == [1, 5]
-    _check_result(res)
+    _check_snr(res, 5, 1)
 
 
 def test_snr_construction_base_case_grid():
     # The base {v1, vn} is the only candidate for r <= 2 or n = r+3; the
-    # scan's sum test must pass it for every such pair up to the graph6 limit.
+    # exact scan must find it all-main for every such pair up to the graph6
+    # limit.
     grid = [(n, r) for r in (1, 2) for n in range(r + 3, 63)]
     grid += [(r + 3, r) for r in range(1, 60)]
     for n, r in grid:
         res = snr_all_main_switching(n, r)
         assert res.switching == {1, n}
-        _check_result(res)
+        _check_snr(res, n, r)
 
 
 def test_snr_construction_12_4():
     res = snr_all_main_switching(12, 4)
     assert {1, 12} <= set(res.switching)
     assert len(res.switching) <= 3
-    _check_result(res)
+    _check_snr(res, 12, 4)
 
 
 def test_snr_construction_rejects_bad_params():
-    with pytest.raises(ValueError):
-        snr_all_main_switching(5, 3)
+    for n, r in ((5, 3), (4, 0), (3, -1)):
+        with pytest.raises(ValueError, match=rf"^need r >= 1 and n >= r\+3, got n={n} r={r}$"):
+            snr_all_main_switching(n, r)
 
 
 def test_snr_witness_eigenvalue_cover():
     res = snr_all_main_switching(9, 3)
-    vals = sorted(lam for lam, _ in res.witnesses)
-    assert len(vals) == 5  # three cubic roots plus 0 and -1
+    vals = sorted(lam for lam, _ in snr_witnesses_oracle(9, 3, res.switching))
+    assert len(vals) == 5 == res.profile.distinct_count  # three cubic roots plus 0 and -1
     assert any(abs(v) < 1e-9 for v in vals)
     assert any(abs(v + 1) < 1e-9 for v in vals)
 
@@ -399,14 +419,29 @@ def _part_group_labels(p):
     return part, np.repeat(np.arange(p.s), p.group_sizes)
 
 
+def _secular_matrix(p, roots=None):
+    """One unswitched eigenvector per secular root (the library's roots
+    unless given), one per row."""
+    if roots is None:
+        roots = multipartite_secular_roots(p)
+    return np.array([secular_vector_oracle(p, lam) for lam in roots])
+
+
+def _rule_candidates(p):
+    """Every candidate switching of the shape's rule, built eagerly, in scan
+    order."""
+    base, specs = construct._shape_rule(p)
+    return [base] + [base | frozenset(construct._pick_extras(p, g, c, base)) for g, c in specs]
+
+
 def test_ti_eigvec_examples():
     # fine = part, coarse = group: s (part mean - group mean).
     p = MultipartiteParams.of([(2, 2), (1, 1)])
-    v = construct._twin_witness(_signs(5, {1}), *_part_group_labels(p))
+    v = twin_witness_oracle(_signs(5, {1}), *_part_group_labels(p))
     assert list(v) == [0.5, -0.5, 0.5, 0.5, 0]
     assert v.sum() == 1  # 2 (0 - 1/2)^2 + 2 (1 - 1/2)^2
     p2 = MultipartiteParams.of([(2, 3)])
-    v2 = construct._twin_witness(_signs(6, {1, 2, 4}), *_part_group_labels(p2))
+    v2 = twin_witness_oracle(_signs(6, {1, 2, 4}), *_part_group_labels(p2))
     assert np.allclose(v2, np.array([1, 1, -1, -1, 1, 1]) / 3)
     assert np.isclose(v2.sum(), 2 / 3)
 
@@ -415,13 +450,13 @@ def test_ti_eigvec_rejects_bad_args():
     # A single-part group and a group whose parts are switched alike both
     # give a zero witness, which is rejected.
     p = MultipartiteParams.of([(1, 3), (1, 2)])
-    v = construct._twin_witness(_signs(5, {1}), *_part_group_labels(p))
+    v = twin_witness_oracle(_signs(5, {1}), *_part_group_labels(p))
     assert not v.any()
     p2 = MultipartiteParams.of([(2, 2)])
     a = np.array(adjacency_matrix(apply_switching(make_multipartite(p2), {1, 3})), float)
-    v = construct._twin_witness(_signs(4, {1, 3}), *_part_group_labels(p2))
-    with pytest.raises(construct.ConstructionError, match="zero witness"):
-        _validated(a, [(-2.0, v)])
+    v = twin_witness_oracle(_signs(4, {1, 3}), *_part_group_labels(p2))
+    with pytest.raises(WitnessError, match="zero witness"):
+        check_witnesses_oracle(a, [(-2.0, v)])
 
 
 def test_ti_eigvec_is_eigenvector():
@@ -429,23 +464,25 @@ def test_ti_eigvec_is_eigenvector():
     sw = apply_switching(make_multipartite(p), {1})
     a = np.array(adjacency_matrix(sw), float)
     part, group = _part_group_labels(p)
-    v = np.where(group == 0, construct._twin_witness(_signs(7, {1}), part, group), 0.0)
+    v = np.where(group == 0, twin_witness_oracle(_signs(7, {1}), part, group), 0.0)
     assert np.linalg.norm(a @ v + 2.0 * v) < 1e-12
     assert v.sum() > 0
 
 
 def test_multipartite_k33():
-    res = multipartite_all_main_switching(MultipartiteParams.of([(2, 3)]))
+    p = MultipartiteParams.of([(2, 3)])
+    res = multipartite_all_main_switching(p)
     assert sorted(res.switching) == [1]
-    _check_result(res)
-    vals = sorted(lam for lam, _ in res.witnesses)
+    _check_multipartite(res, p)
+    vals = sorted(lam for lam, _ in multipartite_witnesses_oracle(p, res.switching))
     assert np.allclose(vals, [-3.0, 0.0, 3.0])
 
 
 def test_multipartite_complete_graph():
-    res = multipartite_all_main_switching(MultipartiteParams.of([(6, 1)]))
+    p = MultipartiteParams.of([(6, 1)])
+    res = multipartite_all_main_switching(p)
     assert sorted(res.switching) == [1]
-    _check_result(res)
+    _check_multipartite(res, p)
 
 
 def test_multipartite_k2_rejected():
@@ -464,9 +501,10 @@ def test_multipartite_k1_rejected():
 
 
 def test_multipartite_empty_graph():
-    res = multipartite_all_main_switching(MultipartiteParams.of([(1, 4)]))
+    p = MultipartiteParams.of([(1, 4)])
+    res = multipartite_all_main_switching(p)
     assert not res.switching
-    _check_result(res)
+    _check_multipartite(res, p)
 
 
 @pytest.mark.parametrize("blocks", [
@@ -483,9 +521,10 @@ def test_multipartite_empty_graph():
     [(2, 4), (1, 3), (2, 2), (1, 1)],
 ])
 def test_multipartite_branches(blocks):
-    res = multipartite_all_main_switching(MultipartiteParams.of(blocks))
+    p = MultipartiteParams.of(blocks)
+    res = multipartite_all_main_switching(p)
     assert res.method == "constructive"
-    _check_result(res)
+    _check_multipartite(res, p)
 
 
 @pytest.mark.parametrize("blocks", [
@@ -498,9 +537,10 @@ def test_multipartite_branches(blocks):
     [(2, 2), (3, 1)],
 ])
 def test_multipartite_small_cases_brute_forced(blocks):
-    res = multipartite_all_main_switching(MultipartiteParams.of(blocks))
+    p = MultipartiteParams.of(blocks)
+    res = multipartite_all_main_switching(p)
     assert res.method == "brute_force"
-    _check_result(res)
+    _check_multipartite(res, p)
 
 
 # The shapes with n <= 8 that the search settles, with the switching it picks.
@@ -518,16 +558,21 @@ _BRUTE_FORCE_SWITCHINGS = {
 
 
 def test_multipartite_up_to_8_vertices_without_the_float_eigensolver(monkeypatch):
-    # Every witness has a closed form, the brute-force shapes' too: with the
-    # Jacobi eigensolver disabled, every shape with n <= 8 still constructs,
-    # and each fallback's witnesses are the distinct eigenvalues of its
-    # switched matrix.
-    def no_eigensolver(a):
-        raise AssertionError("a construction called the float eigensolver")
+    # The constructions decide with exact arithmetic alone: construct binds
+    # nothing from the float spectral module, and with the Jacobi eigensolver
+    # and both closed-form root finders disabled every shape with n <= 8
+    # still constructs.  The closed-form witnesses are main for each chosen
+    # switching, the brute-force shapes' too, and for each fallback they sit
+    # at the distinct eigenvalues of its switched matrix.
+    assert not [name for name, value in vars(construct).items()
+                if getattr(value, "__module__", None) == "mainswitch.spectral"]
 
-    monkeypatch.setattr("mainswitch.spectral.eigen_sym", no_eigensolver)
-    monkeypatch.setattr(construct, "eigen_sym", no_eigensolver, raising=False)
-    brute = {}
+    def disabled(*args):
+        raise AssertionError("a construction called the float spectral module")
+
+    for name in ("eigen_sym", "multipartite_secular_roots", "snr_cubic_roots"):
+        monkeypatch.setattr(f"mainswitch.spectral.{name}", disabled)
+    results = {}
     for n in range(2, 9):
         for blocks in _partition_blocks(n):
             p = MultipartiteParams.of(blocks)
@@ -535,27 +580,36 @@ def test_multipartite_up_to_8_vertices_without_the_float_eigensolver(monkeypatch
                 with pytest.raises(NoAllMainSwitchingError):
                     multipartite_all_main_switching(p)
                 continue
-            res = multipartite_all_main_switching(p)
-            _check_result(res)
-            if res.method != "brute_force":
-                continue
-            brute[tuple(blocks)] = sorted(res.switching)
-            vals = np.linalg.eigvalsh(_switched_array(_adjacency_array(res.graph), res.switching))
-            distinct = vals[np.append(True, np.diff(vals) > 1e-6)]
-            lams = np.sort([lam for lam, _ in res.witnesses])
-            assert len(lams) == len(distinct) == res.profile.distinct_count, blocks
-            assert np.allclose(lams, distinct, rtol=0, atol=1e-9), blocks
+            results[tuple(blocks)] = (p, multipartite_all_main_switching(p))
+    snr = {(n, r): snr_all_main_switching(n, r) for r in (1, 2, 3) for n in range(r + 3, 9)}
+    monkeypatch.undo()
+    brute = {}
+    for blocks, (p, res) in results.items():
+        _check_multipartite(res, p)
+        if res.method != "brute_force":
+            continue
+        brute[blocks] = sorted(res.switching)
+        vals = np.linalg.eigvalsh(_switched(res))
+        distinct = vals[np.append(True, np.diff(vals) > 1e-6)]
+        lams = np.sort([lam for lam, _ in multipartite_witnesses_oracle(p, res.switching)])
+        assert len(lams) == len(distinct) == res.profile.distinct_count, blocks
+        assert np.allclose(lams, distinct, rtol=0, atol=1e-9), blocks
     assert brute == _BRUTE_FORCE_SWITCHINGS
+    for (n, r), res in snr.items():
+        _check_snr(res, n, r)
 
 
 def test_multipartite_star_needs_second_candidate():
     # K_{1,4} (blocks (1,4),(1,1)): with the base switching {v1, v5} the
     # secular witness for the root 2 has entry sum exactly zero
-    # (2/(2+4) - 1/(2+1) = 0), so the scan must advance to the candidate that
-    # flips one more vertex of the first group.
-    res = multipartite_all_main_switching(MultipartiteParams.of([(1, 4), (1, 1)]))
+    # (2/(2+4) - 1/(2+1) = 0), so the base is not all-main and the scan must
+    # advance to the candidate that flips one more vertex of the first group.
+    p = MultipartiteParams.of([(1, 4), (1, 1)])
+    res = multipartite_all_main_switching(p)
     assert sorted(res.switching) == [1, 2, 5]
-    _check_result(res)
+    assert not main_profile(_switched_array(_adjacency_array(res.graph), {1, 5})).all_main
+    assert float_scan_oracle(_secular_matrix(p), [frozenset({1, 5})]) is None
+    _check_multipartite(res, p)
 
 
 def test_multipartite_extras_candidates_stable():
@@ -565,9 +619,10 @@ def test_multipartite_extras_candidates_stable():
         ([(1, 4), (6, 1)], [1, 2, 5]),
         ([(2, 4), (1, 2), (10, 1)], [1, 2, 11]),
     ]:
-        res = multipartite_all_main_switching(MultipartiteParams.of(blocks))
+        p = MultipartiteParams.of(blocks)
+        res = multipartite_all_main_switching(p)
         assert sorted(res.switching) == expected, blocks
-        _check_result(res)
+        _check_multipartite(res, p)
 
 
 @pytest.mark.parametrize("blocks, base, extras", [
@@ -580,39 +635,69 @@ def test_multipartite_extras_candidates_stable():
 ])
 def test_multipartite_candidate_lists(monkeypatch, blocks, base, extras):
     # Nearly every shape is settled by the base alone, so the switchings do
-    # not show the later candidates; record what the scan is given instead.
-    calls = []
-    scan = construct._scan
+    # not show the later candidates.  The rule's whole list, built eagerly,
+    # is the expected one; the exact scan switches the matrix about a prefix
+    # of it only, ending at its result; and the float scan over the whole
+    # list picks the same switching.
+    p = MultipartiteParams.of(blocks)
+    expected = [frozenset(base + list(e)) for e in extras]
+    assert _rule_candidates(p) == expected
+    tried = []
+    switch = construct._switched_array
 
-    def recording_scan(x, base_set, extras_list):
-        calls.append((sorted(base_set), list(extras_list)))
-        return scan(x, base_set, extras_list)
+    def recording(a, x):
+        tried.append(frozenset(x))
+        return switch(a, x)
 
-    monkeypatch.setattr(construct, "_scan", recording_scan)
-    res = multipartite_all_main_switching(MultipartiteParams.of(blocks))
-    assert calls == [(base, extras)]
-    _check_result(res)
+    monkeypatch.setattr(construct, "_switched_array", recording)
+    res = multipartite_all_main_switching(p)
+    assert tried == expected[:len(tried)] and tried[-1] == res.switching
+    assert float_scan_oracle(_secular_matrix(p), expected) == res.switching
+    _check_multipartite(res, p)
+
+
+def test_extra_candidates_are_built_only_when_reached(monkeypatch):
+    # The guard errors of the extra flips come from the candidate the scan
+    # reaches, never from one after the winner.  On K_{3,3,1} the switchings
+    # {7} and {3, 5} are not all-main, {1, 7} and {3} are.
+    p = MultipartiteParams.of([(2, 3), (1, 1)])
+    for base, spec, error in (
+        ({7}, (2, 1), "group 2 has no room for 1 extra flips"),
+        ({3, 5}, (1, 1), "special flip picks collide with the base switching"),
+    ):
+        monkeypatch.setattr(construct, "_shape_rule", lambda q: (frozenset(base), [spec]))
+        with pytest.raises(ConstructionError, match=f"^{error}$"):
+            multipartite_all_main_switching(p)
+    for base, spec in (({1, 7}, (2, 1)), ({3}, (1, 2))):
+        monkeypatch.setattr(construct, "_shape_rule", lambda q: (frozenset(base), [spec]))
+        assert multipartite_all_main_switching(p).switching == base
+    candidates = construct._candidates(frozenset({1, 7}), [(2,), (7,)])
+    assert next(candidates) == {1, 7} and next(candidates) == {1, 2, 7}
+    with pytest.raises(ConstructionError, match="^extra flips overlap the base switching$"):
+        next(candidates)
+    monkeypatch.setattr(construct, "_shape_rule", lambda q: (frozenset({7}), []))
+    with pytest.raises(ConstructionError, match="^no candidate switching is all-main$"):
+        multipartite_all_main_switching(p)
 
 
 def test_snr_candidate_flips_are_eigenvectors():
     # No parameter pair in the verified ranges actually needs a flip beyond
-    # the base {v1, vn}, so exercise the mechanics the scan relies on
+    # the base {v1, vn}, so exercise the closed forms behind each candidate
     # directly: each candidate flip pattern yields eigenvectors of the
     # correspondingly switched graph, and so do the twin witnesses for 0 and
     # -1 built from its sign vector.
     n, r = 12, 4
     g = make_snr(SnrParams(n, r))
     roots = snr_cubic_roots(n, r)
-    for extra in ((), (2,), (r + 1,), (n - 1,)):
-        flips = (1, n) + extra
-        a = np.array(adjacency_matrix(apply_switching(g, set(flips))), float)
+    for flips in _snr_candidates(n, r):
+        a = np.array(adjacency_matrix(apply_switching(g, flips)), float)
         for lam in roots:
-            v = flip(snr_eigvec(n, r, lam), flips)
+            v = flip(snr_eigvec_oracle(n, r, lam), flips)
             assert np.linalg.norm(a @ v - lam * v) < 1e-8
         s = _signs(n, flips)
-        zero_vec = construct._twin_witness(s, np.arange(n), _pendant_classes(n, r))
+        zero_vec = twin_witness_oracle(s, np.arange(n), _pendant_classes(n, r))
         assert np.linalg.norm(a @ zero_vec) < 1e-12
-        neg_vec = construct._twin_witness(s, np.arange(n), _rest_classes(n, r))
+        neg_vec = twin_witness_oracle(s, np.arange(n), _rest_classes(n, r))
         assert np.linalg.norm(a @ neg_vec + neg_vec) < 1e-12
         assert zero_vec.sum() > 0 and neg_vec.sum() > 0
 
@@ -622,7 +707,7 @@ def test_multipartite_three_of_size_three_rule():
     # switched vertices there, they must be the first, second and fourth.
     p = MultipartiteParams.of([(2, 4), (2, 3), (1, 1)])
     res = multipartite_all_main_switching(p)
-    _check_result(res)
+    _check_multipartite(res, p)
     group2 = set(p.group_range(2))
     picked = sorted(set(res.switching) & group2)
     f = p.offsets[1]
@@ -645,7 +730,7 @@ def test_rule_no_vertex_switched_twice_audit(rng):
             continue
         switched = sorted(res.switching)
         assert len(switched) == len(set(switched))
-        _check_result(res)
+        _check_multipartite(res, p)
 
 
 def _partition_blocks(n, cap=None):
@@ -660,27 +745,30 @@ def _partition_blocks(n, cap=None):
                 yield [(l, t)] + rest
 
 
-def _assert_twin_witnesses_are_projections(res, twin_eigenvalues):
-    """The witnesses of a constructive result for its twin eigenvalues, which
-    come last, equal the projection of j onto the eigenspace from
-    numpy.linalg.eigh on the switched matrix, up to a positive scale."""
+def _assert_twin_witnesses_are_projections(res, witnesses, twin_eigenvalues):
+    """The closed-form witnesses for the twin eigenvalues, which come last,
+    equal the projection of j onto the eigenspace from numpy.linalg.eigh on
+    the switched matrix, up to a positive scale."""
     a = np.array(adjacency_matrix(apply_switching(res.graph, res.switching)), float)
     vals, vecs = np.linalg.eigh(a)
-    twins = res.witnesses[len(res.witnesses) - len(twin_eigenvalues):]
+    twins = witnesses[len(witnesses) - len(twin_eigenvalues):]
     assert [lam for lam, _ in twins] == twin_eigenvalues
     for lam, w in twins:
         block = vecs[:, np.abs(vals - lam) < 1e-6]
         proj = block @ (block.T @ np.ones(len(vals)))
         assert w.sum() > 0
-        assert np.allclose(w, proj / np.linalg.norm(proj), rtol=0, atol=1e-9), lam
+        assert np.allclose(w / np.linalg.norm(w), proj / np.linalg.norm(proj),
+                           rtol=0, atol=1e-9), lam
 
 
 def test_twin_witnesses_are_projections_of_j():
     checked = 0
     for n in range(4, 31):
         for r in range(1, n - 2):
+            res = snr_all_main_switching(n, r)
             _assert_twin_witnesses_are_projections(
-                snr_all_main_switching(n, r), [0.0, -1.0] if r >= 2 else [-1.0])
+                res, snr_witnesses_oracle(n, r, res.switching),
+                [0.0, -1.0] if r >= 2 else [-1.0])
             checked += 1
     for n in range(2, 13):
         for blocks in _partition_blocks(n):
@@ -691,12 +779,15 @@ def test_twin_witnesses_are_projections_of_j():
                 continue
             if res.method == "constructive":
                 twins = [0.0] * (p.sizes[0] >= 2) + [-float(t) for l, t in blocks if l >= 2]
-                _assert_twin_witnesses_are_projections(res, twins)
+                _assert_twin_witnesses_are_projections(
+                    res, multipartite_witnesses_oracle(p, res.switching), twins)
                 checked += 1
     for k in (2, 3, 4):
         for sizes in itertools.combinations(range(7, 1, -1), k):
-            res = one_per_part_switching(MultipartiteParams.of([(1, t) for t in sizes]))
-            _assert_twin_witnesses_are_projections(res, [0.0])
+            p = MultipartiteParams.of([(1, t) for t in sizes])
+            res = one_per_part_switching(p)
+            _assert_twin_witnesses_are_projections(
+                res, multipartite_witnesses_oracle(p, res.switching), [0.0])
             checked += 1
     assert checked > 600
 
@@ -707,15 +798,17 @@ def test_twin_witnesses_are_projections_of_j():
 
 
 def test_one_per_part_k32():
-    res = one_per_part_switching(MultipartiteParams.of([(1, 3), (1, 2)]))
+    p = MultipartiteParams.of([(1, 3), (1, 2)])
+    res = one_per_part_switching(p)
     assert sorted(res.switching) == [1, 4]
-    _check_result(res)
+    _check_multipartite(res, p)
 
 
 def test_one_per_part_k432():
-    res = one_per_part_switching(MultipartiteParams.of([(1, 4), (1, 3), (1, 2)]))
+    p = MultipartiteParams.of([(1, 4), (1, 3), (1, 2)])
+    res = one_per_part_switching(p)
     assert sorted(res.switching) == [1, 5, 8]
-    _check_result(res)
+    _check_multipartite(res, p)
 
 
 def test_one_per_part_rejects_bad_shapes():
@@ -732,39 +825,24 @@ def test_one_per_part_sum_margin():
     p = MultipartiteParams.of([(1, 7), (1, 5), (1, 4), (1, 2)])
     res = one_per_part_switching(p)
     roots = multipartite_secular_roots(p)
-    for lam, vec in res.witnesses:
+    witnesses = check_witnesses_oracle(_switched(res), multipartite_witnesses_oracle(p, res.switching))
+    assert sum(any(abs(lam - x) < 1e-9 for x in roots) for lam, _ in witnesses) == len(roots)
+    for lam, vec in witnesses:
         if any(abs(lam - x) < 1e-9 for x in roots):
             assert abs(vec.sum()) > 1e-9
-    _check_result(res)
+    _check_multipartite(res, p)
 
 
-@pytest.fixture
-def recorded_witnesses(monkeypatch):
-    """The (eigenvalues, witness matrix) pairs each construction hands to the
-    witness check, in call order."""
-    calls = []
-    check = construct._validated_witnesses
-
-    def recording(a_sw, lams, vecs):
-        calls.append((lams, vecs))
-        return check(a_sw, lams, vecs)
-
-    monkeypatch.setattr(construct, "_validated_witnesses", recording)
-    return calls
+# ---------------------------------------------------------------------------
+# The closed forms behind the constructions, and the float scan they replaced
+# ---------------------------------------------------------------------------
 
 
-def _assert_same_witness_rows(recorded, expected, key):
-    """Bitwise: the same eigenvalues and rows, in the same order."""
-    lams, vecs = recorded
-    assert lams.tobytes() == np.array([lam for lam, _ in expected], float).tobytes(), key
-    assert vecs.shape == (len(expected), len(expected[0][1])), key
-    for row, (_, v) in zip(vecs, expected):
-        assert row.tobytes() == np.asarray(v, float).tobytes(), key
-
-
-def test_witness_matrix_matches_the_per_vector_oracle_bitwise(recorded_witnesses):
+def test_closed_form_witnesses_are_main_for_the_chosen_switching():
     # Every shape with n <= 12, constructive and brute-force alike, the
-    # one-per-part switching where it applies, and the snr grid with r <= 5.
+    # one-per-part switching where it applies, and the snr grid with r <= 5:
+    # the paper's witnesses are main eigenvectors of the switched matrix, one
+    # per distinct eigenvalue.
     checked = 0
     for n in range(2, 13):
         for blocks in _partition_blocks(n):
@@ -773,37 +851,48 @@ def test_witness_matrix_matches_the_per_vector_oracle_bitwise(recorded_witnesses
                 res = multipartite_all_main_switching(p)
             except NoAllMainSwitchingError:
                 continue
-            expected = ([(0.0, np.ones(n))] if blocks == [(1, n)]
-                        else multipartite_witnesses_oracle(p, res.switching))
-            _assert_same_witness_rows(recorded_witnesses[-1], expected, blocks)
+            _check_multipartite(res, p)
             checked += 1
             if p.s >= 2 and set(p.counts) == {1} and p.sizes[-1] >= 2:
-                res = one_per_part_switching(p)
-                _assert_same_witness_rows(
-                    recorded_witnesses[-1], multipartite_witnesses_oracle(p, res.switching),
-                    blocks)
+                _check_multipartite(one_per_part_switching(p), p)
                 checked += 1
     for r in range(1, 6):
         for n in range(r + 3, r + 13):
-            res = snr_all_main_switching(n, r)
-            _assert_same_witness_rows(recorded_witnesses[-1],
-                                      snr_witnesses_oracle(n, r, res.switching), (n, r))
+            _check_snr(snr_all_main_switching(n, r), n, r)
             checked += 1
-    assert len(recorded_witnesses) == checked > 300
+    assert checked > 300
 
 
-def test_construction_from_eight_groups_does_not_depend_on_the_root_bits(monkeypatch):
-    # From 8 groups on the roots may differ from the vectorised Newton polish
-    # in the last bits; the certificate may not, and the witnesses only as
-    # much as the roots do.
-    shapes = many_group_shapes()
-    results = [multipartite_all_main_switching(MultipartiteParams.of(b)) for b in shapes]
-    monkeypatch.setattr(construct, "multipartite_secular_roots", secular_roots_newton_oracle)
-    for blocks, res in zip(shapes, results):
-        old = multipartite_all_main_switching(MultipartiteParams.of(blocks))
-        assert (make_certificate(res.graph, res.switching, res.method, res.profile).to_json()
-                == make_certificate(old.graph, old.switching, old.method, old.profile).to_json())
-        assert len(res.witnesses) == len(old.witnesses), blocks
-        for (lam, v), (old_lam, old_v) in zip(res.witnesses, old.witnesses):
-            assert lam == pytest.approx(old_lam, rel=1e-14, abs=1e-14), blocks
-            assert np.allclose(v, old_v, rtol=1e-12, atol=1e-14), blocks
+def test_exact_scan_picks_the_float_scan_switching():
+    # Over the same candidates in the same order, the float scan (every
+    # secular or cubic witness of nonzero entry sum) and the exact scan
+    # (main_profile all-main) stop at the same switching: every shape with
+    # n <= 14 that a rule covers, and the snr pairs with r <= 10 and
+    # n <= r + 40.
+    checked = 0
+    for n in range(3, 15):
+        for blocks in _partition_blocks(n):
+            p = MultipartiteParams.of(blocks)
+            if sum(p.counts) == 1 or construct._shape_rule(p) is None:
+                continue
+            res = multipartite_all_main_switching(p)
+            assert float_scan_oracle(_secular_matrix(p), _rule_candidates(p)) == res.switching
+            checked += 1
+    for r in range(1, 11):
+        for n in range(r + 3, r + 41):
+            res = snr_all_main_switching(n, r)
+            assert float_scan_oracle(_snr_matrix(n, r), _snr_candidates(n, r)) == res.switching
+            checked += 1
+    assert checked > 800
+
+
+def test_construction_from_eight_groups_does_not_depend_on_the_root_bits():
+    # From 8 groups on, the library's secular roots may differ from the
+    # vectorised Newton polish in the last bits.  The construction takes no
+    # roots at all, and the float scan picks its switching from either set.
+    for blocks in many_group_shapes():
+        p = MultipartiteParams.of(blocks)
+        res = multipartite_all_main_switching(p)
+        candidates = _rule_candidates(p)
+        for roots in (multipartite_secular_roots(p), secular_roots_newton_oracle(p)):
+            assert float_scan_oracle(_secular_matrix(p, roots), candidates) == res.switching, blocks
