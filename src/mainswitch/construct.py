@@ -4,7 +4,7 @@ Two families are covered: the clique-with-pendants graph (pendants first,
 attachment vertex in the middle, remaining clique vertices last) and the
 complete multipartite graph.  Each construction returns the switching and
 the exact main profile of the switched graph from the integer decision
-procedure; nothing here is floating point.
+procedure; no construction uses floating point.
 
 A shape's rule gives a base switching and an ordered list of extra flips.
 The scan builds the graph's int64 adjacency array once, switches it about
