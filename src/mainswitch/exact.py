@@ -14,11 +14,15 @@ input with a ValueError.  It takes one of two paths:
 1. Annihilating polynomials, for matrices past the power-stack kernel below.
    The Krylov columns s, As, A^2 s, ... are eliminated modulo a prime until
    column d depends on the earlier ones; that dependency is a monic q of
-   degree d, lifted by CRT, and one exact evaluation of q(A) checks it
-   (Wiedemann, IEEE Trans. Inf. Theory 1986): directly in float64 when
-   2 sum |q_i| rho^i is below 2^53, so that every partial sum is an exact
-   integer, and modulo table primes whose product exceeds that bound above
-   it.  A Krylov rank modulo a prime is at most the rank over the
+   degree d, lifted first to its symmetric residues modulo that prime alone,
+   and one exact evaluation of q(A) checks it (Wiedemann, IEEE Trans. Inf.
+   Theory 1986): directly on one float64 array when 2 sum |q_i| rho^i is
+   below 2^53, so that every partial sum is an exact integer, and modulo
+   table primes whose product exceeds that bound above it.  The check is
+   exact for any candidate, so only one that fails it is lifted again, by
+   CRT over as many table primes as 2 (1+rho)^d needs, and checked the same
+   way; when that is more than one prime, the one-prime candidate is
+   checked only if its check is the direct float64 one.  A Krylov rank modulo a prime is at most the rank over the
    rationals, which is at most the distinct count, and q(A) = 0 bounds the
    distinct count by d from above.  From s = j, d = n or q(A) = 0 proves
    the matrix all-main, and q(A) j = 0 alone makes d the main count; the
@@ -147,7 +151,11 @@ def _prime_count(bound: int) -> int | None:
 
 def _crt_lift(residues: np.ndarray, k: int) -> IntPoly:
     """Symmetric integers whose residues modulo the first k table primes are
-    the rows of residues (shape (count, k))."""
+    the rows of residues (shape (count, k)); for one prime, the symmetric
+    residues themselves."""
+    if k == 1:
+        p = _PRIMES[0]
+        return [v - p if v > p // 2 else v for v in residues[:, 0].tolist()]
     m, basis = _crt_basis(k)
     half = m // 2
     lifted = (int(v) % m for v in residues.astype(object) @ np.array(basis, dtype=object))
@@ -378,9 +386,14 @@ def rank_exact(m: IntMatrix | np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 # main_profile decides from the int64 power stack up to this many vertices.
-# Past it the annihilator path is faster on all-main multipartite matrices
-# (about 106 against 94 us at n = 11 on a 2-core x86 VM, 89 against 93 at
-# n = 10), and the stack's n^3 entries keep growing.
+# Past it the annihilator path is faster on all-main multipartite matrices,
+# and the stack's n^3 entries keep growing: at n = 11 about 81 against
+# 1,100 us (n rho^(2n-2) passes 2^63 there for most shapes, so the stack is
+# built in Python ints).  At n = 10 the annihilator path is faster on those
+# matrices too (about 77 against 104 us), but on random signed graphs, most
+# of them not all-main, the stack is (91 against 206 us), as at n = 9 (70
+# against 157 us).  Process CPU per matrix, best of 10-15 passes, on a
+# 2-core x86 VM with one BLAS thread.
 _STACK_MAX_N = 10
 
 
@@ -431,56 +444,89 @@ def _distinct_count(powers: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _annihilator(arr: np.ndarray, rho: int, start: np.ndarray) -> tuple[int, IntPoly | None]:
-    """Rank d mod _RANK_PRIME of the Krylov matrix of a _guarded_array matrix
-    and a start vector s, and a monic candidate q of degree d for
-    q(A) s = 0 over the integers (None when d = n or the lift fails).
+def _horner_bound(rho: int, q: IntPoly) -> int:
+    """2 sum |q_i| r^i with r = max(rho, 1): the bound of _vanishes."""
+    r, bound = max(rho, 1), 0
+    for c in reversed(q):
+        bound = bound * r + abs(c)
+    return 2 * bound
 
-    q is the Krylov dependency mod p, lifted by CRT over as many table primes
-    as the bound 2 (1+rho)^d needs.  That bound covers the coefficients of
-    any product of x - lambda over d eigenvalues, which q is when d is the
-    Krylov rank of s over the rationals: q is then the minimal polynomial of
-    s.  A degree that differs between primes gives no candidate; any other
-    wrong lift is left to _vanishes to reject.
+
+def _annihilator(arr: np.ndarray, rho: int,
+                 start: np.ndarray) -> tuple[int, IntPoly | None, tuple[bool, bool]]:
+    """Rank d mod _RANK_PRIME of the Krylov matrix of a _guarded_array matrix
+    and a start vector s, a monic candidate q of degree d for q(A) s = 0 over
+    the integers, and _vanishes of q: whether q(A) = 0 and whether
+    q(A) j = 0.  q is None, and both checks false, when d = n or no
+    candidate is found.
+
+    q is the Krylov dependency mod p, lifted first over _RANK_PRIME alone.
+    _vanishes is exact for any candidate, so one that passes a check stands:
+    a monic q of degree d with q(A) j = 0 is the minimal polynomial of j, as
+    d is at most the Krylov rank of j over the rationals, and likewise
+    q(A) = 0 makes q the minimal polynomial of A.  When the bound
+    2 (1+rho)^d asks for more table primes than one, the one-prime candidate
+    is checked only if its check is the plain float64 Horner (a wrong
+    candidate's coefficients run up to p/2, and its check modulo primes
+    costs about as much as the right one's), and a candidate that fails both
+    checks, or is not checked, is lifted again by CRT over those primes.
+    That bound covers the coefficients of any product of x - lambda over d
+    eigenvalues, which q is when d is the Krylov rank of s over the
+    rationals.  A degree that differs between primes gives no candidate.
     """
     d, q = _krylov_mod(arr, _RANK_PRIME, start)
-    k = None if q is None else _prime_count(2 * (1 + rho) ** d)
+    if q is None:
+        return d, None, (False, False)
+    lifted = _crt_lift(q[:, None], 1)
+    k = _prime_count(2 * (1 + rho) ** d)
+    if k == 1 or _horner_bound(rho, lifted) < 2 ** 53:
+        checks = _vanishes(arr, rho, lifted)
+        if any(checks) or k in (None, 1):
+            return d, lifted, checks
     if k is None:
-        return d, None
+        return d, None, (False, False)
     residues = [q]
     for p in _PRIMES[1:k]:  # _RANK_PRIME is the first
         dp, qp = _krylov_mod(arr, p, start)
         if dp != d:
-            return d, None
+            return d, None, (False, False)
         residues.append(qp)
-    return d, _crt_lift(np.stack(residues, axis=1), k)
+    lifted = _crt_lift(np.stack(residues, axis=1), k)
+    return d, lifted, _vanishes(arr, rho, lifted)
 
 
 def _vanishes(arr: np.ndarray, rho: int, q: IntPoly) -> tuple[bool, bool]:
-    """Whether q(A) = 0 and whether q(A) j = 0, exactly, by one Horner
-    evaluation of q(A) in float64.
+    """Whether q(A) = 0 and whether q(A) j = 0, for q of degree at least 1,
+    exactly, by one Horner evaluation of q(A) in float64.
 
     With r = max(rho, 1), every Horner value sum_{k>=i} q_k A^(k-i), every
     partial row . column sum on the way to it and every partial row sum of
     q(A) j is an integer of absolute value at most sum |q_k| r^k, half the
     bound below.  When the bound is below 2^53 all of them are exact in
-    whatever order the sums are taken, so q(A) is evaluated directly.  Above
-    it each step is reduced modulo primes whose product exceeds the bound,
-    all primes in one matrix product per step (exact by the ranges argued at
-    _LIMIT), and q(A) j mod p is the row sums of the residues.  The bound
-    comes from q's own coefficients: a candidate that agrees with a true
-    annihilator modulo the lift primes alone still fails.
+    whatever order the sums are taken, so q(A) is evaluated directly on one
+    (n, n) array, each step adding its coefficient to the diagonal in place.
+    Above it each step is reduced modulo primes whose product exceeds the
+    bound, all primes in one matrix product per step (exact by the ranges
+    argued at _LIMIT), and q(A) j mod p is the row sums of the residues.
+    The bound comes from q's own coefficients: a candidate that agrees with
+    a true annihilator modulo the lift primes alone still fails.
     """
-    bound = 2 * sum(abs(c) * max(rho, 1) ** i for i, c in enumerate(q))
-    reduce = bound >= 2 ** 53
-    k = _prime_count(bound) if reduce else 1
+    bound = _horner_bound(rho, q)
+    n = len(arr)
+    af = arr.astype(np.float64)
+    if bound < 2 ** 53:
+        b, x = af * q[-1], np.empty((n, n))
+        b.reshape(-1)[::n + 1] += q[-2]
+        for c in q[-3::-1]:
+            np.matmul(af, b, out=x)
+            x.reshape(-1)[::n + 1] += c
+            b, x = x, b
+        return (True, True) if not b.any() else (False, not b.sum(axis=1).any())
+    k = _prime_count(bound)
     if k is None:
         return False, False
-    n = len(arr)
     pf = np.array(_PRIMES[:k], dtype=np.float64)[:, None]
-    coeffs = np.array([[c % p for p in _PRIMES[:k]] for c in q] if reduce else q,
-                      dtype=np.float64).reshape(len(q), k)
-    af = arr.astype(np.float64)
+    coeffs = np.array([[c % p for p in _PRIMES[:k]] for c in q], dtype=np.float64)
     b = np.zeros((n, k, n))
     x = np.empty_like(b)
     b_cols, x_cols = b.reshape(n, k * n), x.reshape(n, k * n)
@@ -488,18 +534,13 @@ def _vanishes(arr: np.ndarray, rho: int, q: IntPoly) -> tuple[bool, bool]:
     diagonals += coeffs[-1]
     for c in coeffs[-2::-1]:
         np.matmul(af, b_cols, out=x_cols)
-        if reduce:
-            np.floor(np.divide(x, pf, out=b), out=b)
-            np.subtract(x, np.multiply(b, pf, out=b), out=b)
-        else:
-            b[...] = x
+        np.floor(np.divide(x, pf, out=b), out=b)
+        np.subtract(x, np.multiply(b, pf, out=b), out=b)
         diagonals += c
-    if reduce:
-        np.remainder(b, pf, out=b)
+    np.remainder(b, pf, out=b)
     if not b.any():
         return True, True
-    rows = b.sum(axis=2)
-    return False, not (np.remainder(rows, pf.T) if reduce else rows).any()
+    return False, not np.remainder(b.sum(axis=2), pf.T).any()
 
 
 # ---------------------------------------------------------------------------
@@ -537,16 +578,13 @@ def _certified_profile(arr: np.ndarray, rho: int) -> MainProfile | None:
     distinct entries, so no twin eigenvector e_u - e_w is orthogonal to it.
     """
     n = len(arr)
-    mc, q = _annihilator(arr, rho, np.ones(n, dtype=np.int64))
-    if mc == n:
-        return MainProfile(main_count=n, distinct_count=n, all_main=True)
-    whole, on_j = (False, False) if q is None else _vanishes(arr, rho, q)
-    if whole:
+    mc, _, (whole, on_j) = _annihilator(arr, rho, np.ones(n, dtype=np.int64))
+    if mc == n or whole:
         return MainProfile(main_count=mc, distinct_count=mc, all_main=True)
     if not on_j:
         return None
-    dc, q = _annihilator(arr, rho, np.arange(1, n + 1, dtype=np.int64))
-    if dc < n and (q is None or not _vanishes(arr, rho, q)[0]):
+    dc, _, (whole, _) = _annihilator(arr, rho, np.arange(1, n + 1, dtype=np.int64))
+    if dc < n and not whole:
         return None
     return MainProfile(main_count=mc, distinct_count=dc, all_main=mc == dc)
 

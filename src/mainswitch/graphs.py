@@ -23,7 +23,7 @@ from __future__ import annotations
 import binascii
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -448,10 +448,16 @@ class MultipartiteParams:
 
     Part sizes must strictly decrease.  Vertices are numbered consecutively
     part by part, group by group; ``offsets[i-1]`` is the number of vertices
-    before group i.
+    before group i.  The layout tuples are derived once, from the blocks;
+    equality, hash and repr see only the blocks.
     """
 
     blocks: tuple[tuple[int, int], ...]
+    counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    group_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.blocks:
@@ -461,9 +467,15 @@ class MultipartiteParams:
                 raise ValueError(f"part count must be >= 1, got {l}")
             if t < 1:
                 raise ValueError(f"part size must be >= 1, got {t}")
-        sizes = [t for _, t in self.blocks]
+        sizes = tuple(t for _, t in self.blocks)
         if any(nxt >= prev for nxt, prev in zip(sizes[1:], sizes)):
-            raise ValueError(f"part sizes must strictly decrease, got {sizes}")
+            raise ValueError(f"part sizes must strictly decrease, got {list(sizes)}")
+        counts = tuple(l for l, _ in self.blocks)
+        group_sizes = tuple(l * t for l, t in self.blocks)
+        offsets = tuple(itertools.accumulate(group_sizes[:-1], initial=0))
+        for name, value in zip(("counts", "sizes", "group_sizes", "offsets", "n"),
+                               (counts, sizes, group_sizes, offsets, sum(group_sizes))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def of(cls, blocks: Iterable[tuple[int, int]]) -> "MultipartiteParams":
@@ -472,26 +484,6 @@ class MultipartiteParams:
     @property
     def s(self) -> int:
         return len(self.blocks)
-
-    @functools.cached_property
-    def counts(self) -> tuple[int, ...]:
-        return tuple(l for l, _ in self.blocks)
-
-    @functools.cached_property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(t for _, t in self.blocks)
-
-    @functools.cached_property
-    def group_sizes(self) -> tuple[int, ...]:
-        return tuple(l * t for l, t in self.blocks)
-
-    @functools.cached_property
-    def offsets(self) -> tuple[int, ...]:
-        return tuple(itertools.accumulate(self.group_sizes[:-1], initial=0))
-
-    @functools.cached_property
-    def n(self) -> int:
-        return sum(self.group_sizes)
 
     def group_range(self, i: int) -> range:
         f = self.offsets[i - 1]
@@ -514,6 +506,8 @@ def make_multipartite(p: MultipartiteParams) -> Graph:
     """Complete multipartite graph: u ~ v iff they lie in different parts."""
     everyone = (1 << p.n) - 1
     rows: list[int] = []
-    for part in p.parts():
-        rows += [everyone ^ (1 << part.stop - 1) - (1 << part.start - 1)] * len(part)
+    for l, t in p.blocks:
+        part = (1 << t) - 1
+        for _ in range(l):
+            rows += [everyone ^ part << len(rows)] * t
     return Graph._from_rows(rows)

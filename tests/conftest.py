@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own code paths: rank via
 rational Gaussian elimination, roots via plain bisection, polynomial algebra
 by direct convolution, graph6 records by the pair-by-pair loop,
 characteristic polynomials by Faddeev-LeVerrier over Python integers,
-primality by deterministic Miller-Rabin.  Tests compare library output
+primality by deterministic Miller-Rabin, CRT lifts by Garner's method,
+multipartite rows part by part.  Tests compare library output
 against these.  Canonical values come from canonical_value_oracle, a
 one-graph-at-a-time branch and bound that brute_canonical_form checks on
 its own; catalog_values_oracle, the catalog sweep without its filters, uses
@@ -417,6 +418,26 @@ def family_edges_oracle(p: SnrParams | MultipartiteParams) -> frozenset[tuple[in
     part_of = {v: k for k, part in enumerate(p.parts()) for v in part}
     return frozenset((u, v) for u, v in itertools.combinations(range(1, p.n + 1), 2)
                      if part_of[u] != part_of[v])
+
+
+def multipartite_rows_oracle(p: MultipartiteParams) -> tuple[int, ...]:
+    """The neighbourhood rows of the complete multipartite graph, part by
+    part through p.parts(): each vertex of a part is joined to everyone
+    outside it."""
+    everyone = (1 << p.n) - 1
+    rows: list[int] = []
+    for part in p.parts():
+        rows += [everyone ^ (1 << part.stop - 1) - (1 << part.start - 1)] * len(part)
+    return tuple(rows)
+
+
+def crt_oracle(residues: list[int], primes: list[int]) -> int:
+    """The integer x with |x| <= M/2, M the product of the primes, and
+    x = r_i mod p_i, by Garner's incremental CRT over Python ints."""
+    x, m = 0, 1
+    for r, p in zip(residues, primes):
+        x, m = x + m * ((r - x) * pow(m, -1, p) % p), m * p
+    return x - m if x > m // 2 else x
 
 
 def brute_canonical_form(g: Graph) -> Graph:

@@ -32,6 +32,7 @@ from mainswitch import (
 from mainswitch import exact, search
 from mainswitch.graphs import Graph, apply_switching
 from conftest import (
+    crt_oracle,
     det_mod,
     faddeev_leverrier_char_poly,
     fraction_rank,
@@ -547,7 +548,7 @@ def test_annihilator_check_prime_count_comes_from_the_candidate():
     # the primes that its own coefficients call for tell them apart.
     for a in _family_matrices() + _profile_cases():
         arr, rho = exact._guarded_array(a)
-        d, q = exact._annihilator(arr, rho, np.ones(len(a), dtype=np.int64))
+        d, q, _ = exact._annihilator(arr, rho, np.ones(len(a), dtype=np.int64))
         if q is None:
             continue
         m = exact._PRIME_PRODUCTS[exact._prime_count(2 * (1 + rho) ** d) - 1]
@@ -579,14 +580,14 @@ def test_vanishes_matches_python_int_oracle_on_both_sides_of_2_53(bits, monkeypa
     res = multipartite_all_main_switching(p)
     a = adjacency_matrix(apply_switching(res.graph, res.switching))
     arr, rho = exact._guarded_array(a)
-    d, q = exact._annihilator(arr, rho, np.ones(len(a), dtype=np.int64))
+    d, q, _ = exact._annihilator(arr, rho, np.ones(len(a), dtype=np.int64))
     assert _vanishes_bound(rho, q).bit_length() == bits
     lift = exact._PRIME_PRODUCTS[exact._prime_count(2 * (1 + rho) ** d) - 1]
     # The unswitched graph: q of j annihilates j but not A (its twins'
     # eigenvalues are not main); times x - 2^40 it needs the primes.
     plain = adjacency_matrix(make_multipartite(p))
     plain_arr, plain_rho = exact._guarded_array(plain)
-    _, q_j = exact._annihilator(plain_arr, plain_rho, np.ones(len(a), dtype=np.int64))
+    _, q_j, _ = exact._annihilator(plain_arr, plain_rho, np.ones(len(a), dtype=np.int64))
     cases = [
         (a, arr, rho, q, (True, True)),  # a true annihilator
         (a, arr, rho, [q[0] + 1] + q[1:], (False, False)),
@@ -607,27 +608,113 @@ def test_vanishes_matches_python_int_oracle_on_both_sides_of_2_53(bits, monkeypa
     assert _vanishes_bound(plain_rho, q_j) < 2 ** 53
 
 
+def _switched_multipartite(blocks):
+    res = multipartite_all_main_switching(MultipartiteParams.of(blocks))
+    return adjacency_matrix(apply_switching(res.graph, res.switching))
+
+
+# n = 16 and d = 8: the bound 2 (1+rho)^d of this switched shape asks for
+# two lift primes.
+_TWO_PRIME_SHAPE = [(1, 4), (2, 3), (2, 2), (2, 1)]
+
+
 def test_wrong_lift_falls_back_to_power_stack(monkeypatch):
-    # With the second table prime as the rank prime, the residues lifted as
-    # if modulo the first prime give a wrong q whenever q has a negative
-    # coefficient: it must be rejected and the power stack must decide.
-    # n = 13 keeps that fallback cheap.
-    res = multipartite_all_main_switching(MultipartiteParams.of([(1, 6), (2, 2), (3, 1)]))
-    a = adjacency_matrix(apply_switching(res.graph, res.switching))
+    # With the second table prime as the rank prime, residues lifted as if
+    # modulo the leading table primes give a wrong q whenever q has a
+    # negative coefficient: over _RANK_PRIME alone and again over the two
+    # primes that the bound asks for.  Both candidates must be rejected and
+    # the power stack must decide.  n = 16 keeps that fallback cheap.
+    a = _switched_multipartite(_TWO_PRIME_SHAPE)
     arr, rho = exact._guarded_array(a)
     j = np.ones(len(a), dtype=np.int64)
     expected = main_profile(a)
-    _, q = exact._annihilator(arr, rho, j)
+    d, q, _ = exact._annihilator(arr, rho, j)
     assert expected.all_main and min(q) < 0
+    assert exact._prime_count(2 * (1 + rho) ** d) == 2
     monkeypatch.setattr(exact, "_RANK_PRIME", exact._PRIMES[1])
-    _, wrong = exact._annihilator(arr, rho, j)
-    assert len(wrong) == len(q) and wrong != q
-    calls = []
-    stack_profile = exact._stack_profile
+    candidates, calls = [], []
+    vanishes, stack_profile = exact._vanishes, exact._stack_profile
+    monkeypatch.setattr(exact, "_vanishes",
+                        lambda arr, rho, poly: candidates.append(poly) or vanishes(arr, rho, poly))
     monkeypatch.setattr(exact, "_stack_profile",
                         lambda powers: calls.append(1) or stack_profile(powers))
     assert main_profile(a) == expected
     assert calls == [1]
+    assert len(candidates) == 2
+    for wrong in candidates:
+        assert len(wrong) == len(q) and wrong != q
+
+
+def test_one_prime_candidate_that_passes_needs_one_krylov_run(monkeypatch):
+    # The bound asks for two primes, but the candidate lifted over
+    # _RANK_PRIME alone already has q(A) = 0: one Krylov elimination
+    # decides the matrix, with the profile of the oracles.
+    a = _switched_multipartite(_TWO_PRIME_SHAPE)
+    arr, rho = exact._guarded_array(a)
+    expected = _oracle_profile(a)
+    assert expected == exact.MainProfile(8, 8, True) and len(a) == 16
+    assert exact._prime_count(2 * (1 + rho) ** 8) == 2
+    runs = []
+    krylov = exact._krylov_mod
+    monkeypatch.setattr(exact, "_krylov_mod", lambda *args: runs.append(args[1]) or krylov(*args))
+    assert main_profile(a) == expected
+    assert runs == [exact._RANK_PRIME]
+
+
+@pytest.mark.parametrize("eigenvalues, checked_first", [
+    # q_0 = 300 * 301 * 302 * 303, about 8.3e9: the one-prime candidate has
+    # a plain-Horner check, which it fails.
+    ((300, 301, 302, 303), True),
+    # q_0 about -1.25e17: the wrong candidate's own check would need the
+    # primes, so it is not checked at all.
+    ((499999, 499997, 499993), False),
+])
+def test_one_prime_candidate_past_half_the_prime_is_lifted_again(monkeypatch, eigenvalues,
+                                                                 checked_first):
+    # diag(eigenvalues, the last one repeated up to n = 12) has the
+    # annihilator q = prod (x - lambda) of j, whose q_0 is past p/2: the
+    # symmetric residues mod _RANK_PRIME are a wrong q.  The lift over the
+    # two primes that 2 (1+rho)^d asks for decides the matrix all-main,
+    # without the power stack.
+    values = list(eigenvalues) + [eigenvalues[-1]] * (12 - len(eigenvalues))
+    a = [[v if i == k else 0 for k in range(len(values))] for i, v in enumerate(values)]
+    q = functools.reduce(poly_mul, ([-v, 1] for v in eigenvalues))
+    d = len(eigenvalues)
+    assert abs(q[0]) > exact._RANK_PRIME // 2
+    assert exact._prime_count(2 * (1 + max(values)) ** d) == 2
+    expected = _oracle_profile(a)
+    assert expected == exact.MainProfile(d, d, True)
+    checks, stacks, runs = [], [], []
+    vanishes, krylov = exact._vanishes, exact._krylov_mod
+
+    def record(arr, rho, poly):
+        checks.append((poly, vanishes(arr, rho, poly)))
+        return checks[-1][1]
+
+    monkeypatch.setattr(exact, "_vanishes", record)
+    monkeypatch.setattr(exact, "_krylov_mod", lambda *args: runs.append(args[1]) or krylov(*args))
+    monkeypatch.setattr(exact, "_stack_profile", lambda powers: stacks.append(1))
+    assert main_profile(a) == expected
+    assert runs == list(exact._PRIMES[:2]) and not stacks
+    assert checks[-1] == (q, (True, True))
+    if checked_first:
+        assert len(checks) == 2 and checks[0][0] != q and checks[0][1] == (False, False)
+    else:
+        assert len(checks) == 1
+
+
+def test_crt_lift_matches_garner_oracle(rng):
+    # One prime: the symmetric residue, ends of the range included.  More
+    # primes: the idempotent sum over object arrays.
+    p = exact._PRIMES[0]
+    residues = [0, 1, p // 2, p // 2 + 1, p - 1] + [rng.randrange(p) for _ in range(200)]
+    lifted = exact._crt_lift(np.array(residues, dtype=np.int64)[:, None], 1)
+    assert lifted == [crt_oracle([r], exact._PRIMES[:1]) for r in residues]
+    assert lifted[2:5] == [p // 2, -(p // 2), -1] and {type(v) for v in lifted} == {int}
+    for k in (2, 3, 5):
+        rows = [[rng.randrange(pk) for pk in exact._PRIMES[:k]] for _ in range(50)]
+        assert exact._crt_lift(np.array(rows, dtype=np.int64), k) == [
+            crt_oracle(r, exact._PRIMES[:k]) for r in rows]
 
 
 def test_main_profile_never_reaches_polynomial_code(monkeypatch):

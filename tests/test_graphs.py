@@ -28,8 +28,9 @@ from mainswitch import (
     parse_signed_edge_list,
 )
 from mainswitch.graphs import _graph6_adjacency
-from conftest import (emit_graph6_loop, family_edges_oracle, fixed_family_params, graph6_like,
-                      random_connected_graph, random_signed_graph, sel_like)
+from conftest import (blocks_of, emit_graph6_loop, family_edges_oracle, fixed_family_params,
+                      graph6_like, multipartite_rows_oracle, partitions, random_connected_graph,
+                      random_signed_graph, sel_like)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +343,22 @@ def test_multipartite_edge_count_formula(rng):
         g = make_multipartite(p)
         expected = (p.n ** 2 - sum(l * t * t for l, t in blocks)) // 2
         assert len(g.edges) == expected
+
+
+def test_make_multipartite_matches_part_by_part_oracle(rng):
+    # Every partition shape with n <= 20, and 200 random shapes up to the
+    # graph6 limit n = 62.
+    shapes = [blocks_of(part) for n in range(1, 21) for part in partitions(n)]
+    for left in [62] + [rng.randrange(1, 63) for _ in range(199)]:
+        part = []
+        while left:
+            part.append(rng.randint(1, min(left, rng.choice((1, 2, 4, left)))))
+            left -= part[-1]
+        shapes.append(blocks_of(part))
+    assert max(MultipartiteParams.of(b).n for b in shapes) == 62
+    for blocks in shapes:
+        p = MultipartiteParams.of(blocks)
+        assert make_multipartite(p).rows == multipartite_rows_oracle(p), blocks
 
 
 def test_multipartite_layout():
