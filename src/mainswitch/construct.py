@@ -31,8 +31,9 @@ unused labels are taken.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -157,46 +158,34 @@ def candidate_family_equal(beta: Sequence, indices: Sequence[int]) -> CandidateF
 class ConstructionResult:
     """A switching with the exact main profile of the switched graph.
 
-    ``verified`` is ``profile.all_main``, true for every result the scan
-    returns; ``method`` is ``constructive`` for a shape rule's candidate and
+    ``method`` is ``constructive`` for a shape rule's candidate and
     ``brute_force`` for the search's switching.
     """
 
     graph: Graph
     switching: frozenset[int]
-    verified: bool
     method: str
     profile: MainProfile
 
+    @property
+    def verified(self) -> bool:
+        """``profile.all_main``, true for every result the scan returns."""
+        return self.profile.all_main
 
-def _scan(graph: Graph, candidates: Iterable[frozenset[int]], method: str) -> ConstructionResult:
+
+def _scan(graph: Graph, base: frozenset[int], extras: Iterable[tuple[int, ...]],
+          method: str) -> ConstructionResult:
     """The first candidate switching, in order, under which ``main_profile``
-    finds the graph all-main.  The adjacency array is built once, and the
-    candidates are read one at a time, so a lazy iterable builds only those
-    the scan reaches."""
+    finds the graph all-main: base, then base plus each tuple of extra flips.
+    The adjacency array is built once, and extras is read one tuple at a
+    time, so a lazy iterable builds only the candidates the scan reaches."""
     a = _adjacency_array(graph)
-    for switched in candidates:
+    for switched in itertools.chain([base], (base | frozenset(flips) for flips in extras)):
         profile = main_profile(_switched_array(a, switched))
         if profile.all_main:
-            return ConstructionResult(
-                graph=graph,
-                switching=switched,
-                verified=profile.all_main,
-                method=method,
-                profile=profile,
-            )
+            return ConstructionResult(graph=graph, switching=switched, method=method,
+                                      profile=profile)
     raise ConstructionError("no candidate switching is all-main")
-
-
-def _candidates(base: frozenset[int],
-                extras: Iterable[tuple[int, ...]]) -> Iterator[frozenset[int]]:
-    """base, then base plus each tuple of extra flips in order, each one
-    taken from extras only when it is asked for."""
-    yield base
-    for flips in extras:
-        if base.intersection(flips):
-            raise ConstructionError("extra flips overlap the base switching")
-        yield base | frozenset(flips)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +209,7 @@ def snr_all_main_switching(n: int, r: int) -> ConstructionResult:
     # equals 1.  The pendants (eigenvalue 0) and the clique rest (-1) each
     # hold a switched vertex, v1 or vn, and an unswitched one.
     extras = [] if r <= 2 or n == r + 3 else [(2,), (r + 1,), (n - 1,)]
-    return _scan(make_snr(SnrParams(n, r)), _candidates(frozenset((1, n)), extras),
-                 "constructive")
+    return _scan(make_snr(SnrParams(n, r)), frozenset((1, n)), extras, "constructive")
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +280,7 @@ def _from_search(p: MultipartiteParams, graph: Graph) -> ConstructionResult:
     if cert is None:
         raise NoAllMainSwitchingError(
             f"no all-main switching exists for blocks {p.blocks}")
-    return _scan(graph, [frozenset(cert.switching)], "brute_force")
+    return _scan(graph, frozenset(cert.switching), (), "brute_force")
 
 
 def multipartite_all_main_switching(p: MultipartiteParams) -> ConstructionResult:
@@ -310,7 +298,7 @@ def multipartite_all_main_switching(p: MultipartiteParams) -> ConstructionResult
     graph = make_multipartite(p)
     if p.s == 1 and p.counts[0] == 1:
         # A single part: the empty graph, already all-main with no switching.
-        return _scan(graph, [frozenset()], "constructive")
+        return _scan(graph, frozenset(), (), "constructive")
     if p.n == 2:
         raise NoAllMainSwitchingError(
             "the single-edge graph admits no all-main switching")
@@ -319,7 +307,7 @@ def multipartite_all_main_switching(p: MultipartiteParams) -> ConstructionResult
         return _from_search(p, graph)  # includes the rejected 4-clique minus an edge
     base, specs = rule
     extras = (_pick_extras(p, group, count, base) for group, count in specs)
-    return _scan(graph, _candidates(base, extras), "constructive")
+    return _scan(graph, base, extras, "constructive")
 
 
 def one_per_part_switching(p: MultipartiteParams) -> ConstructionResult:
@@ -333,4 +321,4 @@ def one_per_part_switching(p: MultipartiteParams) -> ConstructionResult:
     if p.sizes[-1] < 2:
         raise ValueError("every part must have at least two vertices")
     switched = frozenset(off + 1 for off in p.offsets)
-    return _scan(make_multipartite(p), [switched], "constructive")
+    return _scan(make_multipartite(p), switched, (), "constructive")

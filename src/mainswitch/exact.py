@@ -22,11 +22,12 @@ input with a ValueError.  It takes one of two paths:
    exact for any candidate, so only one that fails it is lifted again, by
    CRT over as many table primes as 2 (1+rho)^d needs, and checked the same
    way; when that is more than one prime, the one-prime candidate is
-   checked only if its check is the direct float64 one.  A Krylov rank modulo a prime is at most the rank over the
-   rationals, which is at most the distinct count, and q(A) = 0 bounds the
-   distinct count by d from above.  From s = j, d = n or q(A) = 0 proves
-   the matrix all-main, and q(A) j = 0 alone makes d the main count; the
-   distinct count then comes the same way from s = (1, 2, ..., n).
+   checked only if its check is the direct float64 one.  A Krylov rank
+   modulo a prime is at most the rank over the rationals, which is at most
+   the distinct count, and q(A) = 0 bounds the distinct count by d from
+   above.  From s = j, d = n or q(A) = 0 proves the matrix all-main, and
+   q(A) j = 0 alone makes d the main count; the distinct count then comes
+   the same way from s = (1, 2, ..., n).
 2. The power stack A^0, ..., A^(n-1): the main count is the Bareiss rank of
    the walk columns A^k j, and, when that is short of n, the distinct count
    is the rank of the Hankel matrix of power traces tr(A^(i+j)), the Gram
@@ -61,13 +62,10 @@ IntMatrix = list[list[int]]
 IntPoly = list[int]
 
 __all__ = [
-    "IntMatrix",
-    "IntPoly",
     "MainProfile",
     "char_poly",
     "distinct_eigenvalue_count",
     "main_profile",
-    "poly_derivative",
     "poly_gcd",
     "rank_exact",
     "walk_matrix",

@@ -31,7 +31,6 @@ import numpy as np
 Edge = tuple[int, int]
 
 __all__ = [
-    "Edge",
     "Graph",
     "GraphFormatError",
     "MultipartiteParams",

@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -60,7 +60,6 @@ CATALOG_CAP = 7
 CANONICAL_CAP = 8
 
 __all__ = [
-    "CATALOG_CAP",
     "Certificate",
     "DisconnectedGraphError",
     "TOOL_VERSION",
@@ -505,10 +504,7 @@ class VerificationReport:
             "n_range": list(self.n_range),
             "graphs_checked": self.graphs_checked,
             "successes": self.successes,
-            "exceptions": [
-                {"graph6": e.graph6, "main_counts": list(e.main_counts)}
-                for e in self.exceptions
-            ],
+            "exceptions": [asdict(e) for e in self.exceptions],
             "tool_version": TOOL_VERSION,
         }
 

@@ -321,24 +321,16 @@ def test_secular_roots_match_bisection_oracle():
 
 
 def test_secular_roots_bitwise_match_the_vectorised_newton_oracle():
-    # The polish on Python floats sums over the groups in order, as numpy's
-    # row sums do below 8 entries, so up to 7 groups the roots come out bit
-    # for bit the same.  From 8 groups on numpy sums in blocks, and only the
-    # last bits may differ.
-    shapes = list(_partition_shapes(20)) + random_shape_pool()
-    assert len(shapes) == 2713 + 400
+    many = many_group_shapes()
+    assert len(many) == 65 and min(len(b) for b in many) == 8
+    shapes = list(_partition_shapes(20)) + random_shape_pool() + many
+    assert len(shapes) == 2713 + 400 + 65
     for blocks in shapes:
         p = MultipartiteParams.of(blocks)
         roots = multipartite_secular_roots(p)
         assert all(type(x) is float for x in roots), blocks
         expected = secular_roots_newton_oracle(p)
         assert np.array(roots).tobytes() == np.array(expected).tobytes(), blocks
-    many = many_group_shapes()
-    assert len(many) == 65 and min(len(b) for b in many) == 8
-    for blocks in many:
-        p = MultipartiteParams.of(blocks)
-        np.testing.assert_array_max_ulp(np.array(multipartite_secular_roots(p)),
-                                        np.array(secular_roots_newton_oracle(p)), maxulp=4)
 
 
 def test_secular_residual_small(rng):
