@@ -221,21 +221,12 @@ def _pick_extras(p: MultipartiteParams, group: int, count: int,
                  base: frozenset[int]) -> tuple[int, ...]:
     """Choose ``count`` extra flip vertices in a group, never reusing a base
     vertex; applies the first-second-fourth pick when a size-3 group with at
-    least two parts ends up with three switched vertices."""
-    ui = list(p.group_range(group))
-    w = sum(1 for v in ui if v in base) + count
-    t = p.sizes[group - 1]
-    m = p.group_sizes[group - 1]
-    if t == 3 and m >= 6 and w == 3:
-        f = p.offsets[group - 1]
-        extras = tuple(v for v in (f + 1, f + 2, f + 4) if v not in base)
-        if len(extras) != count:
-            raise ConstructionError("special flip picks collide with the base switching")
-        return extras
-    avail = [v for v in ui if v not in base]
-    if count > len(avail):
-        raise ConstructionError(f"group {group} has no room for {count} extra flips")
-    return tuple(avail[:count])
+    least two parts ends up with three switched vertices.  The picks are not
+    checked further: the exact scan decides every candidate."""
+    ui = p.group_range(group)
+    f = ui.start - 1
+    three = p.sizes[group - 1] == 3 and len(ui) >= 6 and sum(v in base for v in ui) + count == 3
+    return tuple(v for v in ((f + 1, f + 2, f + 4) if three else ui) if v not in base)[:count]
 
 
 def _shape_rule(p: MultipartiteParams) -> tuple[frozenset[int], list[tuple[int, int]]] | None:

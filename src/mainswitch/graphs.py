@@ -14,6 +14,10 @@ re-checks switch by the sign vector (_switched_array, the one switched-matrix
 rule, which the constructions use too) without building a Graph at all.  The
 sign vector itself has one rule too (_signs), shared with the search.
 
+Rows that the package builds are taken as built; outside input is checked
+where it enters: Graph(n, edges), graph6, signed edge lists and the family
+parameters, which must be integers.
+
 All values here are immutable after construction and safe to share between
 concurrent workers.
 """
@@ -23,8 +27,9 @@ from __future__ import annotations
 import binascii
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -63,12 +68,6 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@functools.lru_cache(maxsize=None)
-def _transpose_masks(n: int) -> tuple[int, int]:
-    # sum of 2^(n k) and of 2^((n + 1) k) over k < n; see Graph._from_rows.
-    return sum(1 << n * k for k in range(n)), sum(1 << (n + 1) * k for k in range(n))
-
-
 @dataclass(frozen=True, init=False)
 class Graph:
     """Simple undirected graph on vertices 1..n, stored as its neighbourhood
@@ -93,24 +92,9 @@ class Graph:
 
     @classmethod
     def _from_rows(cls, rows: list[int]) -> "Graph":
-        """The graph with these neighbourhood rows (Python ints), checked with
-        bit operations on whole rows.  Symmetry compares rows and columns laid
-        out at stride n+1: bit w of row r times sum 2^(n k) lands on a
-        multiple of n+1 only in copy k = w, and no product bits overlap."""
-        n = len(rows)
-        g = cls(n, ())
-        spread, diagonal = _transpose_masks(n)
-        by_rows = by_cols = 0
-        for v, row in enumerate(rows):
-            if row >> n:  # also a negative row
-                w = n + (row >> n).bit_length()
-                raise ValueError(f"edge ({v + 1},{w}) out of range 1..{n} or not ordered")
-            if row >> v & 1:
-                raise ValueError(f"self-loop at vertex {v + 1}")
-            by_rows |= row << (n + 1) * v
-            by_cols |= (row * spread & diagonal) << v
-        if by_rows != by_cols:
-            raise ValueError("neighbourhood rows not symmetric")
+        """The graph with these neighbourhood rows (Python ints), taken as
+        given: every caller builds them in range, loop-free and symmetric."""
+        g = cls(len(rows), ())
         object.__setattr__(g, "rows", tuple(rows))
         return g
 
@@ -414,6 +398,17 @@ def format_signed_edge_list(sg: SignedGraph) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _integer(value, what: str, least: int) -> int:
+    # Python and numpy ints pass; a float or a string is a ValueError.
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class SnrParams:
     """Clique on n-r vertices with r pendant edges at one clique vertex.
@@ -426,8 +421,8 @@ class SnrParams:
     r: int
 
     def __post_init__(self) -> None:
-        if self.r < 0:
-            raise ValueError("pendant count must be nonnegative")
+        object.__setattr__(self, "n", _integer(self.n, "vertex count", 1))
+        object.__setattr__(self, "r", _integer(self.r, "pendant count", 0))
         if self.n < self.r + 1:
             raise ValueError(f"need n >= r+1, got n={self.n} r={self.r}")
 
@@ -461,24 +456,21 @@ class MultipartiteParams:
     def __post_init__(self) -> None:
         if not self.blocks:
             raise ValueError("at least one block required")
-        for l, t in self.blocks:
-            if l < 1:
-                raise ValueError(f"part count must be >= 1, got {l}")
-            if t < 1:
-                raise ValueError(f"part size must be >= 1, got {t}")
-        sizes = tuple(t for _, t in self.blocks)
+        blocks = tuple((_integer(l, "part count", 1), _integer(t, "part size", 1))
+                       for l, t in self.blocks)
+        sizes = tuple(t for _, t in blocks)
         if any(nxt >= prev for nxt, prev in zip(sizes[1:], sizes)):
             raise ValueError(f"part sizes must strictly decrease, got {list(sizes)}")
-        counts = tuple(l for l, _ in self.blocks)
-        group_sizes = tuple(l * t for l, t in self.blocks)
+        counts = tuple(l for l, _ in blocks)
+        group_sizes = tuple(l * t for l, t in blocks)
         offsets = tuple(itertools.accumulate(group_sizes[:-1], initial=0))
-        for name, value in zip(("counts", "sizes", "group_sizes", "offsets", "n"),
-                               (counts, sizes, group_sizes, offsets, sum(group_sizes))):
+        for name, value in zip(("blocks", "counts", "sizes", "group_sizes", "offsets", "n"),
+                               (blocks, counts, sizes, group_sizes, offsets, sum(group_sizes))):
             object.__setattr__(self, name, value)
 
     @classmethod
     def of(cls, blocks: Iterable[tuple[int, int]]) -> "MultipartiteParams":
-        return cls(tuple((int(l), int(t)) for l, t in blocks))
+        return cls(tuple(blocks))
 
     @property
     def s(self) -> int:
@@ -487,18 +479,6 @@ class MultipartiteParams:
     def group_range(self, i: int) -> range:
         f = self.offsets[i - 1]
         return range(f + 1, f + self.group_sizes[i - 1] + 1)
-
-    def part_range(self, i: int, j: int) -> range:
-        l, t = self.blocks[i - 1]
-        if not (1 <= j <= l):
-            raise ValueError(f"group {i} has {l} parts, asked for part {j}")
-        f = self.offsets[i - 1] + (j - 1) * t
-        return range(f + 1, f + t + 1)
-
-    def parts(self) -> Iterator[range]:
-        for i in range(1, self.s + 1):
-            for j in range(1, self.counts[i - 1] + 1):
-                yield self.part_range(i, j)
 
 
 def make_multipartite(p: MultipartiteParams) -> Graph:

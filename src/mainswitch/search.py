@@ -337,10 +337,9 @@ def _lower_twins(rows: np.ndarray) -> np.ndarray:
     return ((twin & (bits[:, None] > bits)) * bits).sum(axis=-1)
 
 
-# Parents per batch of the catalog, and graphs per pass of the canonical
-# kernel: these bound every array either one builds.
+# Parents per batch of the catalog: this bounds every array the catalog and
+# the canonical kernel build (at most 2,290 graphs a batch up to n = 9).
 _PARENTS = 16
-_PASS = 4096
 
 
 def _canonical_values(rows: np.ndarray) -> np.ndarray:
@@ -359,11 +358,6 @@ def _canonical_values(rows: np.ndarray) -> np.ndarray:
     fixes the placed vertices, so both give the same strings.  States stay
     sorted by graph, so each graph's smallest column is one reduceat.
     """
-    return np.concatenate([_canonical_pass(rows[lo:lo + _PASS])
-                           for lo in range(0, len(rows), _PASS)])
-
-
-def _canonical_pass(rows: np.ndarray) -> np.ndarray:
     count, n = rows.shape
     bits = np.int64(1) << np.arange(n, dtype=np.int64)
     twins_below = _lower_twins(rows)

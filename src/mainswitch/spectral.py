@@ -121,19 +121,6 @@ def eigen_sym(a) -> EigenSystem:
     return EigenSystem(eigenvalues=w * scale, vectors=V, residual_bound=residual * scale)
 
 
-def eigenspace_slices(w: np.ndarray, group_eps: float | None = None) -> list[slice]:
-    """Split ascending eigenvalues into runs whose consecutive gaps are at
-    most group_eps (default 1e-8 * max(1, spectral radius)), one per
-    eigenspace.  Raises unless group_eps is finite and positive."""
-    n = len(w)
-    if group_eps is None:
-        group_eps = 1e-8 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
-    if not 0 < group_eps < math.inf:
-        raise ValueError("tolerances must be positive and finite")
-    cuts = [0] + [i for i in range(1, n) if w[i] - w[i - 1] > group_eps] + [n]
-    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-
-
 @dataclass(frozen=True)
 class SpectrumGroup:
     value: float
@@ -152,25 +139,28 @@ class SpectrumReport:
 
 def classify_main(es: EigenSystem, group_eps: float | None = None,
                   main_eps: float | None = None) -> SpectrumReport:
-    """Merge near-equal eigenvalues into eigenspace groups and flag each group
-    as main when ||Q^T j||_2 exceeds the threshold.
-
-    The projection norm does not depend on the basis chosen inside the
-    eigenspace, so the flags are basis-invariant.
+    """Split ascending eigenvalues into eigenspace groups where a gap exceeds
+    group_eps (default 1e-8 * max(1, spectral radius)), and flag each group
+    as main when ||Q^T j||_2 exceeds main_eps (default 1e-8 * sqrt(n)); both
+    must be finite and positive.  The projection norm does not depend on
+    the basis chosen inside the eigenspace, so the flags are basis-invariant.
     """
     w = es.eigenvalues
     n = len(w)
+    if group_eps is None:
+        group_eps = 1e-8 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
     if main_eps is None:
         main_eps = 1e-8 * math.sqrt(n)
-    if not 0 < main_eps < math.inf:
+    if not (0 < group_eps < math.inf and 0 < main_eps < math.inf):
         raise ValueError("tolerances must be positive and finite")
+    cuts = [0, *(np.flatnonzero(np.diff(w) > group_eps) + 1).tolist(), n]
     j = np.ones(n)
     groups: list[SpectrumGroup] = []
-    for sl in eigenspace_slices(w, group_eps):
-        mass = float(np.linalg.norm(es.vectors[:, sl].T @ j))
+    for lo, hi in zip(cuts, cuts[1:]):
+        mass = float(np.linalg.norm(es.vectors[:, lo:hi].T @ j))
         groups.append(SpectrumGroup(
-            value=float(np.mean(w[sl])),
-            multiplicity=sl.stop - sl.start,
+            value=float(np.mean(w[lo:hi])),
+            multiplicity=hi - lo,
             is_main=mass > main_eps,
             main_mass=mass,
         ))

@@ -5,8 +5,10 @@ rational Gaussian elimination, roots via plain bisection, polynomial algebra
 by direct convolution, graph6 records by the pair-by-pair loop,
 characteristic polynomials by Faddeev-LeVerrier over Python integers,
 primality by deterministic Miller-Rabin, CRT lifts by Garner's method,
-multipartite rows part by part.  Tests compare library output
-against these.  Canonical values come from canonical_value_oracle, a
+multipartite rows part by part from the blocks alone (parts_oracle), and
+the simple-graph invariant of neighbourhood rows (valid_rows_oracle), which
+the library's own rows builders are trusted to keep.  Tests compare library
+output against these.  Canonical values come from canonical_value_oracle, a
 one-graph-at-a-time branch and bound that brute_canonical_form checks on
 its own; catalog_values_oracle, the catalog sweep without its filters, uses
 it and shares no canonical-labelling code with the library's batched level
@@ -415,20 +417,37 @@ def family_edges_oracle(p: SnrParams | MultipartiteParams) -> frozenset[tuple[in
     if isinstance(p, SnrParams):
         return frozenset([(i, p.r + 1) for i in range(1, p.r + 1)]
                          + list(itertools.combinations(range(p.r + 1, p.n + 1), 2)))
-    part_of = {v: k for k, part in enumerate(p.parts()) for v in part}
+    part_of = {v: k for k, part in enumerate(parts_oracle(p)) for v in part}
     return frozenset((u, v) for u, v in itertools.combinations(range(1, p.n + 1), 2)
                      if part_of[u] != part_of[v])
 
 
+def parts_oracle(p: MultipartiteParams) -> list[range]:
+    """The vertex range of every part, in order, from the blocks alone:
+    l parts of t consecutive vertices per block (l, t)."""
+    sizes = [t for l, t in p.blocks for _ in range(l)]
+    starts = itertools.accumulate(sizes, initial=1)
+    return [range(start, start + t) for start, t in zip(starts, sizes)]
+
+
 def multipartite_rows_oracle(p: MultipartiteParams) -> tuple[int, ...]:
     """The neighbourhood rows of the complete multipartite graph, part by
-    part through p.parts(): each vertex of a part is joined to everyone
+    part through parts_oracle: each vertex of a part is joined to everyone
     outside it."""
     everyone = (1 << p.n) - 1
     rows: list[int] = []
-    for part in p.parts():
+    for part in parts_oracle(p):
         rows += [everyone ^ (1 << part.stop - 1) - (1 << part.start - 1)] * len(part)
     return tuple(rows)
+
+
+def valid_rows_oracle(rows) -> bool:
+    """Whether neighbourhood rows are those of a simple graph, bit by bit:
+    every row in range 0..2^n - 1, no loop, and bit w of row v equal to bit
+    v of row w."""
+    n = len(rows)
+    return all(0 <= row < 1 << n and not row >> v & 1 for v, row in enumerate(rows)) and all(
+        (rows[v] >> w & 1) == (rows[w] >> v & 1) for v, w in itertools.combinations(range(n), 2))
 
 
 def crt_oracle(residues: list[int], primes: list[int]) -> int:

@@ -116,6 +116,12 @@ def test_construct_bad_blocks_usage_error(capsys):
     assert run(["construct", "multipartite", "--blocks", "1x2,1x3"]) == 2
 
 
+def test_construct_multipartite_empty_part_usage_error(capsys):
+    assert run(["construct", "multipartite", "--blocks", "1x0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: part size must be >= 1, got 0\n"
+
+
 def test_construct_snr_bad_params():
     assert run(["construct", "snr", "--n", "4", "--r", "3"]) == 2
 
@@ -156,6 +162,23 @@ def test_verify_conjecture_graph6_file(tmp_path, capsys):
     assert run(["verify-conjecture", "--graph6-file", str(f), "--max-n", "4"]) == 0
     out = capsys.readouterr().out
     assert "2 checked" in out
+
+
+def test_verify_conjecture_graph6_file_blank_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "blank.g6"
+    f.write_text("\n  \n")
+    assert run(["verify-conjecture", "--graph6-file", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: no graphs to verify\n"
+
+
+def test_verify_conjecture_graph6_file_without_exceptions(tmp_path, capsys):
+    # Every graph of the file has an all-main switching.
+    f = tmp_path / "cat.g6"
+    f.write_text("Bw\nCF\nC~\n")
+    assert run(["verify-conjecture", "--graph6-file", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert "3 checked" in out and "exceptions: none" in out
 
 
 def test_verify_conjecture_unexpected_exception_fails(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ against the float candidate scan they replaced."""
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -144,24 +145,30 @@ def test_family_equal_rejects_bad_values():
         candidate_family_equal([1, 2], [1, 2])
 
 
+@lru_cache(maxsize=None)
+def _nonzero_fractions(bound):
+    """The nonzero fractions p/q, q <= 6, in [-bound, bound], as a fixed
+    pool: neither nonzero nor unique values need a filter."""
+    return st.sampled_from(sorted({Fraction(p, q) for q in range(1, 7)
+                                   for p in range(-bound * q, bound * q + 1) if p}))
+
+
 @st.composite
 def _distinct_family_case(draw):
+    # Flip positions holding pairwise distinct nonzero values, drawn as such.
     n = draw(st.integers(3, 9))
-    vals = draw(st.lists(
-        st.fractions(min_value=-6, max_value=6), min_size=n, max_size=n))
     k = draw(st.integers(1, n))
     idx = draw(st.permutations(range(1, n + 1)))[:k]
-    flip_vals = [vals[i - 1] for i in idx]
-    if any(v == 0 for v in flip_vals) or len(set(flip_vals)) != len(flip_vals):
-        return None
-    return vals, idx
+    flip_vals = draw(st.lists(_nonzero_fractions(6), min_size=k, max_size=k, unique=True))
+    rest = iter(draw(st.lists(st.fractions(min_value=-6, max_value=6),
+                              min_size=n - k, max_size=n - k)))
+    at = dict(zip(idx, flip_vals))
+    return [at[i] if i in at else next(rest) for i in range(1, n + 1)], idx
 
 
 @given(_distinct_family_case())
 @settings(max_examples=300, deadline=None)
 def test_family_distinct_at_most_one_zero_sum(case):
-    if case is None:
-        return
     vals, idx = case
     fam = candidate_family_distinct(vals, idx)
     assert fam.zero_sum_count() <= 1
@@ -169,23 +176,19 @@ def test_family_distinct_at_most_one_zero_sum(case):
 
 @st.composite
 def _equal_family_case(draw):
+    # Flip positions holding one common nonzero value, drawn as such.
     n = draw(st.integers(2, 9))
-    common = draw(st.fractions(min_value=-5, max_value=5))
-    if common == 0:
-        return None
+    common = draw(_nonzero_fractions(5))
     k = draw(st.integers(1, n))
     idx = draw(st.permutations(range(1, n + 1)))[:k]
-    vals = [draw(st.fractions(min_value=-5, max_value=5)) for _ in range(n)]
-    for i in idx:
-        vals[i - 1] = common
-    return vals, idx
+    rest = iter(draw(st.lists(st.fractions(min_value=-5, max_value=5),
+                              min_size=n - k, max_size=n - k)))
+    return [common if i in idx else next(rest) for i in range(1, n + 1)], idx
 
 
 @given(_equal_family_case())
 @settings(max_examples=300, deadline=None)
 def test_family_equal_at_most_one_zero_sum(case):
-    if case is None:
-        return
     vals, idx = case
     fam = candidate_family_equal(vals, idx)
     assert fam.zero_sum_count() <= 1
@@ -657,20 +660,26 @@ def test_multipartite_candidate_lists(monkeypatch, blocks, base, extras):
 
 
 def test_extra_candidates_are_built_only_when_reached(monkeypatch):
-    # The guard errors of the extra flips come from the candidate the scan
-    # reaches, never from one after the winner.  On K_{3,3,1} the switchings
-    # {7} and {3, 5} are not all-main, {1, 7} and {3} are.
+    # _pick_extras runs only for the candidate the scan reaches, never for
+    # one after the winner.  On K_{3,3,1} the switchings {1, 7} and {3} are
+    # all-main, so their extra is never picked; {3, 5} is not, so the scan
+    # picks its extra (the first-second-fourth rule in group 1, less the
+    # base) and wins with {1, 3, 5}.
     p = MultipartiteParams.of([(2, 3), (1, 1)])
-    for base, spec, error in (
-        ({7}, (2, 1), "group 2 has no room for 1 extra flips"),
-        ({3, 5}, (1, 1), "special flip picks collide with the base switching"),
-    ):
+    calls = []
+    pick = construct._pick_extras
+
+    def recording(q, group, count, base):
+        calls.append((group, count, base))
+        return pick(q, group, count, base)
+
+    monkeypatch.setattr(construct, "_pick_extras", recording)
+    for base, spec, switching in (({1, 7}, (2, 1), {1, 7}), ({3}, (1, 2), {3}),
+                                  ({3, 5}, (1, 1), {1, 3, 5})):
+        calls.clear()
         monkeypatch.setattr(construct, "_shape_rule", lambda q: (frozenset(base), [spec]))
-        with pytest.raises(ConstructionError, match=f"^{error}$"):
-            multipartite_all_main_switching(p)
-    for base, spec in (({1, 7}, (2, 1)), ({3}, (1, 2))):
-        monkeypatch.setattr(construct, "_shape_rule", lambda q: (frozenset(base), [spec]))
-        assert multipartite_all_main_switching(p).switching == base
+        assert multipartite_all_main_switching(p).switching == switching
+        assert calls == ([] if switching == base else [(*spec, base)])
     monkeypatch.setattr(construct, "_shape_rule", lambda q: (frozenset({7}), []))
     with pytest.raises(ConstructionError, match="^no candidate switching is all-main$"):
         multipartite_all_main_switching(p)
@@ -708,6 +717,10 @@ def test_multipartite_three_of_size_three_rule():
     picked = sorted(set(res.switching) & group2)
     f = p.offsets[1]
     assert picked in ([f + 1], [f + 1, f + 2], [f + 1, f + 2, f + 4])
+    # The rule itself, whether or not a scan reaches it.
+    assert construct._pick_extras(p, 2, 3, frozenset()) == (f + 1, f + 2, f + 4)
+    assert construct._pick_extras(p, 2, 2, frozenset({f + 1})) == (f + 2, f + 4)
+    assert construct._pick_extras(p, 2, 2, frozenset()) == (f + 1, f + 2)
 
 
 def test_rule_no_vertex_switched_twice_audit(rng):

@@ -28,9 +28,10 @@ from mainswitch import (
     parse_signed_edge_list,
 )
 from mainswitch.graphs import _graph6_adjacency
-from conftest import (blocks_of, emit_graph6_loop, family_edges_oracle, fixed_family_params,
-                      graph6_like, multipartite_rows_oracle, partitions, random_connected_graph,
-                      random_signed_graph, sel_like)
+from mainswitch.search import canonical_form
+from conftest import (SNR_GRID, blocks_of, emit_graph6_loop, family_edges_oracle,
+                      fixed_family_params, graph6_like, multipartite_rows_oracle, partitions,
+                      random_connected_graph, random_signed_graph, sel_like, valid_rows_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -39,13 +40,17 @@ from conftest import (blocks_of, emit_graph6_loop, family_edges_oracle, fixed_fa
 
 
 def test_rows_built_graphs_match_the_edge_form():
-    # Every catalog graph with n <= 7 and every fixed family graph is built
-    # from rows; the family edges are checked against their definition.
+    # Every catalog graph with n <= 7 and every fixed family graph (make_snr
+    # over SNR_GRID, make_multipartite over the partitions up to n = 20) is
+    # built from rows, which Graph._from_rows takes as given; the family
+    # edges are checked against their definition.
     catalog = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
     family = [(make_snr(p) if isinstance(p, SnrParams) else make_multipartite(p), p)
               for p in fixed_family_params()]
     assert (len(catalog), len(family)) == (996, 2812)
+    assert [(p.n, p.r) for _, p in family[:len(SNR_GRID)]] == SNR_GRID
     for g in catalog + [g for g, _ in family]:
+        assert valid_rows_oracle(g.rows), g
         assert pickle.loads(pickle.dumps(g)) == g  # workers receive pickled graphs
         h = Graph(g.n, g.edges)
         assert h == g and hash(h) == hash(g) and h.rows == g.rows
@@ -77,21 +82,8 @@ def test_from_edges_rejects_loops_and_duplicates():
         Graph.from_edges(3, [(1, 2)]).degree(4)
 
 
-@pytest.mark.parametrize("rows, message", [
-    ([], "vertex count must be positive"),
-    ([0b1000, 0, 0], r"edge \(1,4\) out of range 1..3 or not ordered"),
-    ([0b10, 0b101001, 0], r"edge \(2,6\) out of range 1..3 or not ordered"),
-    ([-2, 0], r"edge \(1,3\) out of range 1..2 or not ordered"),
-    ([0b10, 0b11], "self-loop at vertex 2"),
-    ([0b10, 0], "neighbourhood rows not symmetric"),
-    ([0b110, 0b001, 0b010], "neighbourhood rows not symmetric"),
-])
-def test_rows_constructor_rejects_invalid_rows(rows, message):
-    with pytest.raises(ValueError, match=message):
-        Graph._from_rows(rows)
-
-
 def test_rows_constructor_accepts_exactly_the_valid_rows(rng):
+    # Graph._from_rows keeps the rows it is given, and the edge form agrees.
     for _ in range(400):
         n = rng.choice([1, 2, 3, 4, 7, 8, 20, 62, 63, 64, 70])
         rows = [0] * n
@@ -99,19 +91,27 @@ def test_rows_constructor_accepts_exactly_the_valid_rows(rng):
             if rng.random() < 0.3:
                 rows[v] |= 1 << w
                 rows[w] |= 1 << v
-        for _ in range(rng.choice([0, 0, 1, 2])):  # flip bits of one row only
-            rows[rng.randrange(n)] ^= 1 << rng.randrange(n + 2)
-        valid = all(0 <= row < 1 << n and not row >> v & 1 for v, row in enumerate(rows)) and all(
-            (rows[v] >> w & 1) == (rows[w] >> v & 1) for v, w in itertools.combinations(range(n), 2))
-        try:
-            g = Graph._from_rows(rows)
-        except ValueError:
-            assert not valid, rows
-            continue
-        assert valid, rows
+        assert valid_rows_oracle(rows)
+        g = Graph._from_rows(rows)
         assert g.rows == tuple(rows) and g == Graph(n, g.edges)
         assert g.edges == {(v + 1, w + 1) for v, w in itertools.combinations(range(n), 2)
                            if rows[v] >> w & 1}
+
+
+def test_canonical_form_and_graph6_give_valid_rows(rng):
+    # The two rows builders that take outside graphs: canonical_form of
+    # random graphs, and the graph6 decoder on random records whose bit
+    # fields are drawn directly, padding bits clear.
+    for _ in range(200):
+        g = canonical_form(random_connected_graph(rng, rng.randrange(1, 9)))
+        assert valid_rows_oracle(g.rows), g
+    for n in [1, 2, 61, 62] + [rng.randrange(1, 63) for _ in range(100)]:
+        npairs = n * (n - 1) // 2
+        field = rng.getrandbits(npairs) << (-npairs % 6)
+        record = chr(63 + n) + "".join(chr(63 + (field >> 6 * k & 63))
+                                       for k in reversed(range((npairs + 5) // 6)))
+        g = parse_graph6(record)
+        assert valid_rows_oracle(g.rows) and emit_graph6(g) == record, record
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +186,12 @@ def test_graph6_round_trip_catalog():
             assert parse_graph6(emit_graph6(g)) == g
 
 
+def test_emit_graph6_rejects_more_than_62_vertices():
+    assert emit_graph6(Graph(62, ())) == "}" + "?" * 316
+    with pytest.raises(ValueError, match="^graph6 emission supports n <= 62 only$"):
+        emit_graph6(Graph(63, ()))
+
+
 def test_emit_graph6_matches_pair_loop(rng):
     for n in [1, 2, 3, 62] + [rng.randrange(1, 63) for _ in range(60)]:
         density = rng.choice([0.0, 0.05, 0.5, 0.95, 1.0])
@@ -203,7 +209,7 @@ def test_parse_graph6_parses_or_rejects(text):
     except GraphFormatError:
         return
     record = text.strip().removeprefix(">>graph6<<")
-    assert emit_graph6(g) == record
+    assert emit_graph6(g) == record and valid_rows_oracle(g.rows)
 
 
 def test_graph6_cross_check_networkx(rng):
@@ -310,6 +316,31 @@ def test_make_snr_rejects_small_n():
         SnrParams(3, 3)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: SnrParams(5.5, 1), "vertex count must be an integer, got 5.5"),
+    (lambda: SnrParams(5, 1.0), "pendant count must be an integer, got 1.0"),
+    (lambda: SnrParams(5, -1), "pendant count must be >= 0, got -1"),
+    (lambda: MultipartiteParams.of([(2.7, 3.9)]), "part count must be an integer, got 2.7"),
+    (lambda: MultipartiteParams(((2.5, 3),)), "part count must be an integer, got 2.5"),
+    (lambda: MultipartiteParams(((2, 3.0),)), "part size must be an integer, got 3.0"),
+    (lambda: MultipartiteParams.of([(1, 4), ("2", 1)]), "part count must be an integer, got '2'"),
+    (lambda: MultipartiteParams.of([(1, 0)]), "part size must be >= 1, got 0"),
+])
+def test_family_params_reject_non_integers(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_family_params_take_numpy_ints():
+    p = MultipartiteParams.of([(np.int64(2), np.int32(3)), [1, np.uint8(1)]])
+    assert p == MultipartiteParams(((2, 3), (1, 1))) and p.n == 7
+    assert all(type(x) is int for block in p.blocks for x in block)
+    assert repr(p) == "MultipartiteParams(blocks=((2, 3), (1, 1)))"
+    q = SnrParams(np.int64(6), np.int16(2))
+    assert q == SnrParams(6, 2) and type(q.n) is int and type(q.r) is int
+    assert make_snr(q) == make_snr(SnrParams(6, 2))
+
+
 def test_make_snr_edge_count_general():
     for r in range(1, 6):
         for n in range(r + 1, r + 8):
@@ -364,9 +395,8 @@ def test_make_multipartite_matches_part_by_part_oracle(rng):
 def test_multipartite_layout():
     p = MultipartiteParams.of([(2, 3), (1, 2)])
     assert p.n == 8
-    assert list(p.part_range(1, 1)) == [1, 2, 3]
-    assert list(p.part_range(1, 2)) == [4, 5, 6]
-    assert list(p.part_range(2, 1)) == [7, 8]
+    assert list(p.group_range(1)) == [1, 2, 3, 4, 5, 6]
+    assert list(p.group_range(2)) == [7, 8]
     assert p.offsets == (0, 6)
     # Derived layout values are computed once; equality, hash and repr still
     # see only the blocks.

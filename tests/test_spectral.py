@@ -58,6 +58,13 @@ def test_eigen_sym_rejects_asymmetric():
         eigen_sym([[0.0, 1.0], [0.5, 0.0]])
 
 
+@pytest.mark.parametrize("bad", [[[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]], [1.0, 2.0], np.zeros((0, 0))])
+def test_eigen_sym_rejects_non_square_and_empty(bad):
+    message = "nonempty" if np.size(bad) == 0 else "square"
+    with pytest.raises(ValueError, match=f"^matrix must be {message}$"):
+        eigen_sym(bad)
+
+
 def test_eigen_sym_symmetry_tolerance_is_relative():
     # The asymmetry is measured after dividing by the largest absolute
     # entry: a 3x mismatch at 1e-200 is rejected, and a last-bits mismatch
