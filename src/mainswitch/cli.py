@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 
@@ -45,19 +44,6 @@ from .search import (
     verify_conjecture,
 )
 from .spectral import classify_main, eigen_sym
-
-WORKERS_ENV = "MAINSWITCH_WORKERS"
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        print(f"warning: ignoring {WORKERS_ENV}={raw!r}, not an integer; using 1 worker",
-              file=sys.stderr)
-        return 1
-
 
 def _graph6_file(path: str, connected: bool = False) -> list[Graph]:
     """Every graph6 record of a file.  A bad record, or with ``connected`` a
@@ -184,9 +170,8 @@ def _is_known_exception(graph6: str) -> bool:
 
 
 def _cmd_verify_conjecture(args: argparse.Namespace) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
     graphs = _graph6_file(args.graph6_file, connected=True) if args.graph6_file else None
-    report = verify_conjecture(args.max_n, workers=workers, graphs=graphs)
+    report = verify_conjecture(args.max_n, workers=args.workers, graphs=graphs)
     if args.certificates:
         with open(args.certificates, "w", encoding="utf-8") as fh:
             for cert in report.certificates:
@@ -268,8 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--max-n", type=int, default=CATALOG_CAP)
     vc.add_argument("--graph6-file", default=None,
                     help="verify these graphs instead of the built-in catalog")
-    vc.add_argument("--workers", type=int, default=None,
-                    help=f"parallel workers (default ${WORKERS_ENV} or 1)")
+    vc.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
     vc.add_argument("--certificates", default=None,
                     help="write newline-delimited certificate JSON here")
     vc.add_argument("--json", action="store_true")

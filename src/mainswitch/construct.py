@@ -38,8 +38,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exact import MainProfile, main_profile
-from .graphs import (Graph, MultipartiteParams, SnrParams, _adjacency_array, _switched_array,
-                     make_multipartite, make_snr)
+from .graphs import (Graph, MultipartiteParams, SnrParams, _adjacency_array, _signs,
+                     _switched_array, make_multipartite, make_snr)
 
 __all__ = [
     "CandidateFamily",
@@ -71,7 +71,8 @@ class NoAllMainSwitchingError(ValueError):
 
 
 def flip(vec: Sequence, indices: Sequence[int]) -> np.ndarray:
-    """Negate the entries at the given 1-based positions.
+    """Negate the entries at the given 1-based positions: vec times the
+    sign vector of the switching about them (graphs._signs).
 
     Flipping twice with the same index set is the identity.  Works on float
     and exact (int / Fraction) entries alike.
@@ -79,12 +80,7 @@ def flip(vec: Sequence, indices: Sequence[int]) -> np.ndarray:
     idx = list(indices)
     if len(set(idx)) != len(idx):
         raise ValueError("duplicate flip index")
-    out = np.array(vec)
-    for i in idx:
-        if not (1 <= i <= len(out)):
-            raise ValueError(f"flip index {i} out of range 1..{len(out)}")
-        out[i - 1] = -out[i - 1]
-    return out
+    return np.array(vec) * _signs(len(vec), idx)
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,7 +41,8 @@ char_poly (the Faddeev-LeVerrier recurrence over Python ints),
 distinct_eigenvalue_count (deg p - deg gcd(p, p')) and walk_matrix stay as
 public helpers; the decision uses none of them.
 
-Matrices are plain lists of rows of Python ints, or 2-D int64 arrays:
+Matrices are plain lists of rows of Python ints, or 2-D int64 arrays, read
+by _int_rows, which rejects a float entry (even 1.0), a string or None:
 main_profile takes a square int64 array as it is, with no copy, and never
 writes to it, and rank_exact reads one with a single tolist() and eliminates
 on that list, touching only the entries right of each pivot column.
@@ -54,6 +55,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,11 +74,28 @@ __all__ = [
 ]
 
 
-def _check_square(a: IntMatrix) -> int:
-    n = len(a)
-    if n == 0 or any(len(row) != n for row in a):
-        raise ValueError("matrix must be square and nonempty")
-    return n
+def _int_rows(a: IntMatrix | np.ndarray, square: bool = True) -> IntMatrix | np.ndarray:
+    """A nonempty (and, with square, square) integer matrix: a 2-D int64
+    array as it is, anything else as a fresh list of rows of Python ints.
+
+    Other integer and bool arrays are integral by their dtype and read with
+    tolist(), which is exact; every other entry is read with operator.index,
+    which takes Python ints of any size, Python bools and numpy integer
+    scalars and rejects a float (even 1.0), a string or None.
+    """
+    if isinstance(a, np.ndarray) and a.dtype.kind in "biu":
+        shape, rows = a.shape, (a if a.dtype == np.int64 else a.tolist())
+    else:
+        try:
+            rows = [[operator.index(x) for x in row] for row in a]
+        except TypeError:
+            raise ValueError("matrix entries must be integers") from None
+        shape = (len(rows), len(rows[0]) if rows else 0)
+        if any(len(row) != shape[1] for row in rows):
+            raise ValueError("ragged matrix")
+    if len(shape) != 2 or 0 in shape or (square and shape[0] != shape[1]):
+        raise ValueError(f"matrix must be 2-D, nonempty{' and square' * square}")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -111,21 +130,17 @@ _RANK_PRIME = _PRIMES[0]
 def _guarded_array(a: IntMatrix | np.ndarray) -> tuple[np.ndarray, int]:
     """a as an int64 array, with its largest absolute row sum (_row_bound).
 
-    A square, nonempty 2-D int64 array is taken as it is, without a copy;
-    lists and other arrays are converted.  Raises ValueError unless n and
-    every absolute row sum are below _LIMIT, the range in which the modular
-    steps are exact.
+    The input is read by _int_rows: a square, nonempty 2-D int64 array is
+    taken as it is, without a copy.  Raises ValueError unless n and every
+    absolute row sum are below _LIMIT, the range in which the modular steps
+    are exact.
     """
-    if (isinstance(a, np.ndarray) and a.dtype == np.int64 and a.ndim == 2
-            and a.shape[0] == a.shape[1] and a.size):
-        arr, n = a, len(a)
-    else:
-        n = _check_square(a)
-        try:
-            arr = np.array(a, dtype=np.int64)
-        except OverflowError:  # an entry past int64
-            arr = None
-    inside = arr is not None and n < _LIMIT and -_LIMIT < arr.min() and arr.max() < _LIMIT
+    rows = _int_rows(a)
+    try:
+        arr = np.asarray(rows, dtype=np.int64)
+    except OverflowError:  # an entry past int64
+        arr = None
+    inside = arr is not None and len(rows) < _LIMIT and -_LIMIT < arr.min() and arr.max() < _LIMIT
     rho = _row_bound(arr) if inside else _LIMIT
     if rho >= _LIMIT:
         raise ValueError("exact decisions need n and every absolute row sum below 2^20")
@@ -175,8 +190,8 @@ def char_poly(a: IntMatrix) -> IntPoly:
     """Monic characteristic polynomial det(xI - A), ascending coefficients,
     by the Faddeev-LeVerrier recurrence over Python ints; each trace
     division is exact."""
-    n = _check_square(a)
-    A = np.array([[int(x) for x in row] for row in a], dtype=object)
+    A = np.array(_int_rows(a), dtype=object)
+    n = len(A)
     B = np.eye(n, dtype=object)
     desc = [1]  # coefficients of x^n, x^{n-1}, ...
     for k in range(1, n + 1):
@@ -274,8 +289,11 @@ def walk_matrix(a: IntMatrix, start: list[int] | None = None) -> IntMatrix:
     Switching about X conjugates A by D = diag(s), s_v = -1 exactly on X, so
     the walk matrix of DAD is D walk_matrix(A, s): both have the same rank.
     """
-    n = _check_square(a)
-    A = np.array(a, dtype=object)
+    A = np.array(_int_rows(a), dtype=object)
+    n = len(A)
+    if start is not None:  # read as a one-row matrix
+        start = _int_rows(start[None] if isinstance(start, np.ndarray) else [start],
+                          square=False)[0]
     w = np.ones(n, dtype=object) if start is None else np.array(start, dtype=object)
     if w.shape != (n,):
         raise ValueError(f"start vector must have {n} entries")
@@ -334,22 +352,15 @@ def _krylov_mod(arr: np.ndarray, p: int, start: np.ndarray) -> tuple[int, np.nda
 def rank_exact(m: IntMatrix | np.ndarray) -> int:
     """Rank over the rationals by fraction-free (Bareiss) elimination.
 
-    A 2-D int64 array is read with one tolist(); lists and other arrays are
-    copied entry by entry and checked for ragged rows; the elimination works
-    in place on that copy, never on the input.  Rows below a pivot change
-    right of its column only, and a row with 0 under it is just rescaled by
-    piv / prev (exactly), or left as it is when piv == prev.
+    The input is read by _int_rows, a 2-D int64 array with one tolist();
+    the elimination works in place on that copy, never on the input.  Rows
+    below a pivot change right of its column only, and a row with 0 under
+    it is just rescaled by piv / prev (exactly), or left as it is when
+    piv == prev.
     """
-    if isinstance(m, np.ndarray) and (m.ndim != 2 or not m.size):
-        raise ValueError("matrix must be 2-D and nonempty")
-    if isinstance(m, np.ndarray) and m.dtype == np.int64:
-        a = m.tolist()
-    else:
-        if not len(m) or not len(m[0]):
-            raise ValueError("matrix must be nonempty")
-        a = [[int(x) for x in row] for row in m]
-        if any(len(row) != len(a[0]) for row in a):
-            raise ValueError("ragged matrix")
+    a = _int_rows(m, square=False)
+    if isinstance(a, np.ndarray):
+        a = a.tolist()
     n_rows, n_cols = len(a), len(a[0])
     prev = 1
     pr = 0

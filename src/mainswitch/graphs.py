@@ -15,8 +15,8 @@ rule, which the constructions use too) without building a Graph at all.  The
 sign vector itself has one rule too (_signs), shared with the search.
 
 Rows that the package builds are taken as built; outside input is checked
-where it enters: Graph(n, edges), graph6, signed edge lists and the family
-parameters, which must be integers.
+where it enters: Graph(n, edges), graph6, signed edge lists, switched
+vertices and the family parameters, each integer by one rule (_integer).
 
 All values here are immutable after construction and safe to share between
 concurrent workers.
@@ -68,6 +68,17 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _integer(value, what: str, least: int | None = None) -> int:
+    # Python and numpy ints pass; a float or a string is a ValueError.
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
 @dataclass(frozen=True, init=False)
 class Graph:
     """Simple undirected graph on vertices 1..n, stored as its neighbourhood
@@ -79,10 +90,12 @@ class Graph:
     rows: tuple[int, ...]
 
     def __init__(self, n: int, edges: Iterable[Edge]) -> None:
+        n = _integer(n, "vertex count")
         if n < 1:
             raise ValueError("vertex count must be positive")
         rows = [0] * n
         for u, v in edges:
+            u, v = _integer(u, "edge endpoint"), _integer(v, "edge endpoint")
             if not (1 <= u < v <= n):
                 raise ValueError(f"edge ({u},{v}) out of range 1..{n} or not ordered")
             rows[u - 1] |= 1 << (v - 1)
@@ -94,7 +107,8 @@ class Graph:
     def _from_rows(cls, rows: list[int]) -> "Graph":
         """The graph with these neighbourhood rows (Python ints), taken as
         given: every caller builds them in range, loop-free and symmetric."""
-        g = cls(len(rows), ())
+        g = cls.__new__(cls)
+        object.__setattr__(g, "n", len(rows))
         object.__setattr__(g, "rows", tuple(rows))
         return g
 
@@ -160,7 +174,7 @@ def apply_switching(g: Graph | SignedGraph, x: Iterable[int]) -> SignedGraph:
     produce the same signed graph.
     """
     sg = as_signed(g)
-    xs = frozenset(x)
+    xs = frozenset(_integer(v, "switched vertex") for v in x)
     for v in xs:
         if not (1 <= v <= sg.n):
             raise ValueError(f"switched vertex {v} out of range 1..{sg.n}")
@@ -205,9 +219,10 @@ def _signs(n: int, x: Iterable[int]) -> np.ndarray:
     """The sign vector of the switching about the vertex set x, as int64:
     -1 on x and 1 elsewhere.
 
-    Raises the ValueError of apply_switching for a vertex outside 1..n.
+    Raises the ValueError of apply_switching for a vertex outside 1..n or
+    not an integer.
     """
-    idx = [v - 1 for v in x]
+    idx = [_integer(v, "switched vertex") - 1 for v in x]
     for v in idx:
         if not (0 <= v < n):
             raise ValueError(f"switched vertex {v + 1} out of range 1..{n}")
@@ -396,17 +411,6 @@ def format_signed_edge_list(sg: SignedGraph) -> str:
 # ---------------------------------------------------------------------------
 # Graph families
 # ---------------------------------------------------------------------------
-
-
-def _integer(value, what: str, least: int) -> int:
-    # Python and numpy ints pass; a float or a string is a ValueError.
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ValueError(f"{what} must be >= {least}, got {value}")
-    return value
 
 
 @dataclass(frozen=True)

@@ -315,19 +315,6 @@ def test_workers_flag(capsys):
     capsys.readouterr()
 
 
-def test_workers_env_default(monkeypatch, capsys):
-    monkeypatch.setenv("MAINSWITCH_WORKERS", "2")
-    assert run(["verify-conjecture", "--max-n", "3"]) == 0
-    capsys.readouterr()
-
-
-def test_workers_env_not_an_int_warns(monkeypatch, capsys):
-    monkeypatch.setenv("MAINSWITCH_WORKERS", "abc")
-    assert run(["verify-conjecture", "--max-n", "3"]) == 0
-    err = capsys.readouterr().err
-    assert "MAINSWITCH_WORKERS" in err and "'abc'" in err
-
-
 def test_bad_tolerances_and_workers_are_usage_errors(capsys):
     assert run(["spectrum", "Bw", "--group-eps", "-1"]) == 2
     assert run(["spectrum", "Bw", "--main-eps", "0"]) == 2

@@ -88,6 +88,8 @@ def test_flip_errors():
         flip([1, 2], [1, 1])
     with pytest.raises(ValueError):
         flip([1, 2], [3])
+    with pytest.raises(ValueError):
+        flip([1, 2], [2.0])
 
 
 def test_flipped_eigenvector_tracks_switching(rng):

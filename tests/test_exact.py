@@ -246,6 +246,9 @@ def test_walk_matrix_from_sign_vector_is_switched_walk_matrix(rng):
 def test_walk_matrix_rejects_wrong_start_length():
     with pytest.raises(ValueError):
         walk_matrix([[0, 1], [1, 0]], [1])
+    for start in ([1.0, 1], np.array([0.5, 1.0]), ["1", "1"], [None, 1]):
+        with pytest.raises(ValueError, match="integers"):
+            walk_matrix([[0, 1], [1, 0]], start)
 
 
 def test_rank_exact_examples():
@@ -346,6 +349,34 @@ def test_rank_exact_copies_lists_and_other_arrays_to_python_ints():
     assert rank_exact(np.array(singular, dtype=object)) == 1
     assert rank_exact(np.array(m[:2], dtype=object).T) == fraction_rank(m[:2]) == 2
     assert rank_exact(np.array([[1, 2], [2, 4]], dtype=np.int32)) == 1
+    # Other integer and bool dtypes are read exactly: no uint8 wrap, and
+    # bools add as ints, not modulo 2 (this matrix has rank 2 over GF(2)).
+    assert rank_exact(np.array([[255, 1], [1, 255]], dtype=np.uint8)) == 2
+    assert rank_exact(np.array([[255, 255], [1, 1]], dtype=np.uint8)) == 1
+    odd = [[True, True, False], [False, True, True], [True, False, True]]
+    assert rank_exact(np.array(odd)) == rank_exact(odd) == 3
+    assert rank_exact([[True, False], [True, False]]) == 1
+
+
+_NON_INTEGER_MATRICES = {
+    "float-array": np.array([[0, 1.7], [1.7, 0]]),
+    "integral-float-array": np.array([[0., 1.], [1., 0.]]),
+    "strings": [["0", "1"], ["1", "0"]],
+    "string-1x1": [["2"]],
+    "half": [[0.5, 1], [1, 0]],
+    "one-and-a-half": [[0, 1.5], [1.5, 0]],
+    "none": [[0, None], [None, 0]],
+}
+
+
+@pytest.mark.parametrize("fn", [main_profile, rank_exact, char_poly, walk_matrix],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("name", sorted(_NON_INTEGER_MATRICES))
+def test_non_integer_entries_are_rejected(fn, name):
+    # Nothing is rounded or parsed: [[0, 1.7], [1.7, 0]] is not K2, and
+    # [[0, 1.5], [1.5, 0]] has characteristic polynomial x^2 - 2.25.
+    with pytest.raises(ValueError, match="integers"):
+        fn(_NON_INTEGER_MATRICES[name])
 
 
 def test_main_profile_examples():
@@ -353,6 +384,12 @@ def test_main_profile_examples():
     assert (prof.main_count, prof.distinct_count, prof.all_main) == (1, 2, False)
     prof = main_profile([[0, -1], [-1, 0]])
     assert (prof.main_count, prof.distinct_count, prof.all_main) == (1, 2, False)
+    # The path P4 as other integer and bool arrays and as a list of bools.
+    p4 = adjacency_matrix(parse_graph6("Ch"))
+    for a in (p4, np.array(p4, dtype=np.int32), np.array(p4, dtype=np.uint8),
+              np.array(p4, dtype=bool), [[bool(x) for x in row] for row in p4]):
+        prof = main_profile(a)
+        assert (prof.main_count, prof.distinct_count, prof.all_main) == (2, 4, False)
 
 
 def _profile_cases():

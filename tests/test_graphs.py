@@ -67,6 +67,9 @@ def test_rows_built_graphs_match_the_edge_form():
     (3, [(2, 1)], r"edge \(2,1\) out of range 1..3 or not ordered"),
     (3, [(0, 2)], r"edge \(0,2\) out of range 1..3 or not ordered"),
     (3, [(2, 2)], r"edge \(2,2\) out of range 1..3 or not ordered"),
+    (2, [(1.0, 2)], "edge endpoint must be an integer, got 1.0"),
+    (2.0, [(1, 2)], "vertex count must be an integer, got 2.0"),
+    ("3", [], "vertex count must be an integer, got '3'"),
 ])
 def test_graph_rejects_invalid_edges(n, edges, message):
     with pytest.raises(ValueError, match=message):
@@ -475,3 +478,6 @@ def test_adjacency_examples():
 def test_switching_out_of_range():
     with pytest.raises(ValueError):
         apply_switching(parse_graph6("A_"), {3})
+    # 1.5 is inside 1..2 but names no vertex.
+    with pytest.raises(ValueError, match="switched vertex must be an integer, got 1.5"):
+        apply_switching(parse_graph6("A_"), {1.5})
