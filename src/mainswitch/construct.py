@@ -6,19 +6,21 @@ complete multipartite graph.  Each construction returns the switching and
 the exact main profile of the switched graph from the integer decision
 procedure; no construction uses floating point.
 
-A shape's rule gives a base switching and an ordered list of extra flips.
-The scan builds the graph's int64 adjacency array once, switches it about
-each candidate in turn (the base alone first, then the base plus each
-extra) and keeps the first candidate that ``main_profile`` finds all-main,
-with that profile.  An extra candidate is built only when the scan reaches
-it; the base settles nearly every shape.  The paper's main eigenvectors
-explain why a rule's candidates suffice: s times the unswitched eigenvector
-of each simple eigenvalue (s the switching's sign vector), and for each
-repeated eigenvalue, which comes from interchangeable twin blocks, the
-projection of j onto its eigenspace.  The tests check those closed forms;
-the verdict is the exact one.  The few small multipartite shapes (n <= 7)
-whose case analysis bottoms out in a finite check take the search's
-switching as their one candidate.
+The clique-with-pendants graph has one candidate, {v1, vn}, which
+tests/test_theorems.py proves all-main for every r >= 1 and n >= r+3.  A
+multipartite shape's rule gives a base switching and an ordered list of
+extra flips.  The scan builds the graph's int64 adjacency array once,
+switches it about each candidate in turn (the base alone first, then the
+base plus each extra) and keeps the first candidate that ``main_profile``
+finds all-main, with that profile.  An extra candidate is built only when
+the scan reaches it; the base settles nearly every shape.  The paper's main
+eigenvectors explain why a rule's candidates suffice: s times the
+unswitched eigenvector of each simple eigenvalue (s the switching's sign
+vector), and for each repeated eigenvalue, which comes from interchangeable
+twin blocks, the projection of j onto its eigenspace.  The tests check
+those closed forms; the verdict is the exact one.  The few small
+multipartite shapes (n <= 7) whose case analysis bottoms out in a finite
+check take the search's switching as their one candidate.
 
 Candidates are scanned in a fixed order and the first success is kept, so
 results are deterministic and certificates reproducible.  Flip selection
@@ -38,7 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exact import MainProfile, main_profile
-from .graphs import (Graph, MultipartiteParams, SnrParams, _adjacency_array, _signs,
+from .graphs import (Graph, MultipartiteParams, SnrParams, _adjacency_array, _integer, _signs,
                      _switched_array, make_multipartite, make_snr)
 
 __all__ = [
@@ -112,7 +114,7 @@ def _flip_values(beta: Sequence, indices: Sequence[int]) -> tuple[tuple, tuple[i
     """beta and the flip positions as tuples, with the values they hold,
     which must be in range and nonzero."""
     base = tuple(beta)
-    idx = tuple(indices)
+    idx = tuple(_integer(i, "flip position") for i in indices)
     vals = []
     for i in idx:
         if not (1 <= i <= len(base)):
@@ -190,22 +192,12 @@ def _scan(graph: Graph, base: frozenset[int], extras: Iterable[tuple[int, ...]],
 
 
 def snr_all_main_switching(n: int, r: int) -> ConstructionResult:
-    """All-main switching for the clique-with-pendants graph.
-
-    Base switching is {v1, vn}.  For r <= 2 or n = r+3 the base alone is the
-    only candidate; otherwise one additional flip among {v2, v_{r+1},
-    v_{n-1}} may follow.  The scan keeps the first all-main candidate.
-    """
+    """All-main switching for the clique-with-pendants graph: {v1, vn}, the
+    one candidate, which tests/test_theorems.py proves all-main for every
+    r >= 1 and n >= r+3.  ``main_profile`` decides the result."""
     if r < 1 or n < r + 3:
         raise ValueError(f"need r >= 1 and n >= r+3, got n={n} r={r}")
-    # The eigenvector of a cubic root holds generically distinct values at
-    # the flipped coordinates (a pendant, the attachment vertex, a clique
-    # vertex), which caps the non-main candidates at one per root; the later
-    # candidates carry the rare degenerate parameter pairs where a cubic root
-    # equals 1.  The pendants (eigenvalue 0) and the clique rest (-1) each
-    # hold a switched vertex, v1 or vn, and an unswitched one.
-    extras = [] if r <= 2 or n == r + 3 else [(2,), (r + 1,), (n - 1,)]
-    return _scan(make_snr(SnrParams(n, r)), frozenset((1, n)), extras, "constructive")
+    return _scan(make_snr(SnrParams(n, r)), frozenset((1, n)), (), "constructive")
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,7 @@ class Graph:
         return cls(n, frozenset(seen))
 
     def degree(self, u: int) -> int:
+        u = _integer(u, "vertex")
         if not 1 <= u <= self.n:
             raise ValueError(f"vertex {u} out of range 1..{self.n}")
         return self.rows[u - 1].bit_count()
@@ -147,6 +148,8 @@ class SignedGraph:
         stray = self.negative - self.graph.edges
         if stray:
             raise ValueError(f"negative signs on non-edges: {sorted(stray)}")
+        for v in itertools.chain.from_iterable(self.negative):  # (1.0, 2) equals (1, 2)
+            _integer(v, "edge endpoint")
 
     @property
     def n(self) -> int:

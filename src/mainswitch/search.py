@@ -51,7 +51,7 @@ import numpy as np
 from ._version import __version__
 from .exact import (MainProfile, _distinct_count, _power_stack, _row_bound, main_profile,
                     rank_exact)
-from .graphs import (Graph, _adjacency_array, _graph6_adjacency, _pairs, _signs,
+from .graphs import (Graph, _adjacency_array, _graph6_adjacency, _integer, _pairs, _signs,
                      _switched_array, emit_graph6, is_connected)
 
 TOOL_VERSION = f"mainswitch {__version__}"
@@ -90,6 +90,7 @@ def enumerate_switchings(n: int) -> Iterator[frozenset[int]]:
     """All 2^(n-1) switching classes, each as its set of switched vertices:
     the subsets of {2..n} ordered by size, then lexicographically.  Vertex 1
     stays unswitched (complement equivalence)."""
+    n = _integer(n, "vertex count")
     if n < 1:
         raise ValueError("need at least one vertex")
     for size in range(n):
@@ -538,7 +539,8 @@ def verify_conjecture(max_n: int, workers: int = 1,
     edge and the 4-clique minus an edge.
     """
     start = time.perf_counter()
-    if workers < 1:
+    max_n = _integer(max_n, "max_n")
+    if _integer(workers, "worker count") < 1:
         raise ValueError("worker count must be >= 1")
     if graphs is None:
         if not (2 <= max_n <= CATALOG_CAP):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import MultipartiteParams
+from .graphs import MultipartiteParams, _integer
 
 __all__ = [
     "EigenSystem",
@@ -199,6 +199,7 @@ def snr_cubic_roots(n: int, r: int) -> tuple[float, float, float]:
     pins the brackets: f(0) = r(n-r-2) > 0 and f(sqrt r) = (1+r-n) sqrt(r) < 0
     whenever n >= r+3.
     """
+    n, r = _integer(n, "vertex count"), _integer(r, "pendant count")
     if r < 1 or n < r + 3:
         raise ValueError(f"need r >= 1 and n >= r+3, got n={n} r={r}")
 

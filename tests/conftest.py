@@ -23,8 +23,12 @@ the Newton polish on numpy rows), secular_vector_oracle, snr_eigvec_oracle,
 twin_witness_oracle, the witness lists of multipartite_witnesses_oracle and
 snr_witnesses_oracle (the latter takes the cubic roots from the library's
 spectral module), check_witnesses_oracle, and float_scan_oracle.  The
-hypothesis strategies at the end make near-valid graph inputs for the
-parser and CLI fuzz tests.
+checker behind tests/test_theorems.py evaluates the signed quotient of the
+switched clique-with-pendants graph at integer points (snr_quotient,
+krylov_oracle, fraction_det, snr_cubic, snr_f), in Python ints and
+Fractions, and on_grid turns agreement on a grid into a polynomial
+identity.  The hypothesis strategies at the end make near-valid graph
+inputs for the parser and CLI fuzz tests.
 """
 
 from __future__ import annotations
@@ -448,6 +452,77 @@ def valid_rows_oracle(rows) -> bool:
     n = len(rows)
     return all(0 <= row < 1 << n and not row >> v & 1 for v, row in enumerate(rows)) and all(
         (rows[v] >> w & 1) == (rows[w] >> v & 1) for v, w in itertools.combinations(range(n), 2))
+
+
+# ---------------------------------------------------------------------------
+# The signed quotient of the clique-with-pendants graph switched about {v1, vn}
+# ---------------------------------------------------------------------------
+
+
+def snr_quotient(n: int, r: int) -> list[list[int]]:
+    """The signed quotient B of S_{n,r} switched about {v1, vn}: row i holds,
+    for any one vertex of cell i, the signed count of its neighbours in each
+    cell.  The cells are {v1}, {v2..vr}, the hub {v_{r+1}}, {v_{r+2}..v_{n-1}}
+    and {vn}; for r = 1 the empty second cell is left out.  The rows are
+    read as polynomials, so any integers n and r give a matrix, valid pair
+    or not, and every entry has degree at most 1 in (n, r)."""
+    c = n - r - 2  # the size of the fourth cell
+    b = [[0, 0, -1, 0, 0],
+         [0, 0, 1, 0, 0],
+         [-1, r - 1, 0, c, -1],
+         [0, 0, 1, c - 1, -1],
+         [0, 0, -1, -c, 0]]
+    if r == 1:
+        return [row[:1] + row[2:] for i, row in enumerate(b) if i != 1]
+    return b
+
+
+def krylov_oracle(b) -> list[list[int]]:
+    """K = [1, B1, ..., B^(k-1)1] for a k x k integer matrix B, in Python
+    ints."""
+    v, cols = [1] * len(b), []
+    for _ in b:
+        cols.append(v)
+        v = [sum(x * y for x, y in zip(row, v)) for row in b]
+    return [list(row) for row in zip(*cols)]
+
+
+def fraction_det(m) -> Fraction:
+    """det(m) by Gaussian elimination over exact rationals."""
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for c in range(len(a)):
+        piv = next((i for i in range(c, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv], det = a[piv], a[c], -det
+        det *= a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def snr_cubic(n: int, r: int) -> list[int]:
+    """The paper's cubic x^3 - (n-r-2)x^2 - (n-1)x + r(n-r-2), ascending."""
+    return [r * (n - r - 2), -(n - 1), -(n - r - 2), 1]
+
+
+def snr_f(m: int, s: int) -> int:
+    """The factor f of det K for r >= 2, at r = 2 + s and n = r + 3 + m."""
+    return (-m ** 3 * s ** 2 - 3 * m ** 2 * s ** 2 + 6 * m ** 2 * s - 6 * m * s ** 2 + 6 * m * s
+            - 2 * s ** 3 + 10 * s + 4)
+
+
+def on_grid(check, ns: range, rs: range) -> bool:
+    """Whether check(n, r) holds at every n in ns and r in rs.  Two
+    polynomials of degree below len(ns) in n and below len(rs) in r that
+    agree there are equal: a one-variable polynomial with more roots than its
+    degree is zero, so their difference vanishes on each line r = r0, and
+    then each of its coefficients in n, a polynomial in r, has len(rs)
+    roots.  Total degree D gives degree at most D in each variable."""
+    return all(check(n, r) for n in ns for r in rs)
 
 
 def crt_oracle(residues: list[int], primes: list[int]) -> int:

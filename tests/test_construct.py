@@ -129,6 +129,8 @@ def test_family_distinct_rejects_equal_values():
         candidate_family_distinct([1, 1], [1, 2])
     with pytest.raises(ValueError):
         candidate_family_distinct([0, 1], [1])
+    with pytest.raises(ValueError, match="flip position must be an integer, got 2.0"):
+        candidate_family_distinct([1, 2], [2.0])
 
 
 def test_family_equal_examples():
@@ -145,6 +147,8 @@ def test_family_equal_rejects_bad_values():
         candidate_family_equal([1, 0], [2])
     with pytest.raises(ValueError):
         candidate_family_equal([1, 2], [1, 2])
+    with pytest.raises(ValueError, match="flip position must be an integer, got 2.0"):
+        candidate_family_equal([1, 1], [2.0])
 
 
 @lru_cache(maxsize=None)
@@ -336,11 +340,9 @@ def test_switched_matrix_matches_the_list_adjacency(rng):
 
 
 def _snr_candidates(n, r):
-    """The snr candidate switchings in scan order: {v1, vn}, then, unless
-    r <= 2 or n = r+3, one more flip at v2, v_{r+1} or v_{n-1}."""
-    base = frozenset((1, n))
-    extras = [] if r <= 2 or n == r + 3 else [2, r + 1, n - 1]
-    return [base] + [base | {v} for v in extras]
+    """The snr candidate switchings: {v1, vn} alone, which
+    tests/test_theorems.py proves all-main for every pair."""
+    return [frozenset((1, n))]
 
 
 def _snr_matrix(n, r):
@@ -375,9 +377,8 @@ def test_snr_construction_5_1():
 
 
 def test_snr_construction_base_case_grid():
-    # The base {v1, vn} is the only candidate for r <= 2 or n = r+3; the
-    # exact scan must find it all-main for every such pair up to the graph6
-    # limit.
+    # The base {v1, vn} is the only candidate; the exact scan must find it
+    # all-main for every pair with r <= 2 or n = r+3 up to the graph6 limit.
     grid = [(n, r) for r in (1, 2) for n in range(r + 3, 63)]
     grid += [(r + 3, r) for r in range(1, 60)]
     for n, r in grid:
@@ -688,15 +689,14 @@ def test_extra_candidates_are_built_only_when_reached(monkeypatch):
 
 
 def test_snr_candidate_flips_are_eigenvectors():
-    # No parameter pair in the verified ranges actually needs a flip beyond
-    # the base {v1, vn}, so exercise the closed forms behind each candidate
-    # directly: each candidate flip pattern yields eigenvectors of the
-    # correspondingly switched graph, and so do the twin witnesses for 0 and
-    # -1 built from its sign vector.
+    # The closed forms hold for any switching, the base {v1, vn} and the base
+    # plus one flip at v2, v_{r+1} or v_{n-1} alike: s times each cubic
+    # eigenvector, and the twin witnesses for 0 and -1 built from s, are
+    # eigenvectors of the graph switched by s.
     n, r = 12, 4
     g = make_snr(SnrParams(n, r))
     roots = snr_cubic_roots(n, r)
-    for flips in _snr_candidates(n, r):
+    for flips in [{1, n}] + [{1, v, n} for v in (2, r + 1, n - 1)]:
         a = np.array(adjacency_matrix(apply_switching(g, flips)), float)
         for lam in roots:
             v = flip(snr_eigvec_oracle(n, r, lam), flips)

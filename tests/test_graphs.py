@@ -13,6 +13,7 @@ from mainswitch import (
     Graph,
     GraphFormatError,
     MultipartiteParams,
+    SignedGraph,
     SnrParams,
     adjacency_matrix,
     apply_switching,
@@ -83,6 +84,8 @@ def test_from_edges_rejects_loops_and_duplicates():
         Graph.from_edges(3, [(1, 2), (2, 1)])
     with pytest.raises(ValueError, match=r"vertex 4 out of range 1..3"):
         Graph.from_edges(3, [(1, 2)]).degree(4)
+    with pytest.raises(ValueError, match="vertex must be an integer, got 2.0"):
+        Graph(3, [(1, 2)]).degree(2.0)
 
 
 def test_rows_constructor_accepts_exactly_the_valid_rows(rng):
@@ -481,3 +484,14 @@ def test_switching_out_of_range():
     # 1.5 is inside 1..2 but names no vertex.
     with pytest.raises(ValueError, match="switched vertex must be an integer, got 1.5"):
         apply_switching(parse_graph6("A_"), {1.5})
+
+
+def test_signed_graph_rejects_non_integer_negative_edges():
+    # (1.0, 2) equals the edge (1, 2), so only the integer rule catches it;
+    # the int64 adjacency array could not be indexed with it.
+    k2 = parse_graph6("A_")
+    with pytest.raises(ValueError, match="edge endpoint must be an integer, got 1.0"):
+        SignedGraph(k2, frozenset({(1.0, 2)}))
+    with pytest.raises(ValueError, match="negative signs on non-edges"):
+        SignedGraph(k2, frozenset({(1, 3)}))
+    assert adjacency_matrix(SignedGraph(k2, frozenset({(np.int64(1), 2)}))) == [[0, -1], [-1, 0]]
