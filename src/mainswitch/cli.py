@@ -100,9 +100,10 @@ def _parse_blocks(spec: str) -> MultipartiteParams:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    for g in _load_inputs(args.input):
-        es = eigen_sym(_adjacency_array(g))
-        report = classify_main(es, group_eps=args.group_eps, main_eps=args.main_eps)
+    status = 0
+    for i, g in enumerate(_load_inputs(args.input), start=1):
+        a = _adjacency_array(g)
+        report = classify_main(eigen_sym(a), group_eps=args.group_eps, main_eps=args.main_eps)
         if args.json:
             # vars, not asdict: asdict deep-copies each field, about 10 us a
             # group, and a graph has up to n groups.
@@ -114,7 +115,16 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
                 flag = "yes" if grp.is_main else "no"
                 print(f"{grp.value:>20.12f}  {grp.multiplicity:>4}  {flag:>5}  "
                       f"{grp.main_mass:>12.6f}")
-    return 0
+        # The exact counts are the authority on every float verdict.
+        profile = main_profile(a)
+        groups = len(report.groups)
+        mains = sum(grp.is_main for grp in report.groups)
+        if (groups, mains) != (profile.distinct_count, profile.main_count):
+            print(f"record {i}: float groups={groups} main={mains} disagree with exact "
+                  f"distinct_count={profile.distinct_count} main_count={profile.main_count}",
+                  file=sys.stderr)
+            status = 1
+    return status
 
 
 def _cmd_main_profile(args: argparse.Namespace) -> int:
@@ -217,7 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "search, constructions, certificates.")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    sp = sub.add_parser("spectrum", help="float spectrum with per-eigenvalue main flags")
+    sp = sub.add_parser("spectrum", help="float spectrum with per-eigenvalue main flags, "
+                                          "checked against the exact counts")
     sp.add_argument("input", help="graph6 string, @file.g6, or @file.sel")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--group-eps", type=float, default=None)

@@ -195,6 +195,7 @@ def snr_all_main_switching(n: int, r: int) -> ConstructionResult:
     """All-main switching for the clique-with-pendants graph: {v1, vn}, the
     one candidate, which tests/test_theorems.py proves all-main for every
     r >= 1 and n >= r+3.  ``main_profile`` decides the result."""
+    n, r = _integer(n, "vertex count"), _integer(r, "pendant count")
     if r < 1 or n < r + 3:
         raise ValueError(f"need r >= 1 and n >= r+3, got n={n} r={r}")
     return _scan(make_snr(SnrParams(n, r)), frozenset((1, n)), (), "constructive")

@@ -156,7 +156,7 @@ class SignedGraph:
         return self.graph.n
 
     def sign(self, u: int, v: int) -> int:
-        e = _norm_edge(u, v)
+        e = _norm_edge(_integer(u, "vertex"), _integer(v, "vertex"))
         if e not in self.graph.edges:
             raise ValueError(f"no edge {e}")
         return -1 if e in self.negative else 1

@@ -463,6 +463,7 @@ def _catalog_values(n: int) -> tuple[int, ...]:
 def enumerate_connected_graphs(n: int) -> list[Graph]:
     """One canonical representative per isomorphism class of connected simple
     graphs on exactly n vertices, in canonical order."""
+    n = _integer(n, "vertex count")
     if not (1 <= n <= CATALOG_CAP):
         raise ValueError(f"catalog enumeration supports 1 <= n <= {CATALOG_CAP}")
     rows = _value_rows(_catalog_values(n), n).tolist()

@@ -1,12 +1,12 @@
 """Floating-point spectral engine.
 
-A round-robin Jacobi eigensolver (Brent & Luk's parallel ordering: each
-round rotates n/2 disjoint index pairs at once, until every off-diagonal
-entry is below 1e-12 * ||A||_F) provides orthonormal bases per eigenspace,
-which the main-eigenvalue classifier needs: an eigenvalue group is main when
-the projection of the all-ones vector onto its eigenspace has norm above a
-threshold.  The classifier is advisory; for integer inputs the exact module
-is authoritative.  Both serve the ``spectrum`` command only: the
+LAPACK's symmetric eigensolver (numpy.linalg.eigh) provides orthonormal
+bases per eigenspace, which the main-eigenvalue classifier needs: an
+eigenvalue group is main when the projection of the all-ones vector onto its
+eigenspace has norm above a threshold.  The classifier is advisory; for
+integer inputs the exact module is authoritative, and the ``spectrum``
+command checks its group and main counts against ``exact.main_profile``.
+The eigensolver and the classifier serve that command only: the
 constructions decide with the exact module alone.
 
 Closed-form spectra for the two graph families live here as well: the cubic
@@ -19,7 +19,6 @@ that stay between its two poles.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -51,37 +50,20 @@ class EigenSystem:
     residual_bound: float
 
 
-@functools.lru_cache(maxsize=64)
-def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The rounds of one Jacobi sweep of order n, each as arrays p < q of
-    disjoint pairs, by the circle method: with m = n rounded up to even,
-    index m - 1 stays put while the others turn round a ring of m - 1, so
-    the m - 1 rounds meet every pair once.  For odd n, m - 1 is a phantom."""
-    m = n + n % 2
-    rounds = []
-    for r in range(m - 1):
-        pairs = [(r, m - 1)] + [((r + k) % (m - 1), (r - k) % (m - 1)) for k in range(1, m // 2)]
-        pq = np.array([sorted(x) for x in pairs if max(x) < n], dtype=np.intp).reshape(-1, 2)
-        rounds.append((pq[:, 0], pq[:, 1]))
-    return tuple(rounds)
-
-
 def eigen_sym(a) -> EigenSystem:
-    """Eigendecomposition of a real symmetric matrix by round-robin Jacobi.
+    """Eigendecomposition of a real symmetric matrix by LAPACK
+    (numpy.linalg.eigh), eigenvalues ascending.
 
-    Each round of `_round_robin` applies its disjoint rotations at once as one
-    orthogonal R (A <- R^T A R, V <- V R); sweeps repeat, for at most 60, until
-    every off-diagonal magnitude drops below 1e-12 * ||A||_F.  A is divided
-    by its largest absolute entry first, so that entries far from 1 neither
-    overflow nor underflow the norm; the eigenvalues and ``residual_bound``
-    are scaled back.  Raises on a non-finite entry and on non-symmetric input
-    (asymmetry above 1e-12 times the largest absolute entry).
+    A is divided by its largest absolute entry first, so that entries far
+    from 1 neither overflow nor underflow; the eigenvalues and
+    ``residual_bound``, max_k ||A v_k - w_k v_k||_2 on the scaled matrix,
+    are scaled back.  Raises on a non-finite entry and on non-symmetric
+    input (asymmetry above 1e-12 times the largest absolute entry).
     """
     A = np.array(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    n = A.shape[0]
-    if n == 0:
+    if A.shape[0] == 0:
         raise ValueError("matrix must be nonempty")
     if not np.isfinite(A).all():
         raise ValueError("matrix has a non-finite entry")
@@ -89,35 +71,8 @@ def eigen_sym(a) -> EigenSystem:
     A = A / scale
     if np.max(np.abs(A - A.T), initial=0.0) > 1e-12:
         raise ValueError("matrix is not symmetric")
-    A0 = A.copy()
-    V = np.eye(n)
-    fro = np.linalg.norm(A, "fro")
-    if fro > 0:
-        threshold = 1e-12 * fro
-        for _ in range(60):
-            off = np.max(np.abs(A - np.diag(np.diag(A))))
-            if off < threshold:
-                break
-            for p, q in _round_robin(n):
-                keep = np.abs(A[p, q]) >= threshold / (2 * n)
-                p, q = p[keep], q[keep]
-                theta = (A[q, q] - A[p, p]) / (2.0 * A[p, q])
-                t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                R = np.eye(n)
-                R[p, p] = R[q, q] = c
-                R[p, q], R[q, p] = s, -s
-                A = R.T @ A @ R
-                V = V @ R
-                A[p, q] = A[q, p] = 0.0
-        else:
-            raise RuntimeError("Jacobi iteration failed to converge")
-    w = np.diag(A).copy()
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    V = V[:, order]
-    residual = float(np.max(np.linalg.norm(A0 @ V - V * w, axis=0), initial=0.0))
+    w, V = np.linalg.eigh(A)
+    residual = float(np.max(np.linalg.norm(A @ V - V * w, axis=0), initial=0.0))
     return EigenSystem(eigenvalues=w * scale, vectors=V, residual_bound=residual * scale)
 
 

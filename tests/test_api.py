@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import mainswitch
-from mainswitch import (Graph, SignedGraph, candidate_family_distinct, candidate_family_equal,
-                        construct, enumerate_switchings, exact, graphs, parse_graph6, search,
-                        snr_cubic_roots, snr_spectrum, spectral, verify_conjecture)
+from mainswitch import (Graph, SignedGraph, as_signed, candidate_family_distinct,
+                        candidate_family_equal, construct, enumerate_connected_graphs,
+                        enumerate_switchings, exact, graphs, parse_graph6, search,
+                        snr_all_main_switching, snr_cubic_roots, snr_spectrum, spectral,
+                        verify_conjecture)
 
 MODULES = (construct, exact, graphs, search, spectral)
 
@@ -33,6 +35,7 @@ def test_package_all_is_the_union_of_the_module_lists():
 # a count.
 INTEGER_ARGUMENTS = {
     "SignedGraph negative edge": lambda x: SignedGraph(parse_graph6("A_"), frozenset({(1, x)})),
+    "SignedGraph.sign": lambda x: as_signed(parse_graph6("A_")).sign(1, x),
     "Graph.degree": lambda x: Graph(3, [(1, 2)]).degree(x),
     "candidate_family_distinct": lambda x: candidate_family_distinct([1, 2], [x]),
     "candidate_family_equal": lambda x: candidate_family_equal([1, 1], [x]),
@@ -40,7 +43,10 @@ INTEGER_ARGUMENTS = {
     "snr_cubic_roots r": lambda x: snr_cubic_roots(8, x),
     "snr_spectrum n": lambda x: snr_spectrum(x, 3),
     "snr_spectrum r": lambda x: snr_spectrum(8, x),
+    "snr_all_main_switching n": lambda x: snr_all_main_switching(x, 3),
+    "snr_all_main_switching r": lambda x: snr_all_main_switching(8, x),
     "enumerate_switchings": lambda x: list(enumerate_switchings(x)),
+    "enumerate_connected_graphs": lambda x: enumerate_connected_graphs(x),
     "verify_conjecture max_n": lambda x: verify_conjecture(x),
     "verify_conjecture workers": lambda x: verify_conjecture(2, workers=x),
 }

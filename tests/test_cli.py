@@ -15,7 +15,11 @@ from mainswitch import (
     TOOL_VERSION,
     Certificate,
     GraphFormatError,
+    adjacency_matrix,
+    as_signed,
     canonical_graph6,
+    format_signed_edge_list,
+    main_profile,
     parse_graph6,
     parse_signed_edge_list,
     verify_certificate,
@@ -24,6 +28,7 @@ from mainswitch import cli, search
 from mainswitch.cli import run
 from mainswitch.graphs import Graph, emit_graph6
 from conftest import graph6_like, sel_like
+from test_spectral import _cli_size_graphs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -56,6 +61,42 @@ def test_spectrum_from_sel_file(tmp_path, capsys):
     assert run(["spectrum", f"@{f}", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["n"] == 3
+
+
+def test_spectrum_merged_groups_fail_the_exact_check(capsys):
+    # K3 has eigenvalues -1, -1, 2: a group gap of 4 merges them into one
+    # group, against 2 distinct eigenvalues.  The report is still printed.
+    assert run(["spectrum", "Bw", "--group-eps", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("n=3\n") and len(out.splitlines()) == 3
+    assert err == ("record 1: float groups=1 main=1 disagree with exact "
+                   "distinct_count=2 main_count=1\n")
+
+
+def test_spectrum_reports_every_record_and_fails_the_one_that_disagrees(tmp_path, capsys):
+    # K3's groups lie 3 apart and K2's 2 apart: a gap of 2.5 merges K2 only.
+    f = tmp_path / "mixed.g6"
+    f.write_text("Bw\nA_\nBw\n")
+    assert run(["spectrum", f"@{f}", "--json", "--group-eps", "2.5"]) == 1
+    out, err = capsys.readouterr()
+    groups = [len(json.loads(line)["groups"]) for line in out.splitlines()]
+    assert groups == [2, 1, 2]
+    assert err == ("record 2: float groups=1 main=1 disagree with exact "
+                   "distinct_count=2 main_count=1\n")
+
+
+@pytest.mark.parametrize("n", [20, 37, 60, 62])
+def test_spectrum_agrees_with_main_profile_at_cli_sizes(tmp_path, capsys, n):
+    for g in _cli_size_graphs(n):
+        f = tmp_path / "g.sel"
+        f.write_text(format_signed_edge_list(as_signed(g)))
+        assert run(["spectrum", f"@{f}", "--json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        groups = json.loads(out)["groups"]
+        profile = main_profile(adjacency_matrix(g))
+        assert len(groups) == profile.distinct_count
+        assert sum(grp["is_main"] for grp in groups) == profile.main_count
 
 
 def test_main_profile_text_and_json(capsys):
@@ -419,9 +460,13 @@ def test_graph_subcommands_never_raise(tmp_path, capsys, cmd, source, as_json, g
         assert exc.code == 2
         return
     err = capsys.readouterr().err
-    assert rc in ((0, 1, 2) if cmd == "find-switching" else (0, 2))
+    assert rc in ((0, 2) if cmd == "main-profile" else (0, 1, 2))
     if rc == 2:
         assert err.startswith("error: ")
+    elif rc == 1 and cmd == "spectrum":
+        # Fuzzed tolerances can merge or split groups: the exact check says so.
+        assert err and all(" disagree with exact distinct_count=" in line
+                            for line in err.splitlines())
 
 
 # ---------------------------------------------------------------------------

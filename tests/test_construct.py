@@ -565,7 +565,7 @@ _BRUTE_FORCE_SWITCHINGS = {
 
 def test_multipartite_up_to_8_vertices_without_the_float_eigensolver(monkeypatch):
     # The constructions decide with exact arithmetic alone: construct binds
-    # nothing from the float spectral module, and with the Jacobi eigensolver
+    # nothing from the float spectral module, and with the float eigensolver
     # and both closed-form root finders disabled every shape with n <= 8
     # still constructs.  The closed-form witnesses are main for each chosen
     # switching, the brute-force shapes' too, and for each fallback they sit

@@ -1,7 +1,6 @@
-"""Round-robin Jacobi eigensolver, main classification, and the family
+"""The LAPACK eigensolver wrapper, main classification, and the family
 spectra."""
 
-import itertools
 import math
 import random
 import warnings
@@ -24,7 +23,6 @@ from mainswitch import (
     snr_cubic_roots,
     snr_spectrum,
 )
-from mainswitch.spectral import _round_robin
 from conftest import (bisect_root, many_group_shapes, random_shape_pool, random_signed_graph,
                       secular_roots_newton_oracle, secular_roots_oracle)
 
@@ -103,21 +101,6 @@ def test_eigen_sym_entries_far_from_one(scale):
             es = eigen_sym(scale * np.array(a))
         np.testing.assert_allclose(es.eigenvalues, scale * np.array(expected), rtol=1e-12)
         assert math.isfinite(es.residual_bound) and es.residual_bound <= 1e-10 * scale
-
-
-def test_round_robin_meets_every_pair_once_in_disjoint_rounds():
-    assert [(p.tolist(), q.tolist()) for p, q in _round_robin(1)] == [([], [])]
-    assert [(p.tolist(), q.tolist()) for p, q in _round_robin(2)] == [([0], [1])]
-    for n in range(1, 64):
-        rounds = _round_robin(n)
-        assert len(rounds) == (n - 1 if n % 2 == 0 else n)
-        seen = []
-        for p, q in rounds:
-            assert len(p) == len(q) == n // 2
-            assert all(0 <= x < y < n for x, y in zip(p.tolist(), q.tolist()))
-            assert len(set(p.tolist()) | set(q.tolist())) == 2 * len(p)
-            seen.extend(zip(p.tolist(), q.tolist()))
-        assert sorted(seen) == list(itertools.combinations(range(n), 2))
 
 
 def _cli_size_graphs(n: int):
