@@ -46,7 +46,7 @@ INTEGER_ARGUMENTS = {
     "snr_all_main_switching n": lambda x: snr_all_main_switching(x, 3),
     "snr_all_main_switching r": lambda x: snr_all_main_switching(8, x),
     "enumerate_switchings": lambda x: list(enumerate_switchings(x)),
-    "enumerate_connected_graphs": lambda x: enumerate_connected_graphs(x),
+    "enumerate_connected_graphs": enumerate_connected_graphs,
     "verify_conjecture max_n": lambda x: verify_conjecture(x),
     "verify_conjecture workers": lambda x: verify_conjecture(2, workers=x),
 }
