@@ -28,6 +28,7 @@ from .graphs import (
     MultipartiteParams,
     SignedGraph,
     _adjacency_array,
+    _decimal,
     is_connected,
     parse_graph6,
     parse_signed_edge_list,
@@ -90,7 +91,7 @@ def _parse_blocks(spec: str) -> MultipartiteParams:
         parts = item.lower().split("x")
         if len(parts) != 2:
             raise ValueError(f"block {item!r} must look like COUNTxSIZE, e.g. 2x3")
-        blocks.append((int(parts[0]), int(parts[1])))
+        blocks.append((_decimal(parts[0]), _decimal(parts[1])))
     return MultipartiteParams.of(blocks)
 
 
@@ -269,6 +270,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="write newline-delimited certificate JSON here")
     vc.add_argument("--json", action="store_true")
     vc.set_defaults(fn=_cmd_verify_conjecture)
+    # type=int options read ASCII digits alone; errors still say "invalid int".
+    for p in (snr, vc):
+        p.register("type", int, _decimal)
 
     cc = sub.add_parser("check-cert", help="re-check a certificate file")
     cc.add_argument("file")

@@ -41,7 +41,8 @@ import numpy as np
 
 from .exact import MainProfile, main_profile
 from .graphs import (Graph, MultipartiteParams, SnrParams, _adjacency_array, _integer, _signs,
-                     _switched_array, make_multipartite, make_snr)
+                     _snr_range, _switched_array, make_multipartite, make_snr)
+from .search import find_all_main_switching
 
 __all__ = [
     "CandidateFamily",
@@ -195,9 +196,7 @@ def snr_all_main_switching(n: int, r: int) -> ConstructionResult:
     """All-main switching for the clique-with-pendants graph: {v1, vn}, the
     one candidate, which tests/test_theorems.py proves all-main for every
     r >= 1 and n >= r+3.  ``main_profile`` decides the result."""
-    n, r = _integer(n, "vertex count"), _integer(r, "pendant count")
-    if r < 1 or n < r + 3:
-        raise ValueError(f"need r >= 1 and n >= r+3, got n={n} r={r}")
+    n, r = _snr_range(n, r)
     return _scan(make_snr(SnrParams(n, r)), frozenset((1, n)), (), "constructive")
 
 
@@ -254,8 +253,6 @@ def _from_search(p: MultipartiteParams, graph: Graph) -> ConstructionResult:
     """Brute-force fallback for the handful of small shapes (n <= 7) whose
     constructive case analysis bottoms out in a finite check: the search's
     switching is the one candidate."""
-    from .search import find_all_main_switching
-
     cert = find_all_main_switching(graph)
     if cert is None:
         raise NoAllMainSwitchingError(

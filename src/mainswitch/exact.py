@@ -68,7 +68,6 @@ __all__ = [
     "char_poly",
     "distinct_eigenvalue_count",
     "main_profile",
-    "poly_gcd",
     "rank_exact",
     "walk_matrix",
 ]
@@ -206,75 +205,39 @@ def char_poly(a: IntMatrix) -> IntPoly:
     return [int(c) for c in reversed(desc)]
 
 
-def _trim(p: IntPoly) -> IntPoly:
-    k = len(p)
-    while k and p[k - 1] == 0:
-        k -= 1
-    return list(p[:k])
-
-
-def poly_derivative(p: IntPoly) -> IntPoly:
-    return _trim([i * c for i, c in enumerate(p)][1:])
-
-
-def _content(p: IntPoly) -> int:
-    return math.gcd(*(abs(c) for c in p)) if p else 0
-
-
 def _primitive(p: IntPoly) -> IntPoly:
-    p = _trim(p)
-    if not p:
-        return p
-    c = _content(p)
-    p = [x // c for x in p]
-    if p[-1] < 0:
-        p = [-x for x in p]
-    return p
-
-
-def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    # prem(a, b): remainder of lc(b)^(deg a - deg b + 1) * a  divided by b.
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(r) - 1 >= db and any(r):
-        lr = r[-1]
-        shift = len(r) - 1 - db
-        r = [lb * c for c in r]
-        for i, bc in enumerate(b):
-            r[shift + i] -= lr * bc
-        r = _trim(r)
-        if not r:
-            break
-    return r
-
-
-def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd of integer polynomials via the primitive pseudo-remainder
-    sequence (content stripped at every step to control coefficient growth)."""
-    a, b = _primitive(a), _primitive(b)
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, _primitive(r)
-    return a
+    """p without trailing zeros, divided by its content, with a positive
+    leading coefficient; [] for the zero polynomial."""
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    c = math.gcd(*p)
+    return [x // c for x in p] if p and p[-1] > 0 else [-x // c for x in p]
 
 
 def distinct_eigenvalue_count(p: IntPoly) -> int:
     """Number of distinct roots of a characteristic polynomial of a symmetric
-    integer matrix: deg p - deg gcd(p, p')."""
-    q = _trim(p)
-    if not q:
+    integer matrix: deg p - deg gcd(p, p'), the gcd by the primitive
+    pseudo-remainder sequence (each remainder divided by its content)."""
+    a = _primitive(p)
+    if not a:
         raise ValueError("zero polynomial")
-    if len(q) == 1:
+    if len(a) == 1:
         raise ValueError("constant polynomial has no eigenvalues")
-    g = poly_gcd(q, poly_derivative(q))
-    return (len(q) - 1) - (len(g) - 1)
+    degree = len(a) - 1
+    b = _primitive([i * c for i, c in enumerate(a)][1:])
+    while b:
+        r, lb = a, b[-1]
+        while len(r) >= len(b):
+            # Cancel r's leading term against b; that coefficient is 0.
+            lr, shift = r[-1], len(r) - len(b)
+            r = [lb * c for c in r[:-1]]
+            for i, bc in enumerate(b[:-1]):
+                r[shift + i] -= lr * bc
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, _primitive(r)
+    return degree - (len(a) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from ._version import __version__
 from .exact import (MainProfile, _distinct_count, _power_stack, _row_bound, main_profile,
                     rank_exact)
 from .graphs import (Graph, _adjacency_array, _graph6_adjacency, _integer, _pairs, _signs,
-                     _switched_array, emit_graph6, is_connected)
+                     _switched_array, _switched_set, emit_graph6, is_connected)
 
 TOOL_VERSION = f"mainswitch {__version__}"
 
@@ -90,9 +90,7 @@ def enumerate_switchings(n: int) -> Iterator[frozenset[int]]:
     """All 2^(n-1) switching classes, each as its set of switched vertices:
     the subsets of {2..n} ordered by size, then lexicographically.  Vertex 1
     stays unswitched (complement equivalence)."""
-    n = _integer(n, "vertex count")
-    if n < 1:
-        raise ValueError("need at least one vertex")
+    n = _integer(n, "vertex count", 1)
     for size in range(n):
         for combo in itertools.combinations(range(2, n + 1), size):
             yield frozenset(combo)
@@ -160,10 +158,11 @@ class Certificate:
 def make_certificate(graph: Graph, switching: Iterable[int], method: str,
                      profile: MainProfile) -> Certificate:
     """Certificate for switching graph about a vertex set, with the exact
-    profile of the switched graph."""
+    profile of the switched graph.  The vertices are read by the rule of
+    apply_switching: each an integer in 1..n."""
     return Certificate(
         graph6=emit_graph6(graph),
-        switching=tuple(sorted(frozenset(switching))),
+        switching=tuple(sorted(_switched_set(graph.n, switching))),
         distinct_count=profile.distinct_count,
         main_count=profile.main_count,
         all_main=profile.all_main,
@@ -541,8 +540,7 @@ def verify_conjecture(max_n: int, workers: int = 1,
     """
     start = time.perf_counter()
     max_n = _integer(max_n, "max_n")
-    if _integer(workers, "worker count") < 1:
-        raise ValueError("worker count must be >= 1")
+    workers = _integer(workers, "worker count", 1)
     if graphs is None:
         if not (2 <= max_n <= CATALOG_CAP):
             raise ValueError(f"need 2 <= max_n <= {CATALOG_CAP}")

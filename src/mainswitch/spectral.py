@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import MultipartiteParams, _integer
+from .graphs import MultipartiteParams, _snr_range
 
 __all__ = [
     "EigenSystem",
@@ -58,9 +58,18 @@ def eigen_sym(a) -> EigenSystem:
     from 1 neither overflow nor underflow; the eigenvalues and
     ``residual_bound``, max_k ||A v_k - w_k v_k||_2 on the scaled matrix,
     are scaled back.  Raises on a non-finite entry and on non-symmetric
-    input (asymmetry above 1e-12 times the largest absolute entry).
+    input (asymmetry above 1e-12 times the largest absolute entry), and on
+    an entry that is not a real number: float conversion would read a
+    string or bytes, take None as NaN and drop an imaginary part.
     """
-    A = np.array(a, dtype=float)
+    A = np.asarray(a)
+    if A.dtype.kind not in "biufO" or A.dtype.kind == "O" and any(
+            x is None or isinstance(x, (str, bytes, complex)) for x in A.flat):
+        raise ValueError("matrix entries must be real numbers")
+    try:
+        A = A.astype(float)
+    except OverflowError:  # an int past the float range, inf as a float
+        raise ValueError("matrix has a non-finite entry") from None
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     if A.shape[0] == 0:
@@ -154,9 +163,7 @@ def snr_cubic_roots(n: int, r: int) -> tuple[float, float, float]:
     pins the brackets: f(0) = r(n-r-2) > 0 and f(sqrt r) = (1+r-n) sqrt(r) < 0
     whenever n >= r+3.
     """
-    n, r = _integer(n, "vertex count"), _integer(r, "pendant count")
-    if r < 1 or n < r + 3:
-        raise ValueError(f"need r >= 1 and n >= r+3, got n={n} r={r}")
+    n, r = _snr_range(n, r)
 
     def f(x: float) -> float:
         return x ** 3 - (n - r - 2) * x ** 2 - (n - 1) * x + r * (n - r - 2)

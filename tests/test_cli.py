@@ -157,6 +157,26 @@ def test_construct_bad_blocks_usage_error(capsys):
     assert run(["construct", "multipartite", "--blocks", "1x2,1x3"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "multipartite", "--blocks", "1x\u0661\u0660"],   # Arabic-Indic 10
+    ["construct", "multipartite", "--blocks", "1_0x1"],
+    ["construct", "snr", "--n", "1_0", "--r", "2"],
+    ["construct", "snr", "--n", "+8", "--r", "2"],
+    ["construct", "snr", "--n", "8", "--r", "\u0662"],
+    ["verify-conjecture", "--max-n", "\u0663"],
+    ["verify-conjecture", "--max-n", "3", "--workers", " 2"],
+], ids=repr)
+def test_integer_options_read_ascii_digits_only(capsys, argv):
+    # int() would read each of these values.
+    try:
+        rc = run(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        rc = exc.code
+        assert "invalid int value" in capsys.readouterr().err
+    assert rc == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_construct_multipartite_empty_part_usage_error(capsys):
     assert run(["construct", "multipartite", "--blocks", "1x0"]) == 2
     captured = capsys.readouterr()

@@ -24,7 +24,6 @@ from mainswitch import (
     make_snr,
     multipartite_all_main_switching,
     parse_graph6,
-    poly_gcd,
     rank_exact,
     snr_all_main_switching,
     walk_matrix,
@@ -180,13 +179,6 @@ def test_distinct_count_rejects_zero_poly():
         distinct_eigenvalue_count([])
     with pytest.raises(ValueError):
         distinct_eigenvalue_count([0, 0])
-
-
-def test_poly_gcd_known_factor():
-    # gcd((x-1)^2 (x+2), (x-1)(x+3)) = x - 1
-    a = poly_mul(poly_mul([-1, 1], [-1, 1]), [2, 1])
-    b = poly_mul([-1, 1], [3, 1])
-    assert poly_gcd(a, b) == [-1, 1]
 
 
 def test_distinct_count_matches_factor_counts(rng):
@@ -763,7 +755,7 @@ def test_main_profile_never_reaches_polynomial_code(monkeypatch):
     def polynomial_code(*args):
         raise AssertionError("main_profile reached the polynomial code")
 
-    for name in ("char_poly", "distinct_eigenvalue_count", "walk_matrix", "poly_gcd"):
+    for name in ("char_poly", "distinct_eigenvalue_count", "walk_matrix"):
         monkeypatch.setattr(exact, name, polynomial_code)
     assert [main_profile(a) for a in cases] == expected
 

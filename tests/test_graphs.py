@@ -276,6 +276,20 @@ def test_parse_sel_errors(text):
         parse_signed_edge_list(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("\u0663 0", "non-integer header"),               # Arabic-Indic 3
+    ("1_0 0", "non-integer header"),
+    ("+3 0", "non-integer header"),
+    ("3 1\n\u0661 \u0662 +", "line 2: non-integer endpoints"),
+    ("3 1\n1 +2 +", "line 2: non-integer endpoints"),
+    ("-1 0", "invalid header values n=-1 m=0"),
+])
+def test_parse_sel_reads_ascii_digits_only(text, message):
+    # int() would read the first five as integers.
+    with pytest.raises(GraphFormatError, match=message):
+        parse_signed_edge_list(text)
+
+
 def test_parse_sel_vertex_cap():
     # The graph6 limit: a larger header is rejected before anything of size n
     # is built.
@@ -410,6 +424,14 @@ def test_multipartite_layout():
     fresh = MultipartiteParams.of([(2, 3), (1, 2)])
     assert p == fresh and hash(p) == hash(fresh)
     assert repr(p) == repr(fresh) == "MultipartiteParams(blocks=((2, 3), (1, 2)))"
+
+
+def test_group_range_rejects_groups_outside_1_to_s():
+    # Group 0 and -1 used to index the layout from the end.
+    p = MultipartiteParams.of([(2, 3), (1, 2)])
+    for i in (0, -1, 3):
+        with pytest.raises(ValueError, match=f"group {i} out of range 1..2"):
+            p.group_range(i)
 
 
 # ---------------------------------------------------------------------------

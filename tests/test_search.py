@@ -571,6 +571,19 @@ def test_certificate_switching_outside_the_graph_fails():
         assert not verify_certificate(dataclasses.replace(cert, switching=switching))
 
 
+def test_make_certificate_reads_the_switching_as_vertices():
+    # A switched vertex outside the graph is rejected, not recorded; numpy
+    # integers are recorded as the ints that check-cert accepts.
+    g = parse_graph6("Bw")
+    profile = main_profile(adjacency_matrix(apply_switching(g, [2])))
+    for switching in ([7], [0], [2, 4]):
+        with pytest.raises(ValueError, match="out of range 1..3"):
+            make_certificate(g, switching, "brute_force", profile)
+    cert = make_certificate(g, [np.int64(2)], "brute_force", profile)
+    parsed = Certificate.from_json_dict(json.loads(cert.to_json()))
+    assert parsed == cert and parsed.switching == (2,) and verify_certificate(parsed)
+
+
 def test_certificate_from_construction():
     from mainswitch import snr_all_main_switching
 

@@ -4,6 +4,7 @@ spectra."""
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,6 +80,29 @@ def test_eigen_sym_rejects_non_finite(bad):
         eigen_sym([[bad, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="non-finite"):
         eigen_sym([[0.0, bad], [bad, 0.0]])
+
+
+def test_eigen_sym_rejects_an_int_past_the_float_range():
+    with pytest.raises(ValueError, match="non-finite"):
+        eigen_sym([[0, 10 ** 400], [10 ** 400, 0]])
+
+
+@pytest.mark.parametrize("bad", [[["0", "1"], ["1", "0"]], [[0, "1"], ["1", 0]],
+                                 [[b"0", b"1"], [b"1", b"0"]], [[None, 1], [1, 0]],
+                                 [[0, 1], [1, None]], [[0, 1j], [1j, 0]],
+                                 [[0, 1j], [1j, Fraction(1)]]], ids=repr)
+def test_eigen_sym_rejects_strings_bytes_none_and_complex(bad):
+    # Float conversion would parse the strings as K2, read None as NaN and
+    # drop the imaginary parts.
+    with pytest.raises(ValueError, match="^matrix entries must be real numbers$"):
+        eigen_sym(bad)
+
+
+@pytest.mark.parametrize("entry", [1, True, 1.0, Fraction(1), np.int64(1), 2 ** 70], ids=repr)
+def test_eigen_sym_takes_every_kind_of_number(entry):
+    # Ints of any size, bools, floats and Fractions are read as floats.
+    es = eigen_sym([[0, entry], [entry, 0]])
+    np.testing.assert_allclose(es.eigenvalues, [-float(entry), float(entry)], rtol=1e-15)
 
 
 def test_eigen_sym_one_by_one():
