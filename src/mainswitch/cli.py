@@ -95,6 +95,15 @@ def _parse_blocks(spec: str) -> MultipartiteParams:
     return MultipartiteParams.of(blocks)
 
 
+def _ascii_float(text: str) -> float:
+    """The float that text writes in ASCII.  float() would also read
+    '1_0e-9', surrounding whitespace and the digits of other scripts; each
+    of these is a ValueError here."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"not a number in ASCII: {text!r}")
+    return float(text)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -270,9 +279,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="write newline-delimited certificate JSON here")
     vc.add_argument("--json", action="store_true")
     vc.set_defaults(fn=_cmd_verify_conjecture)
-    # type=int options read ASCII digits alone; errors still say "invalid int".
+    # type=int options read ASCII digits alone, type=float options ASCII
+    # text alone; errors still say "invalid int" or "invalid float".
     for p in (snr, vc):
         p.register("type", int, _decimal)
+    sp.register("type", float, _ascii_float)
 
     cc = sub.add_parser("check-cert", help="re-check a certificate file")
     cc.add_argument("file")

@@ -14,20 +14,22 @@ input with a ValueError.  It takes one of two paths:
 1. Annihilating polynomials, for matrices past the power-stack kernel below.
    The Krylov columns s, As, A^2 s, ... are eliminated modulo a prime until
    column d depends on the earlier ones; that dependency is a monic q of
-   degree d, lifted first to its symmetric residues modulo that prime alone,
-   and one exact evaluation of q(A) checks it (Wiedemann, IEEE Trans. Inf.
-   Theory 1986): directly on one float64 array when 2 sum |q_i| rho^i is
-   below 2^53, so that every partial sum is an exact integer, and modulo
-   table primes whose product exceeds that bound above it.  The check is
-   exact for any candidate, so only one that fails it is lifted again, by
-   CRT over as many table primes as 2 (1+rho)^d needs, and checked the same
-   way; when that is more than one prime, the one-prime candidate is
-   checked only if its check is the direct float64 one.  A Krylov rank
+   degree d.  Lifted to its symmetric residues modulo that prime alone, it
+   is checked by one exact evaluation of q(A) (Wiedemann, IEEE Trans. Inf.
+   Theory 1986) when 2 (1+rho)^d asks for one prime or when that check is
+   direct: 2 sum |q_i| rho^i below 2^53, so that every partial sum on one
+   float64 array is an exact integer (above it, the evaluation runs modulo
+   table primes whose product exceeds that bound).  Otherwise the
+   dependency is lifted one table prime at a time, by CRT, and each
+   candidate is checked exactly on its start vector alone, d products with
+   a vector, after a residue test modulo one prime outside the lift.  The
+   first q with q(A) s = 0 is the minimal polynomial of s: a Krylov rank
    modulo a prime is at most the rank over the rationals, which is at most
    the distinct count, and q(A) = 0 bounds the distinct count by d from
    above.  From s = j, d = n or q(A) = 0 proves the matrix all-main, and
    q(A) j = 0 alone makes d the main count; the distinct count then comes
-   the same way from s = (1, 2, ..., n).
+   the same way from s = v = (1, 2, ..., n).  q(A) is evaluated whole only
+   for a q with q(A) s = 0, and from j only when q(A) v = 0 as well.
 2. The power stack A^0, ..., A^(n-1): the main count is the Bareiss rank of
    the walk columns A^k j, and, when that is short of n, the distinct count
    is the rank of the Hankel matrix of power traces tr(A^(i+j)), the Gram
@@ -103,13 +105,13 @@ def _int_rows(a: IntMatrix | np.ndarray, square: bool = True) -> IntMatrix | np.
 
 # main_profile decides only matrices whose n and largest absolute row sum rho
 # are below _LIMIT; no signed graph comes near it.  Every table prime p lies
-# in (_LIMIT, 2^31), so p^2 < 2^63 (int64 residue products).  _vanishes
-# evaluates q(A) directly in float64 when its bound is below 2^53, and modulo
-# these primes above it: there it reduces x to x - floor(x / p) p in float64,
-# which lands in [-p, 2p) because the computed quotient is off by at most
-# one; adding a coefficient to the diagonal gives entries in [-p, 3p), so a
-# row . column product is below 3 rho p < 2^53, exact in float64, and so is
-# a row sum of residues in [0, p), below n p.
+# in (_LIMIT, 2^31), so p^2 < 2^63 (int64 residue products).  _evaluate
+# computes q(A) B directly in float64 when its bound is below 2^53, and
+# modulo these primes above it: there it reduces x to x - floor(x / p) p in
+# float64, which lands in [-p, 2p) because the computed quotient is off by
+# at most one; adding q_i B mod p gives entries in [-p, 3p), so a row .
+# column product is below 3 rho p < 2^53, exact in float64, and so is a row
+# sum of residues in [0, p), below n p.
 _LIMIT = 2 ** 20
 
 # The 64 largest primes below 2^31, in descending order.
@@ -417,7 +419,8 @@ def _distinct_count(powers: np.ndarray) -> int:
 
 
 def _horner_bound(rho: int, q: IntPoly) -> int:
-    """2 sum |q_i| r^i with r = max(rho, 1): the bound of _vanishes."""
+    """2 sum |q_i| r^i with r = max(rho, 1): the bound of _evaluate on the
+    identity block."""
     r, bound = max(rho, 1), 0
     for c in reversed(q):
         bound = bound * r + abs(c)
@@ -428,23 +431,23 @@ def _annihilator(arr: np.ndarray, rho: int,
                  start: np.ndarray) -> tuple[int, IntPoly | None, tuple[bool, bool]]:
     """Rank d mod _RANK_PRIME of the Krylov matrix of a _guarded_array matrix
     and a start vector s, a monic candidate q of degree d for q(A) s = 0 over
-    the integers, and _vanishes of q: whether q(A) = 0 and whether
-    q(A) j = 0.  q is None, and both checks false, when d = n or no
-    candidate is found.
+    the integers, and whether q(A) = 0 and whether q(A) j = 0.  q is None,
+    and both false, when d = n or no candidate is found.
 
     q is the Krylov dependency mod p, lifted first over _RANK_PRIME alone.
-    _vanishes is exact for any candidate, so one that passes a check stands:
-    a monic q of degree d with q(A) j = 0 is the minimal polynomial of j, as
-    d is at most the Krylov rank of j over the rationals, and likewise
-    q(A) = 0 makes q the minimal polynomial of A.  When the bound
-    2 (1+rho)^d asks for more table primes than one, the one-prime candidate
-    is checked only if its check is the plain float64 Horner (a wrong
-    candidate's coefficients run up to p/2, and its check modulo primes
-    costs about as much as the right one's), and a candidate that fails both
-    checks, or is not checked, is lifted again by CRT over those primes.
-    That bound covers the coefficients of any product of x - lambda over d
-    eigenvalues, which q is when d is the Krylov rank of s over the
-    rationals.  A degree that differs between primes gives no candidate.
+    When the bound 2 (1+rho)^d asks for one table prime, or the candidate's
+    own check is the plain float64 Horner, _vanishes evaluates q(A) on it,
+    and a candidate that passes either check stands (any candidate does
+    when the bound asks for one prime).  Otherwise the dependency is lifted
+    one table prime at a time, by CRT, up to the primes the bound asks for
+    (the whole table when it asks for more), and each candidate is checked
+    on its start vector alone (_kills); a degree that differs between primes
+    gives no candidate.  The first q with q(A) s = 0 is the minimal
+    polynomial of s, whatever number of primes it took, as d is at most the
+    Krylov rank of s over the rationals; the bound, which covers the
+    coefficients of any product of x - lambda over d eigenvalues, only ends
+    the loop.  _vanishes then evaluates q(A), except that from s = j a q
+    with q(A) v != 0, v = (1, 2, ..., n), already has q(A) != 0.
     """
     d, q = _krylov_mod(arr, _RANK_PRIME, start)
     if q is None:
@@ -453,66 +456,122 @@ def _annihilator(arr: np.ndarray, rho: int,
     k = _prime_count(2 * (1 + rho) ** d)
     if k == 1 or _horner_bound(rho, lifted) < 2 ** 53:
         checks = _vanishes(arr, rho, lifted)
-        if any(checks) or k in (None, 1):
+        if any(checks) or k == 1:
             return d, lifted, checks
-    if k is None:
-        return d, None, (False, False)
     residues = [q]
-    for p in _PRIMES[1:k]:  # _RANK_PRIME is the first
+    for p in _PRIMES[1:k]:  # _RANK_PRIME is the first; all of them when k is None
         dp, qp = _krylov_mod(arr, p, start)
         if dp != d:
-            return d, None, (False, False)
+            break
         residues.append(qp)
-    lifted = _crt_lift(np.stack(residues, axis=1), k)
-    return d, lifted, _vanishes(arr, rho, lifted)
+        lifted = _crt_lift(np.stack(residues, axis=1), len(residues))
+        if _kills(arr, rho, lifted, start):
+            v = np.arange(1, len(arr) + 1, dtype=np.int64)
+            if (start == 1).all() and not _kills(arr, rho, lifted, v):
+                return d, lifted, (False, True)
+            return d, lifted, _vanishes(arr, rho, lifted)
+    return d, None, (False, False)
 
 
 def _vanishes(arr: np.ndarray, rho: int, q: IntPoly) -> tuple[bool, bool]:
-    """Whether q(A) = 0 and whether q(A) j = 0, for q of degree at least 1,
-    exactly, by one Horner evaluation of q(A) in float64.
+    """Whether q(A) = 0 and whether q(A) j = 0, exactly, for q of degree at
+    least 1: _evaluate on the identity block, the one evaluation of q(A)
+    as a whole."""
+    return _evaluate(arr.astype(np.float64), rho, q)
 
-    With r = max(rho, 1), every Horner value sum_{k>=i} q_k A^(k-i), every
-    partial row . column sum on the way to it and every partial row sum of
-    q(A) j is an integer of absolute value at most sum |q_k| r^k, half the
-    bound below.  When the bound is below 2^53 all of them are exact in
-    whatever order the sums are taken, so q(A) is evaluated directly on one
-    (n, n) array, each step adding its coefficient to the diagonal in place.
-    Above it each step is reduced modulo primes whose product exceeds the
-    bound, all primes in one matrix product per step (exact by the ranges
-    argued at _LIMIT), and q(A) j mod p is the row sums of the residues.
-    The bound comes from q's own coefficients: a candidate that agrees with
-    a true annihilator modulo the lift primes alone still fails.
+
+def _kills(arr: np.ndarray, rho: int, q: IntPoly, s: np.ndarray) -> bool:
+    """Whether q(A) s = 0, exactly, for an int64 vector s.
+
+    q(A) s is first reduced modulo the last table prime alone, outside every
+    lift short of the whole table; a nonzero residue settles it.  A
+    candidate lifted over too few primes agrees with the true q modulo each
+    of them, but its coefficients run up to half their product, so that its
+    exact check would need many more primes.
     """
-    bound = _horner_bound(rho, q)
-    n = len(arr)
-    af = arr.astype(np.float64)
+    af, block = arr.astype(np.float64), s[:, None]
+    if _residues(af, q, block, _PRIMES[-1:]).any():
+        return False
+    return _evaluate(af, rho, q, block)[0]
+
+
+def _evaluate(af: np.ndarray, rho: int, q: IntPoly,
+              block: np.ndarray | None = None) -> tuple[bool, bool]:
+    """Whether q(A) B = 0 and whether q(A) B j = 0, exactly, for a float64
+    copy of a _guarded_array matrix, q of degree at least 1 and B the
+    identity (block None) or an int64 block of columns with entries below
+    _LIMIT, by Horner's rule.
+
+    With r = max(rho, 1) and beta the largest absolute row sum of B (1 for
+    the identity), every Horner value sum_{k>=i} q_k A^(k-i) B, every
+    partial row . column sum on the way to it and every partial row sum of
+    q(A) B is an integer of absolute value at most beta sum |q_k| r^k, half
+    the bound below.  When the bound is below 2^53 all of them are exact in
+    whatever order the sums are taken, so q(A) B is evaluated directly on
+    one float64 array; for the identity each step adds its coefficient to
+    the diagonal in place.  Above it q(A) B is evaluated modulo primes whose
+    product exceeds the bound (_residues), and q(A) B j mod p is the row
+    sums of the residues.  The bound comes from q's own coefficients: a
+    candidate that agrees with a true annihilator modulo the lift primes
+    alone still fails.
+    """
+    n = len(af)
+    bound = _horner_bound(rho, q) * (1 if block is None else _row_bound(block))
     if bound < 2 ** 53:
-        b, x = af * q[-1], np.empty((n, n))
-        b.reshape(-1)[::n + 1] += q[-2]
-        for c in q[-3::-1]:
+        if block is None:  # q_d A + q_(d-1) I, with no product
+            b = af * q[-1]
+            b.reshape(-1)[::n + 1] += q[-2]
+            rest = q[-3::-1]
+        else:
+            bf = block.astype(np.float64)
+            b, rest = bf * q[-1], q[-2::-1]
+        x = np.empty_like(b)
+        for c in rest:
             np.matmul(af, b, out=x)
-            x.reshape(-1)[::n + 1] += c
+            if block is None:
+                x.reshape(-1)[::n + 1] += c
+            else:
+                x += c * bf
             b, x = x, b
         return (True, True) if not b.any() else (False, not b.sum(axis=1).any())
     k = _prime_count(bound)
     if k is None:
         return False, False
-    pf = np.array(_PRIMES[:k], dtype=np.float64)[:, None]
-    coeffs = np.array([[c % p for p in _PRIMES[:k]] for c in q], dtype=np.float64)
-    b = np.zeros((n, k, n))
+    b = _residues(af, q, block, _PRIMES[:k])
+    if not b.any():
+        return True, True
+    return False, not np.remainder(b.sum(axis=2), np.array(_PRIMES[:k], dtype=np.float64)).any()
+
+
+def _residues(af: np.ndarray, q: IntPoly, block: np.ndarray | None,
+              primes: tuple[int, ...]) -> np.ndarray:
+    """q(A) B modulo each of primes, as an (n, len(primes), columns) float64
+    array of residues in [0, p); B is the identity when block is None.
+
+    Every Horner step is one matrix product for all primes, reduced to
+    x - floor(x / p) p, and then adds q_i B mod p (for the identity, q_i mod
+    p on the diagonal): exact by the ranges argued at _LIMIT, and (q_i mod
+    p) B is below 2^51 for entries of B below _LIMIT.
+    """
+    n, k = len(af), len(primes)
+    pf = np.array(primes, dtype=np.float64)[:, None]
+    coeffs = np.array([[c % p for p in primes] for c in q], dtype=np.float64)
+    cols = n if block is None else block.shape[1]
+    b = np.zeros((n, k, cols))
     x = np.empty_like(b)
-    b_cols, x_cols = b.reshape(n, k * n), x.reshape(n, k * n)
-    diagonals = np.einsum("iji->ij", b)  # where each step adds q_i I
-    diagonals += coeffs[-1]
-    for c in coeffs[-2::-1]:
+    b_cols, x_cols = b.reshape(n, k * cols), x.reshape(n, k * cols)
+    if block is None:
+        target, terms = np.einsum("iji->ij", b), coeffs  # where each step adds q_i I
+    else:
+        terms = np.remainder(coeffs[:, None, :, None] * block[None, :, None, :], pf)
+        target = b
+    target += terms[-1]
+    for t in terms[-2::-1]:
         np.matmul(af, b_cols, out=x_cols)
         np.floor(np.divide(x, pf, out=b), out=b)
         np.subtract(x, np.multiply(b, pf, out=b), out=b)
-        diagonals += c
-    np.remainder(b, pf, out=b)
-    if not b.any():
-        return True, True
-    return False, not np.remainder(b.sum(axis=2), pf.T).any()
+        target += t
+    return np.remainder(b, pf, out=b)
 
 
 # ---------------------------------------------------------------------------

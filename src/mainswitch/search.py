@@ -149,24 +149,34 @@ class Certificate:
                 or any(a >= b for a, b in zip(sw, sw[1:]))):
             raise ValueError("certificate switching must be a strictly increasing "
                              "list of integers")
-        if d["method"] not in _CERT_METHODS:
-            raise ValueError(f"certificate method must be one of {list(_CERT_METHODS)}, "
-                             f"got {d['method']!r}")
+        _cert_method(d["method"])
         return cls(**{k: d[k] for k in _CERT_FIELDS} | {"switching": tuple(sw)})
+
+
+def _cert_method(method: object) -> str:
+    if method not in _CERT_METHODS:
+        raise ValueError(f"certificate method must be one of {list(_CERT_METHODS)}, "
+                         f"got {method!r}")
+    return method
 
 
 def make_certificate(graph: Graph, switching: Iterable[int], method: str,
                      profile: MainProfile) -> Certificate:
     """Certificate for switching graph about a vertex set, with the exact
     profile of the switched graph.  The vertices are read by the rule of
-    apply_switching: each an integer in 1..n."""
+    apply_switching: each an integer in 1..n.  method must be one of the
+    methods that check-cert accepts, the counts integers (_integer) and
+    all_main a bool; anything else is a ValueError, so every certificate
+    made here parses in check-cert."""
+    if type(profile.all_main) is not bool:
+        raise ValueError(f"all_main must be a bool, got {profile.all_main!r}")
     return Certificate(
         graph6=emit_graph6(graph),
         switching=tuple(sorted(_switched_set(graph.n, switching))),
-        distinct_count=profile.distinct_count,
-        main_count=profile.main_count,
+        distinct_count=_integer(profile.distinct_count, "distinct count"),
+        main_count=_integer(profile.main_count, "main count"),
         all_main=profile.all_main,
-        method=method,
+        method=_cert_method(method),
         tool_version=TOOL_VERSION,
     )
 

@@ -4,6 +4,8 @@ Everything here deliberately avoids the library's own code paths: rank via
 rational Gaussian elimination, roots via plain bisection, polynomial algebra
 by direct convolution, graph6 records by the pair-by-pair loop,
 characteristic polynomials by Faddeev-LeVerrier over Python integers,
+p(A) and p(A) s by Horner over Python integers (poly_eval_matrix,
+poly_apply_oracle),
 primality by deterministic Miller-Rabin, CRT lifts by Garner's method,
 multipartite rows part by part from the blocks alone (parts_oracle), and
 the simple-graph invariant of neighbourhood rows (valid_rows_oracle), which
@@ -27,8 +29,10 @@ checker behind tests/test_theorems.py evaluates the signed quotient of the
 switched clique-with-pendants graph at integer points (snr_quotient,
 krylov_oracle, fraction_det, snr_cubic, snr_f), in Python ints and
 Fractions, and on_grid turns agreement on a grid into a polynomial
-identity.  The hypothesis strategies at the end make near-valid graph
-inputs for the parser and CLI fuzz tests.
+identity.  random_twin_blowup builds seeded graphs with many open and
+closed twins, whose annihilators need more than one lift prime.  The
+hypothesis strategies at the end make near-valid graph inputs for the
+parser and CLI fuzz tests.
 """
 
 from __future__ import annotations
@@ -381,6 +385,15 @@ def poly_eval_matrix(p: list[int], a: list[list[int]]) -> np.ndarray:
     return acc
 
 
+def poly_apply_oracle(p: list[int], a: list[list[int]], s: list[int]) -> list[int]:
+    """p(A) s with exact integer arithmetic (Horner on the vector)."""
+    A = np.array(a, dtype=object)
+    acc = np.zeros(len(a), dtype=object)
+    for c in reversed(p):
+        acc = A.dot(acc) + c * np.array(s, dtype=object)
+    return [int(x) for x in acc]
+
+
 def vanishes_oracle(p: list[int], a: list[list[int]]) -> tuple[bool, bool]:
     """(p(A) = 0, p(A) j = 0) from p(A) in Python ints (poly_eval_matrix)."""
     image = poly_eval_matrix(p, a)
@@ -670,6 +683,31 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
         g = Graph(n, frozenset(edges))
         if is_connected(g):
             return g
+
+
+def random_twin_blowup(rng: random.Random, n: int) -> Graph:
+    """A connected G(k, p) base on k = n // 2 vertices (p drawn from
+    [0.15, 0.5]), blown up to n vertices: each new vertex copies the
+    neighbourhood of a random base vertex, and is joined to it (a closed
+    twin) with probability 1/2.  The spectrum has repeated eigenvalues 0 and
+    -1, and some eigenvalues are not main."""
+    k = n // 2
+    p = rng.uniform(0.15, 0.5)
+    while True:
+        base = Graph(k, frozenset((u, v) for u, v in itertools.combinations(range(1, k + 1), 2)
+                                  if rng.random() < p))
+        if is_connected(base):
+            break
+    nbrs = {v: {u for e in base.edges if v in e for u in e if u != v} for v in range(1, k + 1)}
+    for w in range(k + 1, n + 1):
+        v = rng.randrange(1, k + 1)
+        nbrs[w] = set(nbrs[v])
+        for u in nbrs[v]:
+            nbrs[u].add(w)
+        if rng.random() < 0.5:
+            nbrs[w].add(v)
+            nbrs[v].add(w)
+    return Graph(n, frozenset((u, v) for u in nbrs for v in nbrs[u] if u < v))
 
 
 def random_signed_graph(rng: random.Random, n: int) -> SignedGraph:

@@ -177,6 +177,22 @@ def test_integer_options_read_ascii_digits_only(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--group-eps", "\u0661"),   # Arabic-Indic 1
+    ("--main-eps", "1_0e-9"),
+    ("--group-eps", " 1e-9"),
+], ids=repr)
+def test_tolerance_options_read_ascii_only(capsys, flag, value):
+    # float() would read each of these values.
+    with pytest.raises(SystemExit) as exc:
+        run(["spectrum", "Bw", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid float value" in captured.err
+    # The repr of a float is still read.
+    assert run(["spectrum", "Bw", flag, repr(1e-09), "--json"]) == 0
+
+
 def test_construct_multipartite_empty_part_usage_error(capsys):
     assert run(["construct", "multipartite", "--blocks", "1x0"]) == 2
     captured = capsys.readouterr()

@@ -36,10 +36,12 @@ from conftest import (
     faddeev_leverrier_char_poly,
     fraction_rank,
     is_prime,
+    poly_apply_oracle,
     poly_eval_matrix,
     poly_mul,
     random_connected_graph,
     random_signed_graph,
+    random_twin_blowup,
     vanishes_oracle,
 )
 
@@ -403,6 +405,25 @@ def _profile_cases():
     return cases
 
 
+def _twin_cases():
+    # Seeded twin blow-ups, n = 28 to 44: their bounds 2 (1+rho)^d ask for
+    # 3 to 5 lift primes, but the minimal polynomials of j and v have
+    # coefficients of 20 to 35 bits, inside two primes.
+    rng = random.Random(34)
+    return [adjacency_matrix(random_twin_blowup(rng, n)) for n in (28, 32, 36, 40, 44)]
+
+
+def test_twin_blowups_match_the_oracles():
+    # None of them is all-main: twins give eigenvalues 0 and -1 that are not
+    # main.  The main count comes from Fraction elimination on the walk
+    # matrix, the distinct count from the char-poly gcd.
+    cases = _twin_cases()
+    expected = [_oracle_profile(a) for a in cases]
+    assert [main_profile(a) for a in cases] == expected
+    assert not any(e.all_main for e in expected)
+    assert all(e.distinct_count < len(a) for e, a in zip(expected, cases))
+
+
 def test_main_profile_matches_exact_rank():
     verdicts = set()
     for a in _profile_cases():
@@ -477,8 +498,9 @@ def test_power_stack_gate(monkeypatch, rng):
 @pytest.mark.parametrize("p", [2, 3])
 def test_failed_modular_certificate_falls_back_to_exact_rank(monkeypatch, p):
     # Only matrices past the power-stack kernel reach the modular rank, so
-    # every power stack below is the fallback's.
-    cases = [a for a in _profile_cases() if len(a) > exact._STACK_MAX_N]
+    # every power stack below is the fallback's.  The twin blow-ups (n = 28
+    # to 36) take the prime-by-prime lift.
+    cases = [a for a in _profile_cases() if len(a) > exact._STACK_MAX_N] + _twin_cases()[:3]
     expected = [main_profile(a) for a in cases]
     ranks = [exact._krylov_mod(np.array(a, dtype=np.int64), p, np.ones(len(a), dtype=np.int64))[0]
              for a in cases]
@@ -553,7 +575,7 @@ def test_not_all_main_counts_come_from_the_annihilator(monkeypatch):
     # annihilator of v = (1, ..., n) the distinct count; Bareiss is not
     # needed.  H x K2 has main count 20 and distinct count 40.  Matrices of
     # at most 10 vertices take the power-stack kernel instead.
-    cases = [a for a in _profile_cases() + _family_matrices()
+    cases = [a for a in _profile_cases() + _family_matrices() + _twin_cases()
              if len(a) > 10 and not main_profile(a).all_main]
     expected = [main_profile(a) for a in cases]
     assert (20, 40) in {(p.main_count, p.distinct_count) for p in expected}
@@ -561,29 +583,60 @@ def test_not_all_main_counts_come_from_the_annihilator(monkeypatch):
     def no_bareiss(m):
         raise AssertionError("Bareiss elimination was called")
 
-    # One evaluation of q(A) answers both q(A) = 0 and q(A) j = 0; a second
-    # checks q_v unless the Krylov rank from v is already n.
-    checks = []
-    vanishes = exact._vanishes
+    # q(A) is evaluated whole once from v unless the Krylov rank from v is
+    # already n.  From j it is evaluated on the one-prime path; past it (a
+    # lift over more primes) only when q_j(A) v = 0, as q_j(A) v != 0
+    # already shows q_j(A) != 0.
+    from_j = []
+    for a in cases:
+        arr, rho = exact._guarded_array(a)
+        d, q = exact._krylov_mod(arr, exact._RANK_PRIME, np.ones(len(a), dtype=np.int64))
+        one_prime = (exact._prime_count(2 * (1 + rho) ** d) == 1
+                     or exact._horner_bound(rho, exact._crt_lift(q[:, None], 1)) < 2 ** 53)
+        q_j = exact._annihilator(arr, rho, np.ones(len(a), dtype=np.int64))[1]
+        on_v = not any(poly_apply_oracle(q_j, a, list(range(1, len(a) + 1))))
+        from_j.append(int(one_prime or on_v))
+    assert 0 in from_j and 1 in from_j
+    starts, wholes = [], []
+    annihilator, vanishes = exact._annihilator, exact._vanishes
+
+    def tagged(arr, rho, start):
+        starts.append("j" if (start == 1).all() else "v")
+        return annihilator(arr, rho, start)
+
     monkeypatch.setattr(exact, "rank_exact", no_bareiss)
-    monkeypatch.setattr(exact, "_vanishes", lambda *args: checks.append(1) or vanishes(*args))
-    assert [main_profile(a) for a in cases] == expected
-    assert len(checks) == sum(1 + (p.distinct_count < len(a)) for p, a in zip(expected, cases))
+    monkeypatch.setattr(exact, "_annihilator", tagged)
+    monkeypatch.setattr(exact, "_vanishes",
+                        lambda *args: wholes.append(starts[-1]) or vanishes(*args))
+    for a, e, count in zip(cases, expected, from_j):
+        starts.clear(), wholes.clear()
+        assert main_profile(a) == e
+        assert wholes.count("j") == count
+        assert wholes.count("v") == int(e.distinct_count < len(a))
     assert any(p.distinct_count < len(a) for p, a in zip(expected, cases))
 
 
 def test_annihilator_check_prime_count_comes_from_the_candidate():
     # q + M, M the lift modulus, agrees with q modulo every lift prime; only
-    # the primes that its own coefficients call for tell them apart.
-    for a in _family_matrices() + _profile_cases():
+    # the primes that its own coefficients call for tell them apart, on the
+    # whole matrix and on the start vector alone (with and without the
+    # residue test modulo the last table prime).
+    for a in _family_matrices() + _profile_cases() + _twin_cases():
         arr, rho = exact._guarded_array(a)
-        d, q, _ = exact._annihilator(arr, rho, np.ones(len(a), dtype=np.int64))
-        if q is None:
-            continue
-        m = exact._PRIME_PRODUCTS[exact._prime_count(2 * (1 + rho) ** d) - 1]
-        shifted = [q[0] + m] + q[1:]
-        assert exact._vanishes(arr, rho, q) == (main_profile(a).all_main, True)
-        assert exact._vanishes(arr, rho, shifted) == (False, False)
+        n = len(a)
+        for start in (np.ones(n, dtype=np.int64), np.arange(1, n + 1, dtype=np.int64)):
+            d, q, _ = exact._annihilator(arr, rho, start)
+            if q is None:
+                continue
+            m = exact._PRIME_PRODUCTS[exact._prime_count(2 * (1 + rho) ** d) - 1]
+            shifted = [q[0] + m] + q[1:]
+            af = arr.astype(np.float64)
+            assert exact._kills(arr, rho, q, start)
+            assert not exact._kills(arr, rho, shifted, start)
+            assert exact._evaluate(af, rho, shifted, start[:, None]) == (False, False)
+            if start[-1] == 1:
+                assert exact._vanishes(arr, rho, q) == (main_profile(a).all_main, True)
+                assert exact._vanishes(arr, rho, shifted) == (False, False)
 
 
 # Shapes of the switched multipartite constructions at n = 48, 36 and 60.
@@ -651,8 +704,10 @@ def test_wrong_lift_falls_back_to_power_stack(monkeypatch):
     # With the second table prime as the rank prime, residues lifted as if
     # modulo the leading table primes give a wrong q whenever q has a
     # negative coefficient: over _RANK_PRIME alone and again over the two
-    # primes that the bound asks for.  Both candidates must be rejected and
-    # the power stack must decide.  n = 16 keeps that fallback cheap.
+    # primes that the bound asks for.  The one-prime candidate has a plain
+    # float64 check, so q(A) is evaluated on it; the two-prime one must be
+    # rejected on j, before any evaluation of q(A), and the power stack must
+    # decide.  n = 16 keeps that fallback cheap.
     a = _switched_multipartite(_TWO_PRIME_SHAPE)
     arr, rho = exact._guarded_array(a)
     j = np.ones(len(a), dtype=np.int64)
@@ -661,17 +716,56 @@ def test_wrong_lift_falls_back_to_power_stack(monkeypatch):
     assert expected.all_main and min(q) < 0
     assert exact._prime_count(2 * (1 + rho) ** d) == 2
     monkeypatch.setattr(exact, "_RANK_PRIME", exact._PRIMES[1])
-    candidates, calls = [], []
-    vanishes, stack_profile = exact._vanishes, exact._stack_profile
+    checks, calls = [], []
+    kills, vanishes, stack_profile = exact._kills, exact._vanishes, exact._stack_profile
+
+    def check(kind, verdict, poly):
+        checks.append((kind, poly, verdict))
+        return verdict
+
+    monkeypatch.setattr(exact, "_kills",
+                        lambda arr, rho, poly, s: check("start", kills(arr, rho, poly, s), poly))
     monkeypatch.setattr(exact, "_vanishes",
-                        lambda arr, rho, poly: candidates.append(poly) or vanishes(arr, rho, poly))
+                        lambda arr, rho, poly: check("whole", vanishes(arr, rho, poly), poly))
     monkeypatch.setattr(exact, "_stack_profile",
                         lambda powers: calls.append(1) or stack_profile(powers))
     assert main_profile(a) == expected
     assert calls == [1]
-    assert len(candidates) == 2
-    for wrong in candidates:
+    assert [(kind, verdict) for kind, _, verdict in checks] == [("whole", (False, False)),
+                                                               ("start", False)]
+    for _, wrong, _ in checks:
         assert len(wrong) == len(q) and wrong != q
+
+
+def test_twin_blowups_lift_at_most_two_primes_per_start_vector(monkeypatch):
+    # The bound asks for 3 to 5 primes, but the candidate over two already
+    # passes the start-vector check: two Krylov runs from j and two from v,
+    # and the whole q(A) is evaluated only on a candidate that passed it.
+    runs, checks = [], []
+    krylov, kills, vanishes = exact._krylov_mod, exact._kills, exact._vanishes
+
+    def check(kind, verdict, poly):
+        checks.append((kind, poly, verdict))
+        return verdict
+
+    monkeypatch.setattr(exact, "_krylov_mod",
+                        lambda arr, p, start: runs.append(start[-1]) or krylov(arr, p, start))
+    monkeypatch.setattr(exact, "_kills",
+                        lambda arr, rho, poly, s: check("start", kills(arr, rho, poly, s), poly))
+    monkeypatch.setattr(exact, "_vanishes",
+                        lambda arr, rho, poly: check("whole", vanishes(arr, rho, poly), poly))
+    bounds = []
+    for a in _twin_cases():
+        runs.clear(), checks.clear()
+        n = len(a)
+        expected = main_profile(a)
+        arr, rho = exact._guarded_array(a)
+        bounds.append(exact._prime_count(2 * (1 + rho) ** expected.main_count))
+        assert runs == [1, 1, n, n]
+        passed = [poly for kind, poly, verdict in checks if kind == "start" and verdict]
+        assert all(poly in passed for kind, poly, _ in checks if kind == "whole")
+        assert [kind for kind, _, _ in checks].count("whole") == 1
+    assert min(bounds) >= 3
 
 
 def test_one_prime_candidate_that_passes_needs_one_krylov_run(monkeypatch):

@@ -31,7 +31,8 @@ from mainswitch import (
     verify_certificate,
     verify_conjecture,
 )
-from mainswitch import MultipartiteParams, SnrParams
+from mainswitch import MainProfile, MultipartiteParams, SnrParams
+from mainswitch.cli import run
 from mainswitch.exact import _distinct_count, _power_stack, _row_bound
 from mainswitch.search import _class_main_counts, _head_sign_chunks, _sign_chunks, _twin_bound
 from conftest import (class_main_count_oracle, class_profiles_oracle, random_connected_graph,
@@ -582,6 +583,27 @@ def test_make_certificate_reads_the_switching_as_vertices():
     cert = make_certificate(g, [np.int64(2)], "brute_force", profile)
     parsed = Certificate.from_json_dict(json.loads(cert.to_json()))
     assert parsed == cert and parsed.switching == (2,) and verify_certificate(parsed)
+
+
+def test_make_certificate_writes_only_what_check_cert_accepts(tmp_path, capsys):
+    # A method check-cert does not know, or a count or verdict of another
+    # type, is a ValueError; what make_certificate accepts, numpy integer
+    # counts among it, parses and verifies in check-cert.
+    g = parse_graph6("Bw")
+    profile = main_profile(adjacency_matrix(apply_switching(g, [2])))
+    assert profile == MainProfile(2, 2, True)
+    for method, bad in (("guess", profile), (None, profile),
+                        ("brute_force", MainProfile(2.0, 2, True)),
+                        ("brute_force", MainProfile(2, "2", True)),
+                        ("brute_force", MainProfile(2, 2, 1))):
+        with pytest.raises(ValueError, match="method|count|all_main"):
+            make_certificate(g, [2], method, bad)
+    certs = [make_certificate(g, [2], "brute_force", profile),
+             make_certificate(g, [2], "constructive", MainProfile(np.int64(2), np.int64(2), True))]
+    f = tmp_path / "certs.jsonl"
+    f.write_text("".join(cert.to_json() + "\n" for cert in certs), encoding="utf-8")
+    assert run(["check-cert", str(f)]) == 0
+    assert capsys.readouterr().out == "2/2 certificates verified\n"
 
 
 def test_certificate_from_construction():
