@@ -105,7 +105,7 @@ def _int_rows(a: IntMatrix | np.ndarray, square: bool = True) -> IntMatrix | np.
 
 # main_profile decides only matrices whose n and largest absolute row sum rho
 # are below _LIMIT; no signed graph comes near it.  Every table prime p lies
-# in (_LIMIT, 2^31), so p^2 < 2^63 (int64 residue products).  _evaluate
+# in (_LIMIT, 2^31), so p^2 < 2^63 (int64 residue products).  _vanishes
 # computes q(A) B directly in float64 when its bound is below 2^53, and
 # modulo these primes above it: there it reduces x to x - floor(x / p) p in
 # float64, which lands in [-p, 2p) because the computed quotient is off by
@@ -419,7 +419,7 @@ def _distinct_count(powers: np.ndarray) -> int:
 
 
 def _horner_bound(rho: int, q: IntPoly) -> int:
-    """2 sum |q_i| r^i with r = max(rho, 1): the bound of _evaluate on the
+    """2 sum |q_i| r^i with r = max(rho, 1): the bound of _vanishes on the
     identity block."""
     r, bound = max(rho, 1), 0
     for c in reversed(q):
@@ -473,13 +473,6 @@ def _annihilator(arr: np.ndarray, rho: int,
     return d, None, (False, False)
 
 
-def _vanishes(arr: np.ndarray, rho: int, q: IntPoly) -> tuple[bool, bool]:
-    """Whether q(A) = 0 and whether q(A) j = 0, exactly, for q of degree at
-    least 1: _evaluate on the identity block, the one evaluation of q(A)
-    as a whole."""
-    return _evaluate(arr.astype(np.float64), rho, q)
-
-
 def _kills(arr: np.ndarray, rho: int, q: IntPoly, s: np.ndarray) -> bool:
     """Whether q(A) s = 0, exactly, for an int64 vector s.
 
@@ -489,18 +482,18 @@ def _kills(arr: np.ndarray, rho: int, q: IntPoly, s: np.ndarray) -> bool:
     of them, but its coefficients run up to half their product, so that its
     exact check would need many more primes.
     """
-    af, block = arr.astype(np.float64), s[:, None]
-    if _residues(af, q, block, _PRIMES[-1:]).any():
+    block = s[:, None]
+    if _residues(arr.astype(np.float64), q, block, _PRIMES[-1:]).any():
         return False
-    return _evaluate(af, rho, q, block)[0]
+    return _vanishes(arr, rho, q, block)[0]
 
 
-def _evaluate(af: np.ndarray, rho: int, q: IntPoly,
+def _vanishes(arr: np.ndarray, rho: int, q: IntPoly,
               block: np.ndarray | None = None) -> tuple[bool, bool]:
-    """Whether q(A) B = 0 and whether q(A) B j = 0, exactly, for a float64
-    copy of a _guarded_array matrix, q of degree at least 1 and B the
-    identity (block None) or an int64 block of columns with entries below
-    _LIMIT, by Horner's rule.
+    """Whether q(A) B = 0 and whether q(A) B j = 0, exactly, for a
+    _guarded_array matrix, q of degree at least 1 and B the identity (block
+    None) or an int64 block of columns with entries below _LIMIT, by
+    Horner's rule.
 
     With r = max(rho, 1) and beta the largest absolute row sum of B (1 for
     the identity), every Horner value sum_{k>=i} q_k A^(k-i) B, every
@@ -515,7 +508,7 @@ def _evaluate(af: np.ndarray, rho: int, q: IntPoly,
     candidate that agrees with a true annihilator modulo the lift primes
     alone still fails.
     """
-    n = len(af)
+    n, af = len(arr), arr.astype(np.float64)
     bound = _horner_bound(rho, q) * (1 if block is None else _row_bound(block))
     if bound < 2 ** 53:
         if block is None:  # q_d A + q_(d-1) I, with no product
@@ -632,10 +625,10 @@ def main_profile(a: IntMatrix | np.ndarray) -> MainProfile:
     stack: the main count is the Bareiss rank of the walk columns A^k j, and
     when it is short of n the distinct count is the rank of the Hankel
     matrix of power traces.  Every other matrix is decided by annihilating
-    polynomials, each checked by one exact evaluation of q(A): from j for
-    the main count and from v = (1, 2, ..., n) for the distinct count.  A
-    matrix that these leave open is decided from its power stack, in Python
-    ints when it does not fit int64.
+    polynomials, each checked exactly, on its start vector or as q(A): from
+    j for the main count and from v = (1, 2, ..., n) for the distinct
+    count.  A matrix that these leave open is decided from its power stack,
+    in Python ints when it does not fit int64.
 
     This is the authoritative accept/reject for every certificate; the float
     classifier is advisory only.

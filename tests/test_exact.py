@@ -604,10 +604,14 @@ def test_not_all_main_counts_come_from_the_annihilator(monkeypatch):
         starts.append("j" if (start == 1).all() else "v")
         return annihilator(arr, rho, start)
 
+    def whole(arr, rho, poly, block=None):
+        if block is None:
+            wholes.append(starts[-1])
+        return vanishes(arr, rho, poly, block)
+
     monkeypatch.setattr(exact, "rank_exact", no_bareiss)
     monkeypatch.setattr(exact, "_annihilator", tagged)
-    monkeypatch.setattr(exact, "_vanishes",
-                        lambda *args: wholes.append(starts[-1]) or vanishes(*args))
+    monkeypatch.setattr(exact, "_vanishes", whole)
     for a, e, count in zip(cases, expected, from_j):
         starts.clear(), wholes.clear()
         assert main_profile(a) == e
@@ -630,10 +634,9 @@ def test_annihilator_check_prime_count_comes_from_the_candidate():
                 continue
             m = exact._PRIME_PRODUCTS[exact._prime_count(2 * (1 + rho) ** d) - 1]
             shifted = [q[0] + m] + q[1:]
-            af = arr.astype(np.float64)
             assert exact._kills(arr, rho, q, start)
             assert not exact._kills(arr, rho, shifted, start)
-            assert exact._evaluate(af, rho, shifted, start[:, None]) == (False, False)
+            assert exact._vanishes(arr, rho, shifted, start[:, None]) == (False, False)
             if start[-1] == 1:
                 assert exact._vanishes(arr, rho, q) == (main_profile(a).all_main, True)
                 assert exact._vanishes(arr, rho, shifted) == (False, False)
@@ -725,8 +728,8 @@ def test_wrong_lift_falls_back_to_power_stack(monkeypatch):
 
     monkeypatch.setattr(exact, "_kills",
                         lambda arr, rho, poly, s: check("start", kills(arr, rho, poly, s), poly))
-    monkeypatch.setattr(exact, "_vanishes",
-                        lambda arr, rho, poly: check("whole", vanishes(arr, rho, poly), poly))
+    monkeypatch.setattr(exact, "_vanishes", lambda arr, rho, poly, block=None: check(
+        "whole" if block is None else "block", vanishes(arr, rho, poly, block), poly))
     monkeypatch.setattr(exact, "_stack_profile",
                         lambda powers: calls.append(1) or stack_profile(powers))
     assert main_profile(a) == expected
@@ -752,8 +755,8 @@ def test_twin_blowups_lift_at_most_two_primes_per_start_vector(monkeypatch):
                         lambda arr, p, start: runs.append(start[-1]) or krylov(arr, p, start))
     monkeypatch.setattr(exact, "_kills",
                         lambda arr, rho, poly, s: check("start", kills(arr, rho, poly, s), poly))
-    monkeypatch.setattr(exact, "_vanishes",
-                        lambda arr, rho, poly: check("whole", vanishes(arr, rho, poly), poly))
+    monkeypatch.setattr(exact, "_vanishes", lambda arr, rho, poly, block=None: check(
+        "whole" if block is None else "block", vanishes(arr, rho, poly, block), poly))
     bounds = []
     for a in _twin_cases():
         runs.clear(), checks.clear()
@@ -810,7 +813,9 @@ def test_one_prime_candidate_past_half_the_prime_is_lifted_again(monkeypatch, ei
     checks, stacks, runs = [], [], []
     vanishes, krylov = exact._vanishes, exact._krylov_mod
 
-    def record(arr, rho, poly):
+    def record(arr, rho, poly, block=None):
+        if block is not None:
+            return vanishes(arr, rho, poly, block)
         checks.append((poly, vanishes(arr, rho, poly)))
         return checks[-1][1]
 
@@ -887,8 +892,13 @@ def test_start_vector_j_cannot_certify_the_distinct_count(monkeypatch):
         return annihilator(arr, rho, np.ones(len(arr), dtype=np.int64))
 
     monkeypatch.setattr(exact, "_annihilator", start_at_j)
-    monkeypatch.setattr(exact, "_vanishes",
-                        lambda *args: wholes.append(vanishes(*args)[0]) or vanishes(*args))
+    def whole(arr, rho, poly, block=None):
+        checks = vanishes(arr, rho, poly, block)
+        if block is None:
+            wholes.append(checks[0])
+        return checks
+
+    monkeypatch.setattr(exact, "_vanishes", whole)
     monkeypatch.setattr(exact, "_stack_profile",
                         lambda powers: fallbacks.append(1) or stack_profile(powers))
     assert main_profile(a) == expected
