@@ -27,9 +27,12 @@ input with a ValueError.  It takes one of two paths:
    modulo a prime is at most the rank over the rationals, which is at most
    the distinct count, and q(A) = 0 bounds the distinct count by d from
    above.  From s = j, d = n or q(A) = 0 proves the matrix all-main, and
-   q(A) j = 0 alone makes d the main count; the distinct count then comes
-   the same way from s = v = (1, 2, ..., n).  q(A) is evaluated whole only
-   for a q with q(A) s = 0, and from j only when q(A) v = 0 as well.
+   q(A) j = 0 alone makes d the main count; past the one-prime check q(A)
+   is evaluated whole only when q(A) v = 0 for v = (1, 2, ..., n) as well.
+   The distinct count is then d + e, e the degree of the minimal
+   polynomial r of w = q(A) v, lifted the same way from w mod p, and
+   certified by (q r)(A) = 0 on the n - d unit columns outside the pivot
+   rows of j's Krylov run, or at once when d + e = n.
 2. The power stack A^0, ..., A^(n-1): the main count is the Bareiss rank of
    the walk columns A^k j, and, when that is short of n, the distinct count
    is the rank of the Hankel matrix of power traces tr(A^(i+j)), the Gram
@@ -107,11 +110,11 @@ def _int_rows(a: IntMatrix | np.ndarray, square: bool = True) -> IntMatrix | np.
 # are below _LIMIT; no signed graph comes near it.  Every table prime p lies
 # in (_LIMIT, 2^31), so p^2 < 2^63 (int64 residue products).  _vanishes
 # computes q(A) B directly in float64 when its bound is below 2^53, and
-# modulo these primes above it: there it reduces x to x - floor(x / p) p in
-# float64, which lands in [-p, 2p) because the computed quotient is off by
-# at most one; adding q_i B mod p gives entries in [-p, 3p), so a row .
-# column product is below 3 rho p < 2^53, exact in float64, and so is a row
-# sum of residues in [0, p), below n p.
+# modulo these primes above it (_residues): each Horner step adds (q_i mod p)
+# B, below 2^51 for entries of B below _LIMIT, to A b, below 2 rho p <= 2^52
+# for b in [-p, 2p), and reduces that sum, exact in float64, to
+# x - floor(x / p) p, back in [-p, 2p) as the computed quotient is off by at
+# most one.  A row sum of residues in [0, p) is below n p.
 _LIMIT = 2 ** 20
 
 # The 64 largest primes below 2^31, in descending order.
@@ -269,17 +272,20 @@ def walk_matrix(a: IntMatrix, start: list[int] | None = None) -> IntMatrix:
     return np.stack(cols, axis=1).tolist()
 
 
-def _krylov_mod(arr: np.ndarray, p: int, start: np.ndarray) -> tuple[int, np.ndarray | None]:
+def _krylov_mod(arr: np.ndarray, p: int,
+                start: np.ndarray) -> tuple[int, np.ndarray | None, list[int]]:
     """Rank d over F_p of the Krylov matrix [s, As, ..., A^(n-1) s] of a
-    _guarded_array matrix and an int64 start vector s, and the residues mod p
-    (ascending, monic) of the q of degree d with q(A) s = 0 mod p; None in
-    place of q when d = n.
+    _guarded_array matrix and an int64 start vector s, the residues mod p
+    (ascending, monic) of the q of degree d with q(A) s = 0 mod p (None in
+    place of q when d = n), and the pivot rows P of the elimination.
 
     Krylov columns are made in blocks (8, then doubling) and eliminated in
     order, each carrying the combination of columns it stands for, so the
     first column that reduces to zero gives q.  Once one column depends on
     the earlier ones every later column does too, so d is the rank mod p of
-    the whole Krylov matrix, and at most its rank over the rationals.
+    the whole Krylov matrix, and at most its rank over the rationals.  Each
+    reduced column is zero on the earlier pivot rows and not on its own, so
+    the d x d minor of [s, ..., A^(d-1) s] on the rows P is nonzero mod p.
     """
     n = len(arr)
     # Row t: Krylov column t mod p (n entries), then the combination of
@@ -302,7 +308,7 @@ def _krylov_mod(arr: np.ndarray, p: int, start: np.ndarray) -> tuple[int, np.nda
             row, rest = block[i], block[i + 1:]
             nz = row[:n].nonzero()[0]
             if not nz.size:
-                return t + i, row[n:n + t + i + 1]
+                return t + i, row[n:n + t + i + 1], pivots
             c = nz[0]
             row *= pow(int(row[c]), -1, p)
             row %= p
@@ -311,7 +317,7 @@ def _krylov_mod(arr: np.ndarray, p: int, start: np.ndarray) -> tuple[int, np.nda
             pivots.append(c)
         done = np.concatenate([done, block])
         t += size
-    return n, None
+    return n, None, pivots
 
 
 def rank_exact(m: IntMatrix | np.ndarray) -> int:
@@ -427,12 +433,13 @@ def _horner_bound(rho: int, q: IntPoly) -> int:
     return 2 * bound
 
 
-def _annihilator(arr: np.ndarray, rho: int,
-                 start: np.ndarray) -> tuple[int, IntPoly | None, tuple[bool, bool]]:
+def _annihilator(arr: np.ndarray,
+                 rho: int) -> tuple[int, IntPoly | None, list[int], tuple[bool, bool]]:
     """Rank d mod _RANK_PRIME of the Krylov matrix of a _guarded_array matrix
-    and a start vector s, a monic candidate q of degree d for q(A) s = 0 over
-    the integers, and whether q(A) = 0 and whether q(A) j = 0.  q is None,
-    and both false, when d = n or no candidate is found.
+    and j, a monic candidate q of degree d for q(A) j = 0 over the integers,
+    the pivot rows of that Krylov run (_krylov_mod), and whether q(A) = 0
+    and whether q(A) j = 0.  q is None, and both false, when d = n or no
+    candidate is found.
 
     q is the Krylov dependency mod p, lifted first over _RANK_PRIME alone.
     When the bound 2 (1+rho)^d asks for one table prime, or the candidate's
@@ -441,36 +448,37 @@ def _annihilator(arr: np.ndarray, rho: int,
     when the bound asks for one prime).  Otherwise the dependency is lifted
     one table prime at a time, by CRT, up to the primes the bound asks for
     (the whole table when it asks for more), and each candidate is checked
-    on its start vector alone (_kills); a degree that differs between primes
-    gives no candidate.  The first q with q(A) s = 0 is the minimal
-    polynomial of s, whatever number of primes it took, as d is at most the
-    Krylov rank of s over the rationals; the bound, which covers the
-    coefficients of any product of x - lambda over d eigenvalues, only ends
-    the loop.  _vanishes then evaluates q(A), except that from s = j a q
-    with q(A) v != 0, v = (1, 2, ..., n), already has q(A) != 0.
+    on j alone (_kills); a degree that differs between primes gives no
+    candidate.  The first q with q(A) j = 0 is the minimal polynomial of j,
+    whatever number of primes it took, as d is at most the Krylov rank of j
+    over the rationals; the bound, which covers the coefficients of any
+    product of x - lambda over d eigenvalues, only ends the loop.  _vanishes
+    then evaluates q(A), except that a q with q(A) v != 0, v = (1, 2, ...,
+    n), already has q(A) != 0.
     """
-    d, q = _krylov_mod(arr, _RANK_PRIME, start)
+    n = len(arr)
+    j = np.ones(n, dtype=np.int64)
+    d, q, pivots = _krylov_mod(arr, _RANK_PRIME, j)
     if q is None:
-        return d, None, (False, False)
+        return d, None, pivots, (False, False)
     lifted = _crt_lift(q[:, None], 1)
     k = _prime_count(2 * (1 + rho) ** d)
     if k == 1 or _horner_bound(rho, lifted) < 2 ** 53:
         checks = _vanishes(arr, rho, lifted)
         if any(checks) or k == 1:
-            return d, lifted, checks
+            return d, lifted, pivots, checks
     residues = [q]
     for p in _PRIMES[1:k]:  # _RANK_PRIME is the first; all of them when k is None
-        dp, qp = _krylov_mod(arr, p, start)
+        dp, qp, _ = _krylov_mod(arr, p, j)
         if dp != d:
             break
         residues.append(qp)
         lifted = _crt_lift(np.stack(residues, axis=1), len(residues))
-        if _kills(arr, rho, lifted, start):
-            v = np.arange(1, len(arr) + 1, dtype=np.int64)
-            if (start == 1).all() and not _kills(arr, rho, lifted, v):
-                return d, lifted, (False, True)
-            return d, lifted, _vanishes(arr, rho, lifted)
-    return d, None, (False, False)
+        if _kills(arr, rho, lifted, j):
+            if not _kills(arr, rho, lifted, np.arange(1, n + 1, dtype=np.int64)):
+                return d, lifted, pivots, (False, True)
+            return d, lifted, pivots, _vanishes(arr, rho, lifted)
+    return d, None, pivots, (False, False)
 
 
 def _kills(arr: np.ndarray, rho: int, q: IntPoly, s: np.ndarray) -> bool:
@@ -541,29 +549,28 @@ def _residues(af: np.ndarray, q: IntPoly, block: np.ndarray | None,
     """q(A) B modulo each of primes, as an (n, len(primes), columns) float64
     array of residues in [0, p); B is the identity when block is None.
 
-    Every Horner step is one matrix product for all primes, reduced to
-    x - floor(x / p) p, and then adds q_i B mod p (for the identity, q_i mod
-    p on the diagonal): exact by the ranges argued at _LIMIT, and (q_i mod
-    p) B is below 2^51 for entries of B below _LIMIT.
+    Each Horner step is one matrix product for all primes, adds q_i B mod p
+    to it ((q_i mod p) B; for the identity, q_i mod p on the diagonal) and
+    reduces the sum to x - floor(x / p) p: exact by the ranges argued at
+    _LIMIT.
     """
     n, k = len(af), len(primes)
     pf = np.array(primes, dtype=np.float64)[:, None]
-    coeffs = np.array([[c % p for p in primes] for c in q], dtype=np.float64)
+    coeffs = np.array([[c % p for p in primes] for c in q], dtype=np.float64)[:, :, None]
     cols = n if block is None else block.shape[1]
-    b = np.zeros((n, k, cols))
-    x = np.empty_like(b)
+    x = np.zeros((n, k, cols))
+    b = np.empty_like(x)
     b_cols, x_cols = b.reshape(n, k * cols), x.reshape(n, k * cols)
-    if block is None:
-        target, terms = np.einsum("iji->ij", b), coeffs  # where each step adds q_i I
+    if block is None:  # where each step adds q_i I
+        target, unit = np.einsum("iji->ij", x)[:, :, None], 1.0
     else:
-        terms = np.remainder(coeffs[:, None, :, None] * block[None, :, None, :], pf)
-        target = b
-    target += terms[-1]
-    for t in terms[-2::-1]:
-        np.matmul(af, b_cols, out=x_cols)
+        target, unit = x, block.astype(np.float64)[:, None, :]
+    for i, c in enumerate(coeffs[::-1]):
+        if i:
+            np.matmul(af, b_cols, out=x_cols)
+        target += c * unit
         np.floor(np.divide(x, pf, out=b), out=b)
         np.subtract(x, np.multiply(b, pf, out=b), out=b)
-        target += t
     return np.remainder(b, pf, out=b)
 
 
@@ -597,20 +604,51 @@ def _certified_profile(arr: np.ndarray, rho: int) -> MainProfile | None:
 
     From j: d = n, or q(A) = 0, puts every eigenvalue among the d roots of
     q, so the matrix is all-main with d of each (d <= main <= distinct
-    always); q(A) j = 0 alone makes d the main count.  From v = (1, 2, ...,
-    n): d_v = n, or q_v(A) = 0, makes d_v the distinct count.  v has pairwise
-    distinct entries, so no twin eigenvector e_u - e_w is orthogonal to it.
+    always).  Otherwise q(A) != 0, and q(A) j = 0 makes q the minimal
+    polynomial of j, whose roots are the main eigenvalues, and mc = d the
+    main count.  Then, for each table prime p in order, w = q(A) v mod p,
+    v = (1, 2, ..., n), is one _residues column, whose Krylov dependency r
+    mod p has degree e (_krylov_mod); r is lifted by CRT over the primes so
+    far, m = q r is checked on v (_kills), and m(A) on the n - mc unit
+    columns e_i, i outside the pivot rows P of j's Krylov run.  Once both
+    pass, or at once when mc + e = n, mc + e is the distinct count:
+    - at least: q vanishes at every main eigenvalue, so w lies in the
+      non-main eigenspaces, and e, a Krylov rank of w mod p, is at most its
+      rank over the rationals, the number of non-main eigenvalues in its
+      support;
+    - at most: the minor of [j, ..., A^(mc-1) j] on P is nonzero mod p,
+      hence nonzero, so these columns and the e_i are a basis of Q^n, and
+      m(A) kills each A^i j as q(A) does; so m(A) = 0.
+    A degree that differs between primes, or no candidate that passes
+    within the primes that 2 (1+rho)^e asks for (the whole table when it
+    asks for more), leaves the matrix open.
     """
     n = len(arr)
-    mc, _, (whole, on_j) = _annihilator(arr, rho, np.ones(n, dtype=np.int64))
+    mc, q, pivots, (whole, on_j) = _annihilator(arr, rho)
     if mc == n or whole:
         return MainProfile(main_count=mc, distinct_count=mc, all_main=True)
     if not on_j:
         return None
-    dc, _, (whole, _) = _annihilator(arr, rho, np.arange(1, n + 1, dtype=np.int64))
-    if dc < n and not whole:
-        return None
-    return MainProfile(main_count=mc, distinct_count=dc, all_main=mc == dc)
+    af, v = arr.astype(np.float64), np.arange(1, n + 1, dtype=np.int64)
+    residues = []
+    for p in _PRIMES:
+        w = _residues(af, q, v[:, None], (p,)).astype(np.int64).ravel()
+        e, r, _ = _krylov_mod(arr, p, w)
+        if mc + e == n:
+            return MainProfile(main_count=mc, distinct_count=n, all_main=False)
+        if residues and len(r) != len(residues[0]):
+            return None
+        residues.append(r)
+        lifted = _crt_lift(np.stack(residues, axis=1), len(residues))
+        m = np.convolve(np.array(q, dtype=object), np.array(lifted, dtype=object)).tolist()
+        if _kills(arr, rho, m, v):
+            outside = np.delete(np.eye(n, dtype=np.int64), pivots, axis=1)
+            if _vanishes(arr, rho, m, outside)[0]:
+                return MainProfile(main_count=mc, distinct_count=mc + e, all_main=False)
+            return None
+        if len(residues) == _prime_count(2 * (1 + rho) ** e):
+            return None
+    return None
 
 
 def main_profile(a: IntMatrix | np.ndarray) -> MainProfile:
@@ -625,10 +663,11 @@ def main_profile(a: IntMatrix | np.ndarray) -> MainProfile:
     stack: the main count is the Bareiss rank of the walk columns A^k j, and
     when it is short of n the distinct count is the rank of the Hankel
     matrix of power traces.  Every other matrix is decided by annihilating
-    polynomials, each checked exactly, on its start vector or as q(A): from
-    j for the main count and from v = (1, 2, ..., n) for the distinct
-    count.  A matrix that these leave open is decided from its power stack,
-    in Python ints when it does not fit int64.
+    polynomials, each checked exactly: from j for the main count, and from
+    q_j(A) v, v = (1, 2, ..., n), for the distinct count, checked on the
+    unit columns outside the pivot rows of j's Krylov run.  A matrix that
+    these leave open is decided from its power stack, in Python ints when it
+    does not fit int64.
 
     This is the authoritative accept/reject for every certificate; the float
     classifier is advisory only.

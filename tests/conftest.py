@@ -30,7 +30,9 @@ switched clique-with-pendants graph at integer points (snr_quotient,
 krylov_oracle, fraction_det, snr_cubic, snr_f), in Python ints and
 Fractions, and on_grid turns agreement on a grid into a polynomial
 identity.  random_twin_blowup builds seeded graphs with many open and
-closed twins, whose annihilators need more than one lift prime.  The
+closed twins, whose annihilators need more than one lift prime, and
+random_mirrored_graph two copies of one graph hung from a third, whose
+eigenvalues that are not main are mostly irrational.  The
 hypothesis strategies at the end make near-valid graph inputs for the
 parser and CLI fuzz tests.
 """
@@ -708,6 +710,28 @@ def random_twin_blowup(rng: random.Random, n: int) -> Graph:
             nbrs[w].add(v)
             nbrs[v].add(w)
     return Graph(n, frozenset((u, v) for u in nbrs for v in nbrs[u] if u < v))
+
+
+def random_mirrored_graph(rng: random.Random, n: int, weight: int = 1) -> list[list[int]]:
+    """The adjacency matrix of two copies of a random connected H on h
+    vertices (n/4 <= h < n/2), with weight on every edge inside a copy, hung
+    from one vertex of a random connected G on n - 2h vertices by an edge to
+    the same vertex of each copy, relabelled at random.  Swapping the copies
+    is an automorphism, so each eigenvector x of H gives one, x on one copy
+    and -x on the other, orthogonal to j: the eigenvalues of weight * H are
+    not main unless the symmetric part shares them, and they are mostly
+    irrational."""
+    h = rng.randint(n // 4, (n - 1) // 2)
+    g, half = random_connected_graph(rng, n - 2 * h), random_connected_graph(rng, h)
+    root, hook = rng.randint(1, g.n), rng.randint(1, h)
+    label = rng.sample(range(n), n)
+    a = [[0] * n for _ in range(n)]
+    edges = [(u, v, 1) for u, v in g.edges]
+    for shift in (g.n, g.n + h):
+        edges += [(u + shift, v + shift, weight) for u, v in half.edges] + [(root, hook + shift, 1)]
+    for u, v, w in edges:
+        a[label[u - 1]][label[v - 1]] = a[label[v - 1]][label[u - 1]] = w
+    return a
 
 
 def random_signed_graph(rng: random.Random, n: int) -> SignedGraph:

@@ -15,7 +15,7 @@ from mainswitch import (Graph, MainProfile, MultipartiteParams, SignedGraph, Snr
                         candidate_family_equal, construct, enumerate_connected_graphs,
                         enumerate_switchings, exact, flip, graphs, make_certificate,
                         parse_graph6, search, snr_all_main_switching, snr_cubic_roots,
-                        snr_spectrum, spectral, verify_conjecture)
+                        snr_spectrum, spectral, verify_conjecture, walk_matrix)
 
 MODULES = (construct, exact, graphs, search, spectral)
 
@@ -65,6 +65,7 @@ INTEGER_ARGUMENTS = {
     "enumerate_connected_graphs": enumerate_connected_graphs,
     "verify_conjecture max_n": lambda x: verify_conjecture(x),
     "verify_conjecture workers": lambda x: verify_conjecture(2, workers=x),
+    "walk_matrix start": lambda x: walk_matrix([[0, 1], [1, 0]], [1, x]),
 }
 
 
@@ -83,9 +84,9 @@ def test_integer_arguments_reject_other_types(monkeypatch, call, value):
 INTEGER_EXEMPT = {
     "GraphFormatError offset": "the byte offset that a parser reports, never read from a caller",
 }
-# An annotation that takes integers: int bare, in Sequence[...] or
-# Iterable[...], or with "| None".
-_INT_ANNOTATION = re.compile(r"(int|Sequence\[int\]|Iterable\[int\])( \| None)?")
+# An annotation that takes integers: int bare, in Sequence[...], Iterable[...]
+# or list[...], or with "| None".
+_INT_ANNOTATION = re.compile(r"(int|Sequence\[int\]|Iterable\[int\]|list\[int\])( \| None)?")
 
 
 def _takes_values_as_given(cls):
@@ -122,7 +123,8 @@ def test_integer_rows_cover_every_public_integer_parameter():
     # The walk reaches functions, constructors, methods and classmethods.
     for key, param in (("snr_all_main_switching", "r"), ("SnrParams", "n"),
                        ("MultipartiteParams.group_range", "i"), ("Graph.from_edges", "n"),
-                       ("make_certificate", "switching"), ("GraphFormatError", "offset")):
+                       ("make_certificate", "switching"), ("GraphFormatError", "offset"),
+                       ("walk_matrix", "start")):
         assert param in walked.get(key, ()), (key, param)
     missing = []
     for key, params in walked.items():

@@ -40,6 +40,7 @@ from conftest import (
     poly_eval_matrix,
     poly_mul,
     random_connected_graph,
+    random_mirrored_graph,
     random_signed_graph,
     random_twin_blowup,
     vanishes_oracle,
@@ -424,6 +425,143 @@ def test_twin_blowups_match_the_oracles():
     assert all(e.distinct_count < len(a) for e, a in zip(expected, cases))
 
 
+def _unit_columns_outside(n, pivots):
+    return np.delete(np.eye(n, dtype=np.int64), pivots, axis=1)
+
+
+def _record_evaluations(monkeypatch, evaluations, block_of=lambda block: block):
+    # Each _vanishes call as (its column count, None for the identity, and
+    # whether q(A) B = 0), evaluated on block_of(B).
+    vanishes = exact._vanishes
+
+    def columns(arr, rho, poly, block=None):
+        checks = vanishes(arr, rho, poly, block_of(block))
+        evaluations.append((None if block is None else block.shape[1], checks[0]))
+        return checks
+
+    monkeypatch.setattr(exact, "_vanishes", columns)
+
+
+def test_unit_columns_outside_the_pivots_complete_the_walk_columns():
+    # [j, Aj, ..., A^(mc-1) j | e_i, i outside the pivot rows of j's Krylov
+    # run] has rank n by Fraction elimination, so m(A) = 0 on the e_i and
+    # m(A) j = 0 prove m(A) = 0.  H x K2 is the case of _profile_cases with
+    # main count 20 and distinct count 40.
+    cases = _twin_cases() + [a for a in _profile_cases() if (
+        main_profile(a).main_count, main_profile(a).distinct_count) == (20, 40)]
+    assert len(cases) == 6
+    for a in cases:
+        n = len(a)
+        arr, rho = exact._guarded_array(a)
+        mc, _, pivots, _ = exact._annihilator(arr, rho)
+        assert len(pivots) == mc < n
+        units = _unit_columns_outside(n, pivots).tolist()
+        assert fraction_rank([w[:mc] + e for w, e in zip(walk_matrix(a), units)]) == n
+
+
+def test_wrong_lift_of_r_fails_on_the_unit_columns(monkeypatch):
+    # r + M, M the lift prime, agrees with r modulo that prime, but q (r + M)
+    # fails on the unit columns outside j's pivots.  Made to take that lift
+    # past its check on v, main_profile falls back to the power stack.
+    a = _twin_cases()[0]
+    n, p = len(a), exact._PRIMES[0]
+    arr, rho = exact._guarded_array(a)
+    mc, q, pivots, _ = exact._annihilator(arr, rho)
+    w = exact._residues(arr.astype(np.float64), q, np.arange(1, n + 1)[:, None], (p,))
+    r = exact._crt_lift(exact._krylov_mod(arr, p, w.astype(np.int64).ravel())[1][:, None], 1)
+    units = _unit_columns_outside(n, pivots)
+    assert exact._vanishes(arr, rho, poly_mul(q, r), units)[0]
+    assert vanishes_oracle(poly_mul(q, r), a) == (True, True)
+    assert not exact._vanishes(arr, rho, poly_mul(q, [r[0] + p] + r[1:]), units)[0]
+    annihilator, crt_lift, kills = exact._annihilator, exact._crt_lift, exact._kills
+    stack_profile = exact._stack_profile
+    past_j, evaluations, fallbacks = [], [], []
+
+    def wrong(residues, k):
+        lifted = crt_lift(residues, k)
+        return [lifted[0] + exact._PRIME_PRODUCTS[k - 1]] + lifted[1:] if past_j else lifted
+
+    def from_j(*args):
+        out = annihilator(*args)
+        past_j.append(1)
+        return out
+
+    monkeypatch.setattr(exact, "_annihilator", from_j)
+    monkeypatch.setattr(exact, "_crt_lift", wrong)
+    monkeypatch.setattr(exact, "_kills", lambda *args: bool(past_j) or kills(*args))
+    _record_evaluations(monkeypatch, evaluations)
+    monkeypatch.setattr(exact, "_stack_profile",
+                        lambda powers: fallbacks.append(1) or stack_profile(powers))
+    assert main_profile(a) == _oracle_profile(a)
+    assert evaluations[-1] == (n - mc, False) and fallbacks == [1]
+
+
+def test_mirrored_graphs_match_the_oracles(monkeypatch):
+    # Two copies of H hung from G: the eigenvalues of H (times the weight
+    # of its edges) are not main and mostly irrational, so r has roots
+    # beyond 0 and -1.  With weight 5 the coefficients of r at n = 35 pass
+    # half a table prime, and it is lifted over two primes.  Three graphs
+    # have n distinct eigenvalues: mc + e = n settles them after one run
+    # from w.  None of them falls back to the power stack.
+    rng = random.Random(1)
+    cases = [random_mirrored_graph(rng, n, weight)
+             for n, weight in zip(range(25, 46, 5), (1, 1, 5, 1, 1))]
+    expected = [_oracle_profile(a) for a in cases]
+    krylov, stack_profile = exact._krylov_mod, exact._stack_profile
+    runs, fallbacks = [], []
+
+    def run(arr, p, start):
+        out = krylov(arr, p, start)
+        if not (start == 1).all():
+            runs.append(out[0])
+        return out
+
+    monkeypatch.setattr(exact, "_krylov_mod", run)
+    monkeypatch.setattr(exact, "_stack_profile",
+                        lambda powers: fallbacks.append(1) or stack_profile(powers))
+    lifts = []
+    for a, e in zip(cases, expected):
+        runs.clear()
+        assert main_profile(a) == e
+        assert runs == [e.distinct_count - e.main_count] * len(runs)
+        assert len(runs) == 1 or e.distinct_count < len(a)
+        lifts.append(len(runs))
+    assert not fallbacks and max(lifts) >= 2
+    assert min(e.distinct_count - e.main_count for e in expected) > 2
+    assert [e.distinct_count == len(a) for e, a in zip(expected, cases)].count(True) == 3
+
+
+def test_start_vector_v_can_miss_a_non_main_eigenvalue(monkeypatch):
+    # On this mirrored graph the eigenspace of 1, not main, is orthogonal to
+    # v as well as to j (both lie in the row space of A - I): w = q(A) v
+    # has Krylov degree 7 of the 8 non-main eigenvalues, m(A) fails on the
+    # unit columns, and the power stack decides.
+    rng = random.Random(0)
+    random_mirrored_graph(rng, 25)
+    a = random_mirrored_graph(rng, 30)
+    n = len(a)
+    expected = _oracle_profile(a)
+    assert (expected.main_count, expected.distinct_count) == (20, 28)
+    shifted = [[x - (i == k) for k, x in enumerate(row)] for i, row in enumerate(a)]
+    rank = fraction_rank(shifted)
+    assert rank < n
+    assert fraction_rank(shifted + [[1] * n, list(range(1, n + 1))]) == rank
+    krylov, stack_profile = exact._krylov_mod, exact._stack_profile
+    runs, evaluations, fallbacks = [], [], []
+
+    def run(arr, p, start):
+        out = krylov(arr, p, start)
+        runs.append(out[0])
+        return out
+
+    monkeypatch.setattr(exact, "_krylov_mod", run)
+    _record_evaluations(monkeypatch, evaluations)
+    monkeypatch.setattr(exact, "_stack_profile",
+                        lambda powers: fallbacks.append(1) or stack_profile(powers))
+    assert main_profile(a) == expected
+    assert runs[-1] == 7 and evaluations[-1] == (n - 20, False) and fallbacks == [1]
+
+
 def test_main_profile_matches_exact_rank():
     verdicts = set()
     for a in _profile_cases():
@@ -572,9 +710,10 @@ def test_main_profile_matches_rank_and_gcd_oracle(rng):
 
 def test_not_all_main_counts_come_from_the_annihilator(monkeypatch):
     # q(A) j = 0 with q of degree rank_p fixes the main count, and the
-    # annihilator of v = (1, ..., n) the distinct count; Bareiss is not
-    # needed.  H x K2 has main count 20 and distinct count 40.  Matrices of
-    # at most 10 vertices take the power-stack kernel instead.
+    # minimal polynomial r of w = q(A) v, v = (1, ..., n), the distinct
+    # count; Bareiss is not needed.  H x K2 has main count 20 and distinct
+    # count 40.  Matrices of at most 10 vertices take the power-stack kernel
+    # instead.
     cases = [a for a in _profile_cases() + _family_matrices() + _twin_cases()
              if len(a) > 10 and not main_profile(a).all_main]
     expected = [main_profile(a) for a in cases]
@@ -583,63 +722,74 @@ def test_not_all_main_counts_come_from_the_annihilator(monkeypatch):
     def no_bareiss(m):
         raise AssertionError("Bareiss elimination was called")
 
-    # q(A) is evaluated whole once from v unless the Krylov rank from v is
-    # already n.  From j it is evaluated on the one-prime path; past it (a
-    # lift over more primes) only when q_j(A) v = 0, as q_j(A) v != 0
-    # already shows q_j(A) != 0.
+    # From j, q(A) is evaluated whole on the one-prime path; past it (a lift
+    # over more primes) only when q_j(A) v = 0, as q_j(A) v != 0 already
+    # shows q_j(A) != 0.
     from_j = []
     for a in cases:
         arr, rho = exact._guarded_array(a)
-        d, q = exact._krylov_mod(arr, exact._RANK_PRIME, np.ones(len(a), dtype=np.int64))
+        d, q, _ = exact._krylov_mod(arr, exact._RANK_PRIME, np.ones(len(a), dtype=np.int64))
         one_prime = (exact._prime_count(2 * (1 + rho) ** d) == 1
                      or exact._horner_bound(rho, exact._crt_lift(q[:, None], 1)) < 2 ** 53)
-        q_j = exact._annihilator(arr, rho, np.ones(len(a), dtype=np.int64))[1]
+        q_j = exact._annihilator(arr, rho)[1]
         on_v = not any(poly_apply_oracle(q_j, a, list(range(1, len(a) + 1))))
         from_j.append(int(one_prime or on_v))
     assert 0 in from_j and 1 in from_j
-    starts, wholes = [], []
-    annihilator, vanishes = exact._annihilator, exact._vanishes
+    runs, evaluations = [], []
+    krylov, vanishes = exact._krylov_mod, exact._vanishes
 
-    def tagged(arr, rho, start):
-        starts.append("j" if (start == 1).all() else "v")
-        return annihilator(arr, rho, start)
+    def tagged(arr, p, start):
+        out = krylov(arr, p, start)
+        runs.append(("j" if (start == 1).all() else "w", p, out[0]))
+        return out
 
-    def whole(arr, rho, poly, block=None):
-        if block is None:
-            wholes.append(starts[-1])
+    def columns(arr, rho, poly, block=None):
+        evaluations.append((runs[-1][0], None if block is None else block.shape[1]))
         return vanishes(arr, rho, poly, block)
 
     monkeypatch.setattr(exact, "rank_exact", no_bareiss)
-    monkeypatch.setattr(exact, "_annihilator", tagged)
-    monkeypatch.setattr(exact, "_vanishes", whole)
+    monkeypatch.setattr(exact, "_krylov_mod", tagged)
+    monkeypatch.setattr(exact, "_vanishes", columns)
     for a, e, count in zip(cases, expected, from_j):
-        starts.clear(), wholes.clear()
+        runs.clear(), evaluations.clear()
+        n, mc, dc = len(a), e.main_count, e.distinct_count
         assert main_profile(a) == e
-        assert wholes.count("j") == count
-        assert wholes.count("v") == int(e.distinct_count < len(a))
+        # j's runs, then one run of degree dc - mc from w mod each lift
+        # prime of r, in table order.
+        j_runs = [run for run in runs if run[0] == "j"]
+        assert runs[:len(j_runs)] == j_runs and {d for _, _, d in j_runs} == {mc}
+        assert runs[len(j_runs):] == [("w", p, dc - mc)
+                                      for p in exact._PRIMES[:len(runs) - len(j_runs)]]
+        # Whole evaluations only from j; from w, vectors and then the one
+        # block of the n - mc unit columns outside j's pivots, or nothing
+        # when mc + e = n.
+        assert evaluations.count(("j", None)) == count
+        from_w = [cols for start, cols in evaluations if start == "w"]
+        if dc == n:
+            assert not from_w and len(runs) == len(j_runs) + 1
+        else:
+            assert from_w[-1] == n - mc and set(from_w[:-1]) <= {1}
     assert any(p.distinct_count < len(a) for p, a in zip(expected, cases))
 
 
 def test_annihilator_check_prime_count_comes_from_the_candidate():
     # q + M, M the lift modulus, agrees with q modulo every lift prime; only
     # the primes that its own coefficients call for tell them apart, on the
-    # whole matrix and on the start vector alone (with and without the
-    # residue test modulo the last table prime).
+    # whole matrix and on j alone (with and without the residue test modulo
+    # the last table prime).
     for a in _family_matrices() + _profile_cases() + _twin_cases():
         arr, rho = exact._guarded_array(a)
-        n = len(a)
-        for start in (np.ones(n, dtype=np.int64), np.arange(1, n + 1, dtype=np.int64)):
-            d, q, _ = exact._annihilator(arr, rho, start)
-            if q is None:
-                continue
-            m = exact._PRIME_PRODUCTS[exact._prime_count(2 * (1 + rho) ** d) - 1]
-            shifted = [q[0] + m] + q[1:]
-            assert exact._kills(arr, rho, q, start)
-            assert not exact._kills(arr, rho, shifted, start)
-            assert exact._vanishes(arr, rho, shifted, start[:, None]) == (False, False)
-            if start[-1] == 1:
-                assert exact._vanishes(arr, rho, q) == (main_profile(a).all_main, True)
-                assert exact._vanishes(arr, rho, shifted) == (False, False)
+        j = np.ones(len(a), dtype=np.int64)
+        d, q, _, _ = exact._annihilator(arr, rho)
+        if q is None:
+            continue
+        m = exact._PRIME_PRODUCTS[exact._prime_count(2 * (1 + rho) ** d) - 1]
+        shifted = [q[0] + m] + q[1:]
+        assert exact._kills(arr, rho, q, j)
+        assert not exact._kills(arr, rho, shifted, j)
+        assert exact._vanishes(arr, rho, shifted, j[:, None]) == (False, False)
+        assert exact._vanishes(arr, rho, q) == (main_profile(a).all_main, True)
+        assert exact._vanishes(arr, rho, shifted) == (False, False)
 
 
 # Shapes of the switched multipartite constructions at n = 48, 36 and 60.
@@ -665,14 +815,14 @@ def test_vanishes_matches_python_int_oracle_on_both_sides_of_2_53(bits, monkeypa
     res = multipartite_all_main_switching(p)
     a = adjacency_matrix(apply_switching(res.graph, res.switching))
     arr, rho = exact._guarded_array(a)
-    d, q, _ = exact._annihilator(arr, rho, np.ones(len(a), dtype=np.int64))
+    d, q, _, _ = exact._annihilator(arr, rho)
     assert _vanishes_bound(rho, q).bit_length() == bits
     lift = exact._PRIME_PRODUCTS[exact._prime_count(2 * (1 + rho) ** d) - 1]
     # The unswitched graph: q of j annihilates j but not A (its twins'
     # eigenvalues are not main); times x - 2^40 it needs the primes.
     plain = adjacency_matrix(make_multipartite(p))
     plain_arr, plain_rho = exact._guarded_array(plain)
-    _, q_j, _ = exact._annihilator(plain_arr, plain_rho, np.ones(len(a), dtype=np.int64))
+    _, q_j, _, _ = exact._annihilator(plain_arr, plain_rho)
     cases = [
         (a, arr, rho, q, (True, True)),  # a true annihilator
         (a, arr, rho, [q[0] + 1] + q[1:], (False, False)),
@@ -713,9 +863,8 @@ def test_wrong_lift_falls_back_to_power_stack(monkeypatch):
     # decide.  n = 16 keeps that fallback cheap.
     a = _switched_multipartite(_TWO_PRIME_SHAPE)
     arr, rho = exact._guarded_array(a)
-    j = np.ones(len(a), dtype=np.int64)
     expected = main_profile(a)
-    d, q, _ = exact._annihilator(arr, rho, j)
+    d, q, _, _ = exact._annihilator(arr, rho)
     assert expected.all_main and min(q) < 0
     assert exact._prime_count(2 * (1 + rho) ** d) == 2
     monkeypatch.setattr(exact, "_RANK_PRIME", exact._PRIMES[1])
@@ -742,32 +891,45 @@ def test_wrong_lift_falls_back_to_power_stack(monkeypatch):
 
 def test_twin_blowups_lift_at_most_two_primes_per_start_vector(monkeypatch):
     # The bound asks for 3 to 5 primes, but the candidate over two already
-    # passes the start-vector check: two Krylov runs from j and two from v,
-    # and the whole q(A) is evaluated only on a candidate that passed it.
+    # passes the start-vector check: two Krylov runs from j.  Then
+    # w = q_j(A) v has the minimal polynomial x (x + 1), of the twins'
+    # eigenvalues 0 and -1: one run of degree 2 modulo the first prime, and
+    # q_j x (x + 1) is evaluated on the n - mc unit columns outside j's
+    # pivots, only after it passed its check on v.  No q(A) is evaluated
+    # whole: q_j(A) v != 0 already shows q_j(A) != 0.
     runs, checks = [], []
     krylov, kills, vanishes = exact._krylov_mod, exact._kills, exact._vanishes
+
+    def run(arr, p, start):
+        out = krylov(arr, p, start)
+        runs.append(("j" if (start == 1).all() else "w", p, out[0]))
+        return out
 
     def check(kind, verdict, poly):
         checks.append((kind, poly, verdict))
         return verdict
 
-    monkeypatch.setattr(exact, "_krylov_mod",
-                        lambda arr, p, start: runs.append(start[-1]) or krylov(arr, p, start))
-    monkeypatch.setattr(exact, "_kills",
-                        lambda arr, rho, poly, s: check("start", kills(arr, rho, poly, s), poly))
+    monkeypatch.setattr(exact, "_krylov_mod", run)
+    monkeypatch.setattr(exact, "_kills", lambda arr, rho, poly, s: check(
+        "v" if s[-1] > 1 else "j", kills(arr, rho, poly, s), poly))
     monkeypatch.setattr(exact, "_vanishes", lambda arr, rho, poly, block=None: check(
-        "whole" if block is None else "block", vanishes(arr, rho, poly, block), poly))
+        None if block is None else block.shape[1], vanishes(arr, rho, poly, block), poly))
     bounds = []
     for a in _twin_cases():
         runs.clear(), checks.clear()
         n = len(a)
         expected = main_profile(a)
+        mc = expected.main_count
         arr, rho = exact._guarded_array(a)
-        bounds.append(exact._prime_count(2 * (1 + rho) ** expected.main_count))
-        assert runs == [1, 1, n, n]
-        passed = [poly for kind, poly, verdict in checks if kind == "start" and verdict]
-        assert all(poly in passed for kind, poly, _ in checks if kind == "whole")
-        assert [kind for kind, _, _ in checks].count("whole") == 1
+        bounds.append(exact._prime_count(2 * (1 + rho) ** mc))
+        assert expected.distinct_count == mc + 2
+        assert runs == [("j", exact._PRIMES[0], mc), ("j", exact._PRIMES[1], mc),
+                        ("w", exact._PRIMES[0], 2)]
+        kinds = [kind for kind, _, _ in checks]
+        assert None not in kinds and kinds.count(n - mc) == 1
+        (on_v, m, passed), (kind, poly, verdict) = checks[-2:]
+        assert (on_v, m, passed) == ("v", poly, True)
+        assert (kind, verdict[0], len(poly)) == (n - mc, True, mc + 3)
     assert min(bounds) >= 3
 
 
@@ -878,32 +1040,37 @@ def test_rejected_certificates_fall_back_to_the_power_stack_once(monkeypatch):
 
 
 def test_start_vector_j_cannot_certify_the_distinct_count(monkeypatch):
-    # With j in place of v, the second Krylov run finds the main polynomial
-    # again.  The matrix is not all-main, so q(A) != 0 and the fallback, not
-    # the main count, gives the distinct count.
+    # With j in place of v, w = q(A) j = 0 has Krylov degree 0, so m = q.
+    # The matrix is not all-main, so q(A) != 0: m passes on j but not on
+    # the unit columns outside j's pivots, and the fallback, not the main
+    # count, gives the distinct count.
     a = adjacency_matrix(make_multipartite(MultipartiteParams.of([(2, 5), (3, 2)])))
     expected = _oracle_profile(a)
     assert not expected.all_main
-    annihilator, vanishes, stack_profile = exact._annihilator, exact._vanishes, exact._stack_profile
-    starts, wholes, fallbacks = [], [], []
+    n, mc = len(a), expected.main_count
+    v = np.arange(1, n + 1)
+    residues, krylov, stack_profile = exact._residues, exact._krylov_mod, exact._stack_profile
+    runs, evaluations, fallbacks = [], [], []
 
-    def start_at_j(arr, rho, start):
-        starts.append(start.tolist())
-        return annihilator(arr, rho, np.ones(len(arr), dtype=np.int64))
+    def at_j(block):
+        if block is not None and block.shape[1] == 1 and (block[:, 0] == v).all():
+            return np.ones_like(block)
+        return block
 
-    monkeypatch.setattr(exact, "_annihilator", start_at_j)
-    def whole(arr, rho, poly, block=None):
-        checks = vanishes(arr, rho, poly, block)
-        if block is None:
-            wholes.append(checks[0])
-        return checks
+    def run(arr, p, start):
+        out = krylov(arr, p, start)
+        runs.append(((start == 1).all(), out[0]))
+        return out
 
-    monkeypatch.setattr(exact, "_vanishes", whole)
+    monkeypatch.setattr(exact, "_residues",
+                        lambda af, poly, block, primes: residues(af, poly, at_j(block), primes))
+    _record_evaluations(monkeypatch, evaluations, at_j)
+    monkeypatch.setattr(exact, "_krylov_mod", run)
     monkeypatch.setattr(exact, "_stack_profile",
                         lambda powers: fallbacks.append(1) or stack_profile(powers))
     assert main_profile(a) == expected
-    assert starts == [[1] * len(a), list(range(1, len(a) + 1))]
-    assert wholes == [False, False] and fallbacks == [1]
+    assert runs == [(True, mc), (False, 0)]
+    assert evaluations == [(None, False), (1, True), (n - mc, False)] and fallbacks == [1]
 
 
 def test_main_profile_takes_int64_arrays_as_they_are(monkeypatch):
