@@ -29,10 +29,14 @@ input with a ValueError.  It takes one of two paths:
    above.  From s = j, d = n or q(A) = 0 proves the matrix all-main, and
    q(A) j = 0 alone makes d the main count; past the one-prime check q(A)
    is evaluated whole only when q(A) v = 0 for v = (1, 2, ..., n) as well.
-   The distinct count is then d + e, e the degree of the minimal
-   polynomial r of w = q(A) v, lifted the same way from w mod p, and
-   certified by (q r)(A) = 0 on the n - d unit columns outside the pivot
-   rows of j's Krylov run, or at once when d + e = n.
+   The distinct count is then closed on a basis of j's first d walk
+   columns, the twin differences e_u - e_w (exact eigenvectors for 0 and
+   -1) and unit columns.  With no unit columns it is d plus the number of
+   twin eigenvalues that are not roots of q.  Otherwise it is d + e, e the
+   degree of the minimal polynomial r of w = q(A) v, lifted the same way
+   from w mod p, certified by (q r)(A) = 0 on that basis, or at once when
+   d + e = n; a failed certificate repeats this once from v = (1, 4, ...,
+   n^2).
 2. The power stack A^0, ..., A^(n-1): the main count is the Bareiss rank of
    the walk columns A^k j, and, when that is short of n, the distinct count
    is the rank of the Hankel matrix of power traces tr(A^(i+j)), the Gram
@@ -598,6 +602,35 @@ def _stack_profile(powers: np.ndarray) -> MainProfile:
     return MainProfile(main_count=mc, distinct_count=dc, all_main=mc == dc)
 
 
+def _value(poly: IntPoly, x: int) -> int:
+    """poly(x), in Python ints."""
+    return sum(c * x ** i for i, c in enumerate(poly))
+
+
+def _twin_split(arr: np.ndarray, pivots: list[int]) -> tuple[list[int], list[int]]:
+    """The twin eigenvalues lambda of a _guarded_array matrix, and the
+    vertices R that their eigenvectors leave to unit columns.
+
+    For lambda in (0, -1), the vertices whose rows of A - lambda I are equal
+    (not equal up to sign) form a class, and e_u - e_w is an eigenvector for
+    lambda for any two of them.  The first member a of a class is its
+    anchor, and each later member w goes into W, with d_w = e_a - e_w.  R is
+    the vertices outside W and the pivot rows P of j's Krylov run, which
+    holds no w: twins have equal Krylov entries, (A^i j)_u - (A^i j)_w =
+    lambda^i (e_u - e_w) . j = 0, and _krylov_mod pivots on the first
+    nonzero one.  No vertex has twins of both kinds: e_u - e_w and e_u - e_x
+    would be eigenvectors for 0 and -1 with inner product 1.
+    """
+    n, twins, covered = len(arr), [], set(pivots)
+    for lam, shifted in ((0, arr), (-1, arr + np.eye(n, dtype=np.int64))):
+        first: dict[bytes, int] = {}
+        later = [u for u, row in enumerate(shifted) if first.setdefault(row.tobytes(), u) != u]
+        if later:
+            twins.append(lam)
+            covered.update(later)
+    return twins, [u for u in range(n) if u not in covered]
+
+
 def _certified_profile(arr: np.ndarray, rho: int) -> MainProfile | None:
     """The profile of a symmetric _guarded_array matrix from annihilating
     polynomials, or None when a certificate fails.
@@ -606,22 +639,31 @@ def _certified_profile(arr: np.ndarray, rho: int) -> MainProfile | None:
     q, so the matrix is all-main with d of each (d <= main <= distinct
     always).  Otherwise q(A) != 0, and q(A) j = 0 makes q the minimal
     polynomial of j, whose roots are the main eigenvalues, and mc = d the
-    main count.  Then, for each table prime p in order, w = q(A) v mod p,
-    v = (1, 2, ..., n), is one _residues column, whose Krylov dependency r
-    mod p has degree e (_krylov_mod); r is lifted by CRT over the primes so
-    far, m = q r is checked on v (_kills), and m(A) on the n - mc unit
-    columns e_i, i outside the pivot rows P of j's Krylov run.  Once both
-    pass, or at once when mc + e = n, mc + e is the distinct count:
-    - at least: q vanishes at every main eigenvalue, so w lies in the
-      non-main eigenspaces, and e, a Krylov rank of w mod p, is at most its
-      rank over the rationals, the number of non-main eigenvalues in its
-      support;
-    - at most: the minor of [j, ..., A^(mc-1) j] on P is nonzero mod p,
-      hence nonzero, so these columns and the e_i are a basis of Q^n, and
-      m(A) kills each A^i j as q(A) does; so m(A) = 0.
-    A degree that differs between primes, or no candidate that passes
-    within the primes that 2 (1+rho)^e asks for (the whole table when it
-    asks for more), leaves the matrix open.
+    main count.  The distinct count is closed on the basis [A^i j (i < mc)
+    | d_w (w in W) | e_i (i in R)] of _twin_split.  Expanding along the e_i
+    and taking the Schur complement on the W rows (the block -I, as each
+    d_w has -1 on row w) leaves diag(1 + m_a) K[P], m_a the members of W
+    anchored at a in P, whose Krylov rows are a's: the determinant is
+    +-prod (1 + m_a) det K[P], nonzero as det K[P] is nonzero mod p
+    (_krylov_mod).  A polynomial in A kills every A^i j when q divides it,
+    and d_w when it vanishes at w's lambda.
+    - R empty: the distinct count is mc plus the number of twin lambda with
+      q(lambda) != 0, each an eigenvalue that is not main: m = q r, r the
+      product of their x - lambda, kills the basis.  No vector is formed.
+    - Otherwise, for each table prime p in order, w = q(A) v mod p, v = (1,
+      2, ..., n), is one _residues column, whose Krylov dependency r mod p
+      has degree e (_krylov_mod); r is lifted by CRT over the primes so far,
+      and m = q r is checked on v (_kills), at each twin lambda, and on the
+      |R| unit columns.  Once all pass, or at once when mc + e = n, mc + e
+      is the distinct count: m(A) = 0 bounds it from above, and w lies in
+      the non-main eigenspaces (q vanishes at every main eigenvalue), so e,
+      at most the rank of w's Krylov matrix over the rationals, is at most
+      the number of non-main eigenvalues.  A degree that differs between
+      primes, no candidate within the primes that 2 (1+rho)^e asks for
+      (the whole table when it asks for more), or a failed check runs this
+      step once more from v = (1, 4, ..., n^2) (mod _LIMIT, as _residues
+      needs), as v can be orthogonal to a whole non-main eigenspace, and
+      then leaves the matrix open.
     """
     n = len(arr)
     mc, q, pivots, (whole, on_j) = _annihilator(arr, rho)
@@ -629,25 +671,30 @@ def _certified_profile(arr: np.ndarray, rho: int) -> MainProfile | None:
         return MainProfile(main_count=mc, distinct_count=mc, all_main=True)
     if not on_j:
         return None
+    twins, rest = _twin_split(arr, pivots)
+    if not rest:
+        dc = mc + sum(1 for lam in twins if _value(q, lam))
+        return MainProfile(main_count=mc, distinct_count=dc, all_main=False)
     af, v = arr.astype(np.float64), np.arange(1, n + 1, dtype=np.int64)
-    residues = []
-    for p in _PRIMES:
-        w = _residues(af, q, v[:, None], (p,)).astype(np.int64).ravel()
-        e, r, _ = _krylov_mod(arr, p, w)
-        if mc + e == n:
-            return MainProfile(main_count=mc, distinct_count=n, all_main=False)
-        if residues and len(r) != len(residues[0]):
-            return None
-        residues.append(r)
-        lifted = _crt_lift(np.stack(residues, axis=1), len(residues))
-        m = np.convolve(np.array(q, dtype=object), np.array(lifted, dtype=object)).tolist()
-        if _kills(arr, rho, m, v):
-            outside = np.delete(np.eye(n, dtype=np.int64), pivots, axis=1)
-            if _vanishes(arr, rho, m, outside)[0]:
-                return MainProfile(main_count=mc, distinct_count=mc + e, all_main=False)
-            return None
-        if len(residues) == _prime_count(2 * (1 + rho) ** e):
-            return None
+    for start in (v, v * v % _LIMIT):
+        residues = []
+        for p in _PRIMES:
+            w = _residues(af, q, start[:, None], (p,)).astype(np.int64).ravel()
+            e, r, _ = _krylov_mod(arr, p, w)
+            if mc + e == n:
+                return MainProfile(main_count=mc, distinct_count=n, all_main=False)
+            if residues and len(r) != len(residues[0]):
+                break
+            residues.append(r)
+            lifted = _crt_lift(np.stack(residues, axis=1), len(residues))
+            m = np.convolve(np.array(q, dtype=object), np.array(lifted, dtype=object)).tolist()
+            if _kills(arr, rho, m, start):
+                if not any(_value(m, lam) for lam in twins) and _vanishes(
+                        arr, rho, m, np.eye(n, dtype=np.int64)[:, rest])[0]:
+                    return MainProfile(main_count=mc, distinct_count=mc + e, all_main=False)
+                break
+            if len(residues) == _prime_count(2 * (1 + rho) ** e):
+                break
     return None
 
 
@@ -663,9 +710,11 @@ def main_profile(a: IntMatrix | np.ndarray) -> MainProfile:
     stack: the main count is the Bareiss rank of the walk columns A^k j, and
     when it is short of n the distinct count is the rank of the Hankel
     matrix of power traces.  Every other matrix is decided by annihilating
-    polynomials, each checked exactly: from j for the main count, and from
-    q_j(A) v, v = (1, 2, ..., n), for the distinct count, checked on the
-    unit columns outside the pivot rows of j's Krylov run.  A matrix that
+    polynomials, each checked exactly: from j for the main count, and for
+    the distinct count on a basis of j's walk columns, the twins' own
+    eigenvectors e_u - e_w (for 0 and -1) and unit columns; only the unit
+    columns need the minimal polynomial of q_j(A) v, v = (1, 2, ..., n),
+    or of the squares v = (1, 4, ..., n^2) when that fails.  A matrix that
     these leave open is decided from its power stack, in Python ints when it
     does not fit int64.
 

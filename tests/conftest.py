@@ -687,12 +687,13 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
             return g
 
 
-def random_twin_blowup(rng: random.Random, n: int) -> Graph:
+def random_twin_blowup(rng: random.Random, n: int, closed: bool | None = None) -> Graph:
     """A connected G(k, p) base on k = n // 2 vertices (p drawn from
     [0.15, 0.5]), blown up to n vertices: each new vertex copies the
     neighbourhood of a random base vertex, and is joined to it (a closed
-    twin) with probability 1/2.  The spectrum has repeated eigenvalues 0 and
-    -1, and some eigenvalues are not main."""
+    twin) with probability 1/2, or always (closed True) or never (closed
+    False).  The spectrum has repeated eigenvalues 0 and -1, and some
+    eigenvalues are not main."""
     k = n // 2
     p = rng.uniform(0.15, 0.5)
     while True:
@@ -706,7 +707,7 @@ def random_twin_blowup(rng: random.Random, n: int) -> Graph:
         nbrs[w] = set(nbrs[v])
         for u in nbrs[v]:
             nbrs[u].add(w)
-        if rng.random() < 0.5:
+        if rng.random() < 0.5 if closed is None else closed:
             nbrs[w].add(v)
             nbrs[v].add(w)
     return Graph(n, frozenset((u, v) for u in nbrs for v in nbrs[u] if u < v))

@@ -459,14 +459,134 @@ def test_unit_columns_outside_the_pivots_complete_the_walk_columns():
         assert fraction_rank([w[:mc] + e for w, e in zip(walk_matrix(a), units)]) == n
 
 
+def _twin_basis(a, pivots):
+    # The columns of _certified_profile's basis after j's walk columns, from
+    # the rows of a as lists: d_w = e_a - e_w for each member w of a class
+    # of equal rows of A - lambda I (lambda 0 or -1) other than its anchor a
+    # (its member among the pivots, else its first), then the unit columns
+    # of R, the vertices outside the pivots and those w.
+    n, columns, others = len(a), [], set()
+    for lam in (0, -1):
+        classes = {}
+        for u, row in enumerate(a):
+            classes.setdefault(tuple(x - lam * (u == k) for k, x in enumerate(row)), []).append(u)
+        for members in classes.values():
+            anchor = next((u for u in members if u in pivots), members[0])
+            for w in members:
+                if w != anchor:
+                    columns.append([(i == anchor) - (i == w) for i in range(n)])
+                    others.add(w)
+    rest = [u for u in range(n) if u not in pivots and u not in others]
+    return columns + [[int(i == u) for i in range(n)] for u in rest], rest
+
+
+def test_twin_differences_and_unit_columns_complete_the_walk_columns():
+    # [A^i j (i < mc) | d_w | e_i, i in R] has rank n by Fraction
+    # elimination, so m(A) = 0 on the d_w and the e_i and m(A) j = 0 prove
+    # m(A) = 0.  The twin blow-ups leave R empty, H x K2 has no twins, the
+    # switched K_{5,5,2,2,2} has rows equal only up to sign (1 and 2, 6 and
+    # 7, 11 and 12), which are not twins, and the mirrored graph of
+    # test_start_vector_v_can_miss_a_non_main_eigenvalue has both d_w and
+    # unit columns.
+    rng = random.Random(0)
+    random_mirrored_graph(rng, 25)
+    switched = adjacency_matrix(apply_switching(
+        make_multipartite(MultipartiteParams.of([(2, 5), (3, 2)])), [1, 6, 11]))
+    assert switched[0] == [-x for x in switched[1]]
+    cases = _twin_cases() + [a for a in _profile_cases() if (
+        main_profile(a).main_count, main_profile(a).distinct_count) == (20, 40)]
+    cases += [switched, random_mirrored_graph(rng, 30)]
+    shapes = []
+    for a in cases:
+        n = len(a)
+        arr, rho = exact._guarded_array(a)
+        mc, _, pivots, _ = exact._annihilator(arr, rho)
+        extra, rest = _twin_basis(a, pivots)
+        assert len(pivots) == mc < n and exact._twin_split(arr, pivots)[1] == rest
+        assert fraction_rank([w[:mc] + list(e) for w, e in zip(walk_matrix(a), zip(*extra))]) == n
+        shapes.append((len(extra) - len(rest), len(rest)))
+    assert all(w and not r for w, r in shapes[:5])
+    assert shapes[5][0] == 0 and all(w and r for w, r in shapes[6:])
+
+
+def _blowup_cases():
+    # Seeded twin blow-ups with n = 12 to 24: open twins only (even seeds)
+    # or closed twins only (odd seeds), unswitched (seeds 0 to 7, seed 4
+    # all-main) and switched at random.  Most random switchings make a
+    # blow-up all-main; at seeds 43, 50, 136 and 214 it stays not all-main.
+    cases = []
+    for seed in (0, 1, 2, 3, 4, 5, 6, 7, 43, 50, 136, 214):
+        rng = random.Random(seed)
+        n = rng.randrange(12, 25)
+        g = random_twin_blowup(rng, n, closed=bool(seed % 2))
+        if seed > 7:
+            g = apply_switching(g, [v for v in range(1, n + 1) if rng.random() < 0.5])
+        cases.append(adjacency_matrix(g))
+    return cases
+
+
+def test_open_and_closed_twin_blowups_match_the_oracles():
+    # The oracles against both cases of _certified_profile: R empty, where
+    # the twins' eigenvalues alone close the distinct count, and R not
+    # empty.  A twin eigenvalue that is main (q_j(lambda) = 0, here after a
+    # switching that splits some twin classes and keeps others) adds nothing.
+    cases = _blowup_cases()
+    expected = [_oracle_profile(a) for a in cases]
+    assert [main_profile(a) for a in cases] == expected
+    rests, main_twins = [], []
+    for a, e in zip(cases, expected):
+        if e.all_main:
+            continue
+        n = len(a)
+        arr, rho = exact._guarded_array(a)
+        twins, rest = exact._twin_split(arr, exact._annihilator(arr, rho)[2])
+        rests.append(len(rest))
+        for lam in twins:
+            shifted = [[x - lam * (i == k) for k, x in enumerate(row)] for i, row in enumerate(a)]
+            if fraction_rank(shifted + [[1] * n]) > fraction_rank(shifted):
+                main_twins.append(lam)
+    assert len(rests) == 11 and 0 in rests and max(rests) >= 3
+    assert set(main_twins) == {0, -1}
+
+
+def test_twins_that_fill_the_basis_need_nothing_after_j(monkeypatch):
+    # With R empty no w = q_j(A) v is formed, and nothing is lifted or
+    # checked after j's annihilator.
+    annihilator = exact._annihilator
+    past_j, calls = [], []
+
+    def from_j(*args):
+        out = annihilator(*args)
+        past_j.append(1)
+        return out
+
+    def counted(name, fn):
+        return lambda *args: (past_j and calls.append(name)) or fn(*args)
+
+    monkeypatch.setattr(exact, "_annihilator", from_j)
+    for name in ("_residues", "_kills", "_krylov_mod", "_vanishes"):
+        monkeypatch.setattr(exact, name, counted(name, getattr(exact, name)))
+    for a in _twin_cases():
+        past_j.clear()
+        assert main_profile(a) == _oracle_profile(a)
+        assert past_j == [1] and not calls
+
+
 def test_wrong_lift_of_r_fails_on_the_unit_columns(monkeypatch):
     # r + M, M the lift prime, agrees with r modulo that prime, but q (r + M)
-    # fails on the unit columns outside j's pivots.  Made to take that lift
-    # past its check on v, main_profile falls back to the power stack.
-    a = _twin_cases()[0]
+    # fails on the unit columns R.  This mirrored graph has no twins, so R is
+    # every vertex outside j's pivots.  Made to take that lift past its
+    # check on the start vector, main_profile tries v and then the squares,
+    # and falls back to the power stack.
+    rng = random.Random(0)
+    for n in (25, 30, 35):
+        random_mirrored_graph(rng, n)
+    a = random_mirrored_graph(rng, 40)
     n, p = len(a), exact._PRIMES[0]
     arr, rho = exact._guarded_array(a)
     mc, q, pivots, _ = exact._annihilator(arr, rho)
+    twins, rest = exact._twin_split(arr, pivots)
+    assert not twins and len(rest) == n - mc and main_profile(a).distinct_count < n
     w = exact._residues(arr.astype(np.float64), q, np.arange(1, n + 1)[:, None], (p,))
     r = exact._crt_lift(exact._krylov_mod(arr, p, w.astype(np.int64).ravel())[1][:, None], 1)
     units = _unit_columns_outside(n, pivots)
@@ -493,7 +613,7 @@ def test_wrong_lift_of_r_fails_on_the_unit_columns(monkeypatch):
     monkeypatch.setattr(exact, "_stack_profile",
                         lambda powers: fallbacks.append(1) or stack_profile(powers))
     assert main_profile(a) == _oracle_profile(a)
-    assert evaluations[-1] == (n - mc, False) and fallbacks == [1]
+    assert evaluations[-2:] == [(n - mc, False)] * 2 and fallbacks == [1]
 
 
 def test_mirrored_graphs_match_the_oracles(monkeypatch):
@@ -534,8 +654,10 @@ def test_mirrored_graphs_match_the_oracles(monkeypatch):
 def test_start_vector_v_can_miss_a_non_main_eigenvalue(monkeypatch):
     # On this mirrored graph the eigenspace of 1, not main, is orthogonal to
     # v as well as to j (both lie in the row space of A - I): w = q(A) v
-    # has Krylov degree 7 of the 8 non-main eigenvalues, m(A) fails on the
-    # unit columns, and the power stack decides.
+    # has Krylov degree 7 of the 8 non-main eigenvalues, and m(A) fails on
+    # the unit columns R.  The squares (1, 4, ..., n^2) are not orthogonal
+    # to it: their w has degree 8, m(A) = 0 on R, and no power stack is
+    # built.
     rng = random.Random(0)
     random_mirrored_graph(rng, 25)
     a = random_mirrored_graph(rng, 30)
@@ -546,12 +668,16 @@ def test_start_vector_v_can_miss_a_non_main_eigenvalue(monkeypatch):
     rank = fraction_rank(shifted)
     assert rank < n
     assert fraction_rank(shifted + [[1] * n, list(range(1, n + 1))]) == rank
+    assert fraction_rank(shifted + [[i * i for i in range(1, n + 1)]]) == rank + 1
+    arr, rho = exact._guarded_array(a)
+    rest = exact._twin_split(arr, exact._annihilator(arr, rho)[2])[1]
     krylov, stack_profile = exact._krylov_mod, exact._stack_profile
     runs, evaluations, fallbacks = [], [], []
 
     def run(arr, p, start):
         out = krylov(arr, p, start)
-        runs.append(out[0])
+        if not (start == 1).all():
+            runs.append(out[0])
         return out
 
     monkeypatch.setattr(exact, "_krylov_mod", run)
@@ -559,7 +685,9 @@ def test_start_vector_v_can_miss_a_non_main_eigenvalue(monkeypatch):
     monkeypatch.setattr(exact, "_stack_profile",
                         lambda powers: fallbacks.append(1) or stack_profile(powers))
     assert main_profile(a) == expected
-    assert runs[-1] == 7 and evaluations[-1] == (n - 20, False) and fallbacks == [1]
+    assert set(runs) == {7, 8} and runs == sorted(runs)
+    blocks = [check for check in evaluations if check[0] not in (None, 1)]
+    assert blocks == [(len(rest), False), (len(rest), True)] and not fallbacks
 
 
 def test_main_profile_matches_exact_rank():
@@ -710,7 +838,8 @@ def test_main_profile_matches_rank_and_gcd_oracle(rng):
 
 def test_not_all_main_counts_come_from_the_annihilator(monkeypatch):
     # q(A) j = 0 with q of degree rank_p fixes the main count, and the
-    # minimal polynomial r of w = q(A) v, v = (1, ..., n), the distinct
+    # twins' eigenvalues, with the minimal polynomial r of w = q(A) v,
+    # v = (1, ..., n), when the unit columns R are not empty, the distinct
     # count; Bareiss is not needed.  H x K2 has main count 20 and distinct
     # count 40.  Matrices of at most 10 vertices take the power-stack kernel
     # instead.
@@ -718,6 +847,11 @@ def test_not_all_main_counts_come_from_the_annihilator(monkeypatch):
              if len(a) > 10 and not main_profile(a).all_main]
     expected = [main_profile(a) for a in cases]
     assert (20, 40) in {(p.main_count, p.distinct_count) for p in expected}
+    rests = []
+    for a in cases:
+        arr, rho = exact._guarded_array(a)
+        rests.append(exact._twin_split(arr, exact._annihilator(arr, rho)[2])[1])
+    assert [] in rests and any(rests)
 
     def no_bareiss(m):
         raise AssertionError("Bareiss elimination was called")
@@ -750,25 +884,24 @@ def test_not_all_main_counts_come_from_the_annihilator(monkeypatch):
     monkeypatch.setattr(exact, "rank_exact", no_bareiss)
     monkeypatch.setattr(exact, "_krylov_mod", tagged)
     monkeypatch.setattr(exact, "_vanishes", columns)
-    for a, e, count in zip(cases, expected, from_j):
+    for a, e, count, rest in zip(cases, expected, from_j, rests):
         runs.clear(), evaluations.clear()
         n, mc, dc = len(a), e.main_count, e.distinct_count
         assert main_profile(a) == e
-        # j's runs, then one run of degree dc - mc from w mod each lift
-        # prime of r, in table order.
+        # j's runs, then, when R is not empty, one run of degree dc - mc from
+        # w mod each lift prime of r, in table order.
         j_runs = [run for run in runs if run[0] == "j"]
         assert runs[:len(j_runs)] == j_runs and {d for _, _, d in j_runs} == {mc}
         assert runs[len(j_runs):] == [("w", p, dc - mc)
                                       for p in exact._PRIMES[:len(runs) - len(j_runs)]]
         # Whole evaluations only from j; from w, vectors and then the one
-        # block of the n - mc unit columns outside j's pivots, or nothing
-        # when mc + e = n.
+        # block of the |R| unit columns, or nothing when mc + e = n.
         assert evaluations.count(("j", None)) == count
         from_w = [cols for start, cols in evaluations if start == "w"]
-        if dc == n:
-            assert not from_w and len(runs) == len(j_runs) + 1
+        if not rest or dc == n:
+            assert not from_w and len(runs) == len(j_runs) + bool(rest)
         else:
-            assert from_w[-1] == n - mc and set(from_w[:-1]) <= {1}
+            assert from_w[-1] == len(rest) and set(from_w[:-1]) <= {1}
     assert any(p.distinct_count < len(a) for p, a in zip(expected, cases))
 
 
@@ -891,12 +1024,11 @@ def test_wrong_lift_falls_back_to_power_stack(monkeypatch):
 
 def test_twin_blowups_lift_at_most_two_primes_per_start_vector(monkeypatch):
     # The bound asks for 3 to 5 primes, but the candidate over two already
-    # passes the start-vector check: two Krylov runs from j.  Then
-    # w = q_j(A) v has the minimal polynomial x (x + 1), of the twins'
-    # eigenvalues 0 and -1: one run of degree 2 modulo the first prime, and
-    # q_j x (x + 1) is evaluated on the n - mc unit columns outside j's
-    # pivots, only after it passed its check on v.  No q(A) is evaluated
-    # whole: q_j(A) v != 0 already shows q_j(A) != 0.
+    # passes the start-vector check: two Krylov runs from j.  q_j(A) v != 0
+    # already shows q_j(A) != 0, so no q(A) is evaluated whole.  The twins'
+    # differences and j's walk columns leave no unit column (R is empty),
+    # so the distinct count mc + 2, from the twins' eigenvalues 0 and -1, needs
+    # no run from w = q_j(A) v and no other check.
     runs, checks = [], []
     krylov, kills, vanishes = exact._krylov_mod, exact._kills, exact._vanishes
 
@@ -917,19 +1049,17 @@ def test_twin_blowups_lift_at_most_two_primes_per_start_vector(monkeypatch):
     bounds = []
     for a in _twin_cases():
         runs.clear(), checks.clear()
-        n = len(a)
         expected = main_profile(a)
         mc = expected.main_count
         arr, rho = exact._guarded_array(a)
         bounds.append(exact._prime_count(2 * (1 + rho) ** mc))
         assert expected.distinct_count == mc + 2
-        assert runs == [("j", exact._PRIMES[0], mc), ("j", exact._PRIMES[1], mc),
-                        ("w", exact._PRIMES[0], 2)]
-        kinds = [kind for kind, _, _ in checks]
-        assert None not in kinds and kinds.count(n - mc) == 1
-        (on_v, m, passed), (kind, poly, verdict) = checks[-2:]
-        assert (on_v, m, passed) == ("v", poly, True)
-        assert (kind, verdict[0], len(poly)) == (n - mc, True, mc + 3)
+        assert runs == [("j", exact._PRIMES[0], mc), ("j", exact._PRIMES[1], mc)]
+        # _kills on j evaluates q(A) j once, after its residue test; on v
+        # the residue test already fails.
+        assert [(kind, verdict) for kind, _, verdict in checks] == [
+            (1, (True, True)), ("j", True), ("v", False)]
+        assert len({str(poly) for _, poly, _ in checks}) == 1 and len(checks[0][1]) == mc + 1
     assert min(bounds) >= 3
 
 
@@ -1040,20 +1170,21 @@ def test_rejected_certificates_fall_back_to_the_power_stack_once(monkeypatch):
 
 
 def test_start_vector_j_cannot_certify_the_distinct_count(monkeypatch):
-    # With j in place of v, w = q(A) j = 0 has Krylov degree 0, so m = q.
-    # The matrix is not all-main, so q(A) != 0: m passes on j but not on
-    # the unit columns outside j's pivots, and the fallback, not the main
-    # count, gives the distinct count.
-    a = adjacency_matrix(make_multipartite(MultipartiteParams.of([(2, 5), (3, 2)])))
-    expected = _oracle_profile(a)
-    assert not expected.all_main
-    n, mc = len(a), expected.main_count
-    v = np.arange(1, n + 1)
+    # With j in place of v and of the squares, w = q(A) j = 0 has Krylov
+    # degree 0, so m = q.  The matrices are not all-main, so q(A) != 0: m
+    # passes on j, but not at the twin eigenvalue 0 of K_{5,5,2,2,2}, which
+    # is not main, nor on the unit columns R of a mirrored graph with no
+    # twins, and the fallback, not the main count, gives the distinct count.
+    rng = random.Random(0)
+    for n in (25, 30, 35):
+        random_mirrored_graph(rng, n)
+    multipartite = adjacency_matrix(make_multipartite(MultipartiteParams.of([(2, 5), (3, 2)])))
     residues, krylov, stack_profile = exact._residues, exact._krylov_mod, exact._stack_profile
     runs, evaluations, fallbacks = [], [], []
 
     def at_j(block):
-        if block is not None and block.shape[1] == 1 and (block[:, 0] == v).all():
+        if block is not None and block.shape[1] == 1 and (
+                (block[:, 0] == v).all() or (block[:, 0] == v * v).all()):
             return np.ones_like(block)
         return block
 
@@ -1068,9 +1199,22 @@ def test_start_vector_j_cannot_certify_the_distinct_count(monkeypatch):
     monkeypatch.setattr(exact, "_krylov_mod", run)
     monkeypatch.setattr(exact, "_stack_profile",
                         lambda powers: fallbacks.append(1) or stack_profile(powers))
-    assert main_profile(a) == expected
-    assert runs == [(True, mc), (False, 0)]
-    assert evaluations == [(None, False), (1, True), (n - mc, False)] and fallbacks == [1]
+    for a, twins in ((multipartite, [0]), (random_mirrored_graph(rng, 40), [])):
+        expected = _oracle_profile(a)
+        assert not expected.all_main
+        n, mc = len(a), expected.main_count
+        v = np.arange(1, n + 1)
+        arr, rho = exact._guarded_array(a)
+        found, rest = exact._twin_split(arr, exact._annihilator(arr, rho)[2])
+        assert found == twins and len(rest) == (3 if twins else n - mc)
+        runs.clear(), evaluations.clear(), fallbacks.clear()
+        assert main_profile(a) == expected
+        j_runs = len(runs) - 2
+        assert runs == [(True, mc)] * j_runs + [(False, 0)] * 2 and fallbacks == [1]
+        # q(A) is evaluated whole from j; then m = q passes on j for each
+        # start vector, and fails at 0 or on R.
+        tail = [(1, True)] * 2 if twins else [(1, True), (len(rest), False)] * 2
+        assert evaluations[-len(tail) - 1:] == [(None, False)] + tail
 
 
 def test_main_profile_takes_int64_arrays_as_they_are(monkeypatch):
